@@ -9,9 +9,8 @@ from . import circuit as circ
 from .circuit import CircuitParams, derive_unitless, critical_current_from_beta
 from .oscillator import qubit_reduction
 from .hamiltonian import (build_coupler, build_qubit_bare, qubit_phase,
-                          coupler_phase, reduce_qubit, assemble_full)
-from .spectrum import (eigendecompose, extract_couplings, gap_diagnostics,
-                       two_excitation_splitting)
+                          reduce_qubit, assemble_full)
+from .spectrum import eigendecompose, extract_couplings, gap_diagnostics
 from .swt import analytic_couplings, numerical_swt
 
 
@@ -91,14 +90,15 @@ def with_flux_offsets(p: CircuitParams, coupler_offset=0.0, qubit_offsets=None):
     return q
 
 
-_BRANCHES = ("spectral_fit", "analytic_swt", "numerical_swt")
+# extraction branches, in column order, and their CSV column prefixes
+BRANCHES = {"spectral_fit": "spectral", "analytic_swt": "analytic",
+            "numerical_swt": "numswt"}
 
 
 def _row_for(u, trunc, branches):
     row = {}
     for branch in branches:
-        prefix = {"spectral_fit": "spectral", "analytic_swt": "analytic",
-                  "numerical_swt": "numswt"}[branch]
+        prefix = BRANCHES[branch]
         try:
             if branch == "spectral_fit":
                 cs, gd, _, _ = spectral_point(u, trunc)
@@ -156,7 +156,7 @@ def sweep_flux(p: CircuitParams, coupler_grid, qubit_offsets=None,
 
 def compare_swt(p: CircuitParams, beta_grid, trunc=Truncations()) -> SweepResult:
     """Spectral fit, analytic SWT, and numerical SWT side by side."""
-    return sweep_beta(p, beta_grid, trunc, branches=_BRANCHES)
+    return sweep_beta(p, beta_grid, trunc, branches=tuple(BRANCHES))
 
 
 def find_special_point(p: CircuitParams, lo=0.05, hi=0.6, trunc=Truncations(),

@@ -24,11 +24,10 @@ import numpy as np
 
 from . import __version__
 from .circuit import CircuitParams, derive_unitless, critical_current_from_beta
-from .analysis import (Truncations, sweep_beta, sweep_flux, compare_swt,
-                       susceptibility, with_beta_c, with_flux_offsets,
-                       build_system)
+from .analysis import (BRANCHES, Truncations, sweep_beta, sweep_flux,
+                       compare_swt, susceptibility, with_beta_c, build_system)
 from .hamiltonian import assemble_full
-from .spectrum import eigendecompose, two_excitation_splitting
+from .spectrum import eigendecompose, gap_diagnostics, two_excitation_splitting
 
 _UNIT_SCALE = {
     "H": 1.0, "mH": 1e-3, "uH": 1e-6, "nH": 1e-9, "pH": 1e-12,
@@ -45,8 +44,8 @@ _DIMENSIONLESS_CIRCUIT = {"beta_c", "beta_j"}
 _SCHEMA = {
     "circuit": set(_PHYSICAL_KEYS) | _DIMENSIONLESS_CIRCUIT,
     "truncation": {"qubit_states", "coupler_states", "n_keep"},
-    "sweep": {"parameter", "grid", "ratio_grid", "qubit_offsets", "common_mode"},
-    "extraction": {"branches", "fit_J3"},
+    "sweep": {"grid", "ratio_grid", "qubit_offsets", "common_mode"},
+    "extraction": {"branches"},
     "output": {"precision"},
 }
 
@@ -62,7 +61,6 @@ class RunConfig:
     sweep: dict = field(default_factory=dict)
     extraction: dict = field(default_factory=dict)
     precision: int = 12
-    raw: dict = field(default_factory=dict)
 
 
 def _parse_quantity(key, value, lineno):
@@ -107,7 +105,6 @@ def _parse_grid(text, lineno):
 
 def parse_config(text) -> RunConfig:
     sections = {name: {} for name in _SCHEMA}
-    lines_seen = {}
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -126,7 +123,6 @@ def parse_config(text) -> RunConfig:
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{section}]")
         sections[section][key] = (value, lineno)
-        lines_seen[(section, key)] = lineno
 
     circ = {}
     for key, (value, lineno) in sections["circuit"].items():
@@ -170,25 +166,18 @@ def parse_config(text) -> RunConfig:
                 raise ConfigError(
                     f"line {lineno}: qubit_offsets needs 4 comma-separated values")
             sweep[key] = vals
-        elif key == "common_mode":
+        else:
             if value.lower() not in ("true", "false"):
                 raise ConfigError(f"line {lineno}: common_mode must be true/false")
             sweep[key] = value.lower() == "true"
-        else:
-            sweep[key] = value
 
-    extraction = {"branches": ("spectral_fit",), "fit_J3": True}
-    for key, (value, lineno) in sections["extraction"].items():
-        if key == "branches":
-            branches = tuple(b.strip() for b in value.split(","))
-            bad = set(branches) - {"spectral_fit", "analytic_swt", "numerical_swt"}
-            if bad:
-                raise ConfigError(f"line {lineno}: unknown branch {sorted(bad)}")
-            extraction["branches"] = branches
-        else:
-            if value.lower() not in ("true", "false"):
-                raise ConfigError(f"line {lineno}: '{key}' must be true/false")
-            extraction[key] = value.lower() == "true"
+    extraction = {"branches": ("spectral_fit",)}
+    for value, lineno in sections["extraction"].values():
+        branches = tuple(b.strip() for b in value.split(","))
+        bad = set(branches) - set(BRANCHES)
+        if bad:
+            raise ConfigError(f"line {lineno}: unknown branch {sorted(bad)}")
+        extraction["branches"] = branches
 
     precision = 12
     for key, (value, lineno) in sections["output"].items():
@@ -197,10 +186,8 @@ def parse_config(text) -> RunConfig:
         except ValueError:
             raise ConfigError(f"line {lineno}: precision must be an integer")
 
-    raw = {sec: {k: v for k, (v, _) in entries.items()}
-           for sec, entries in sections.items()}
     return RunConfig(circuit=params, truncations=trunc, sweep=sweep,
-                     extraction=extraction, precision=precision, raw=raw)
+                     extraction=extraction, precision=precision)
 
 
 def _format_value(x, precision):
@@ -240,10 +227,8 @@ def write_csv(path, columns, rows, cfg: RunConfig, subcommand, seed=None):
 
 def _coupling_columns(branches):
     cols = []
-    prefix = {"spectral_fit": "spectral", "analytic_swt": "analytic",
-              "numerical_swt": "numswt"}
     for b in branches:
-        p = prefix[b]
+        p = BRANCHES[b]
         cols += [f"{p}_J1", f"{p}_J2", f"{p}_J3", f"{p}_J4",
                  f"{p}_residual", f"{p}_status"]
     return cols
@@ -285,8 +270,7 @@ def cmd_sweep_flux(cfg, outdir, seed):
 def cmd_compare_swt(cfg, outdir, seed):
     grid = _default_beta_grid(cfg)
     res = compare_swt(cfg.circuit, grid, cfg.truncations)
-    cols = (["beta_c"]
-            + _coupling_columns(("spectral_fit", "analytic_swt", "numerical_swt")))
+    cols = ["beta_c"] + _coupling_columns(BRANCHES)
     write_csv(os.path.join(outdir, "compare_swt.csv"), cols, res.rows, cfg,
               "compare-swt", seed)
     return res.rows
@@ -304,7 +288,6 @@ def cmd_gap_scan(cfg, outdir, seed):
             qubits, coupler = build_system(u, cfg.truncations)
             spec = eigendecompose(assemble_full(qubits, coupler, u,
                                                 cfg.truncations.n_keep))
-            from .spectrum import gap_diagnostics
             gd = gap_diagnostics(spec)
             row.update(delta_gap=gd.delta_gap, delta_max=gd.delta_max,
                        valid=gd.valid, status="ok")

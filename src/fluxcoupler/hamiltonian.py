@@ -4,6 +4,11 @@ Bare coupler and qubit Hamiltonians in truncated oscillator bases, the
 two-level qubit reduction, the 4-qubit (x) coupler product-space Hamiltonian,
 and the generalized Ising target model used for fitting.
 
+The product space is laid out qubits first (qubit 0 slowest) and coupler
+index fastest.  This module is the only one that builds operators on it: the
+spectral path (assemble_full) and the numerical SWT use the same coupler
+eigenbasis, unperturbed diagonal and interaction.
+
 All assembled operators carry units of Hz (energy/h).
 """
 
@@ -134,29 +139,30 @@ def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
                         omega=float(ev[1] - ev[0]), gauge_warning=gauge_warning)
 
 
-def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep=8):
-    """Product-space Hamiltonian on 2^4 x n_keep dimensions.
+def coupler_eigenbasis(coupler: OperatorMatrix, u, n_keep):
+    """Lowest n_keep coupler levels (Hz, relative to the ground level) and the
+    coupler phase phi_c in that eigenbasis."""
+    ev, vec = np.linalg.eigh(coupler.data)
+    phi_c = vec.T @ coupler_phase(u, coupler.dims[0]).data @ vec
+    return ev[:n_keep] - ev[0], phi_c[:n_keep, :n_keep]
 
-    H = sum_j H_j + H_c
-        + E_Ltilde_c [ sum_{i<j} alpha_i alpha_j phi_i phi_j
-                       + sum_j alpha_j phi_c phi_j ]
-    with the coupler expressed in its own eigenbasis (n_keep states kept) and
-    each qubit in its two-level reduction.  The direct term runs over each
-    unordered pair once.
+
+def unperturbed_diagonal(qubits, e_c):
+    """Diagonal of sum_j H_j + H_c on the product space: qubit splittings
+    from the two-level reductions plus the coupler levels e_c."""
+    d = np.diag(qubits[0].h2)
+    for q in qubits[1:]:
+        d = np.add.outer(d, np.diag(q.h2)).ravel()
+    return np.add.outer(d, e_c).ravel()
+
+
+def add_interaction(H, qubits, phi_c, u):
+    """Add E_Ltilde_c [sum_{i<j} alpha_i alpha_j phi_i phi_j
+    + sum_j alpha_j phi_j phi_c] onto the product-space matrix H, in place.
+
+    The direct term runs over each unordered pair once.  Returns H.
     """
-    if len(qubits) != 4:
-        raise ValueError("need exactly four reduced qubits")
-    n_c = coupler.dims[0]
-    if n_keep > n_c:
-        raise ValueError("n_keep exceeds coupler truncation")
-    ev_c, vec_c = np.linalg.eigh(coupler.data)
-    e_c = ev_c[:n_keep] - ev_c[0]
-    phi_c_full = coupler_phase_from_basis(u, n_c)
-    phi_c = (vec_c.T @ phi_c_full @ vec_c)[:n_keep, :n_keep]
-
-    dims = (2, 2, 2, 2, n_keep)
-    eye_c = np.eye(n_keep)
-    ops0 = [_I2] * 4 + [eye_c]
+    ops0 = [_I2] * 4 + [np.eye(phi_c.shape[0])]
 
     def embed(slot_ops):
         ops = list(ops0)
@@ -164,22 +170,32 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep=8):
             ops[slot] = op
         return kron_all(ops)
 
-    H = np.zeros((16 * n_keep, 16 * n_keep))
-    for j in range(4):
-        H += embed([(j, qubits[j].h2)])
-    H += embed([(4, np.diag(e_c))])
     E = u.E_Ltilde_c
     for i, j in PAIRS:
         H += E * float(u.alpha[i] * u.alpha[j]) * embed(
             [(i, qubits[i].phi2), (j, qubits[j].phi2)])
     for j in range(4):
         H += E * float(u.alpha[j]) * embed([(j, qubits[j].phi2), (4, phi_c)])
-    return OperatorMatrix(H, "product", dims)
+    return H
 
 
-def coupler_phase_from_basis(u, n_trunc):
-    _, phi, _ = _oscillator_ops(u.xi_c, 1.0, n_trunc)
-    return phi
+def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep=8):
+    """Product-space Hamiltonian on 2^4 x n_keep dimensions.
+
+    H = sum_j H_j + H_c
+        + E_Ltilde_c [ sum_{i<j} alpha_i alpha_j phi_i phi_j
+                       + sum_j alpha_j phi_c phi_j ]
+    with the coupler expressed in its own eigenbasis (n_keep states kept) and
+    each qubit in its two-level reduction.
+    """
+    if len(qubits) != 4:
+        raise ValueError("need exactly four reduced qubits")
+    if n_keep > coupler.dims[0]:
+        raise ValueError("n_keep exceeds coupler truncation")
+    e_c, phi_c = coupler_eigenbasis(coupler, u, n_keep)
+    H = add_interaction(np.diag(unperturbed_diagonal(qubits, e_c)),
+                        qubits, phi_c, u)
+    return OperatorMatrix(H, "product", (2, 2, 2, 2, n_keep))
 
 
 @dataclass

@@ -11,13 +11,6 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 from scipy.optimize import brentq
 
-# The displacement argument handed to displaced_overlap by qubit_reduction is
-# d = sqrt(2 m_eff omega_eff) * phi_p.  The quadrature oracle in the test
-# suite is the arbiter for this convention; flip the constant if it ever
-# disagrees.
-DISPLACEMENT_IN_NATURAL_UNITS = True
-
-
 def ladder(n):
     """Annihilation operator on an n-dimensional truncated Fock space."""
     a = np.zeros((n, n))

@@ -12,7 +12,9 @@ from math import factorial
 
 import numpy as np
 
-from .hamiltonian import (OperatorMatrix, PAIRS, TRIPLES, kron_all, _I2, _X, _Z)
+from .hamiltonian import (OperatorMatrix, PAIRS, TRIPLES, add_interaction,
+                          coupler_eigenbasis, kron_all, unperturbed_diagonal,
+                          _I2, _X, _Z)
 
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -86,8 +88,10 @@ def swt_prefactors(u, well, n_levels=9) -> SwtPrefactors:
                          omega_c=omega_c, epsilon=eps, delta_n0=delta)
 
 
-C1_CONSTANT = (1689.0 + 1060.0 * np.sqrt(2.0) - 82.0 * np.sqrt(6.0)
-               - 12.0 * np.sqrt(30.0)) / 55296.0
+# surd sum shared by C1_CONSTANT and the c~ of delta_form_couplings
+_SURD_SUM = (1689.0 + 1060.0 * np.sqrt(2.0) - 82.0 * np.sqrt(6.0)
+             - 12.0 * np.sqrt(30.0))
+C1_CONSTANT = _SURD_SUM / 55296.0
 
 
 def analytic_couplings(u, well):
@@ -135,8 +139,7 @@ def delta_form_couplings(p: SwtPrefactors):
     Used for the term-by-term consistency check against analytic_couplings.
     """
     g, K, D = p.g_qb_c, p.K_corr, p.omega_c
-    c_tilde = (1689.0 + 1060.0 * np.sqrt(2.0) - 82.0 * np.sqrt(6.0)
-               - 12.0 * np.sqrt(30.0)) / 24.0
+    c_tilde = _SURD_SUM / 24.0
     J4 = 24.0 * g**4 / D**3
     J3 = -6.0 * K * g**3 / D**3
     J2 = p.g_qb_qb - 2.0 * (1.0 - K / (4.0 * D) - c_tilde * K**2 / D**2) * g**2 / D \
@@ -217,46 +220,20 @@ def numerical_swt(u, qubits, coupler: OperatorMatrix, order=4):
     resulting 16x16 low block in the persistent-current frame.
     """
     from .spectrum import CouplingStrengths
-    from .hamiltonian import coupler_phase_from_basis
 
     if order != 4:
         raise ValueError("only the 4th-order expansion is implemented")
     n_c = coupler.dims[0]
-    ev_c, vec_c = np.linalg.eigh(coupler.data)
-    e_c = ev_c - ev_c[0]
-    phi_c = vec_c.T @ coupler_phase_from_basis(u, n_c) @ vec_c
+    e_c, phi_c = coupler_eigenbasis(coupler, u, n_c)
 
     omega = np.array([q.omega for q in qubits])
     if np.min(e_c[1:]) <= np.max(omega):
         raise RuntimeError("gap collapse: coupler gap below qubit splitting, "
                            "SWT convergence lost")
 
-    # diagonal unperturbed energies on the product space (qubit energy basis)
-    qubit_diag = [np.diag(q.h2) for q in qubits]
-    h0 = np.zeros(16 * n_c)
-    for idx in range(16 * n_c):
-        c, rem = idx % n_c, idx // n_c
-        bits = [(rem >> (3 - j)) & 1 for j in range(4)]
-        h0[idx] = sum(qubit_diag[j][bits[j]] for j in range(4)) + e_c[c]
-
-    eye_c = np.eye(n_c)
-    ops0 = [_I2] * 4 + [eye_c]
-
-    def embed(slot_ops):
-        ops = list(ops0)
-        for slot, op in slot_ops:
-            ops[slot] = op
-        return kron_all(ops)
-
-    E = u.E_Ltilde_c
-    V = np.zeros((16 * n_c, 16 * n_c))
-    for i, j in PAIRS:
-        V += E * float(u.alpha[i] * u.alpha[j]) * embed(
-            [(i, qubits[i].phi2), (j, qubits[j].phi2)])
-    for j in range(4):
-        V += E * float(u.alpha[j]) * embed([(j, qubits[j].phi2), (4, phi_c)])
-
-    block0 = np.array([(idx % n_c) == 0 for idx in range(16 * n_c)])
+    h0 = unperturbed_diagonal(qubits, e_c)
+    V = add_interaction(np.zeros((h0.size, h0.size)), qubits, phi_c, u)
+    block0 = np.arange(h0.size) % n_c == 0
     block = swt_effective_block(h0, V, block0)
 
     # rotate each qubit from its energy basis to the persistent-current basis

@@ -57,7 +57,7 @@ beta_c = 0.25  # inline
     ("\n[sweep]\ngrid = 0.5:0.1:0.1", "line 3: malformed grid"),
     ("[sweep]\nqubit_offsets = 1,2,3", "line 2: qubit_offsets needs 4"),
     ("[extraction]\nbranches = magic", "line 2: unknown branch"),
-    ("[extraction]\nfit_J3 = maybe", "line 2: 'fit_J3' must be true/false"),
+    ("[extraction]\nfit_J3 = maybe", "line 2: unknown key 'fit_J3'"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ConfigError, match="line \\d+"):

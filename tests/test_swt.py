@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fluxcoupler.circuit import derive_unitless, reference_circuit
-from fluxcoupler.hamiltonian import (IsingModel, assemble_ising_model,
-                                     build_coupler, build_qubit_bare,
-                                     qubit_phase, reduce_qubit)
+from fluxcoupler import swt as swt_module
+from fluxcoupler.circuit import CONSTANTS, derive_unitless, reference_circuit
+from fluxcoupler.hamiltonian import (IsingModel, assemble_full,
+                                     assemble_ising_model, build_coupler,
+                                     build_qubit_bare, qubit_phase,
+                                     reduce_qubit)
 from fluxcoupler.oscillator import qubit_reduction
 from fluxcoupler.swt import (C1_CONSTANT, _bernoulli, analytic_couplings,
                              delta_form_couplings, linear_map_L, numerical_swt,
@@ -262,6 +264,35 @@ def test_numerical_swt_order_guard():
     qubits, coupler = _system(u)
     with pytest.raises(ValueError):
         numerical_swt(u, qubits, coupler, order=2)
+
+
+@pytest.mark.parametrize("qubit_offsets", [(0.0, 0.0, 0.0, 0.0),
+                                           (1e-3, -2e-3, 1.5e-3, 5e-4)])
+def test_numerical_swt_sees_the_spectral_hamiltonian(monkeypatch,
+                                                     qubit_offsets):
+    # the SWT's H0 + V must be the product-space operator that assemble_full
+    # gives the spectral path: the full matrix at n_keep = coupler_states and
+    # its coupler-ground block at n_keep = 1
+    phi0 = CONSTANTS.flux_quantum
+    u = derive_unitless(reference_circuit(
+        beta_c=0.43, Phi_jx_offset=tuple(phi0 * x for x in qubit_offsets)))
+    qubits, coupler = _system(u)
+    if any(qubit_offsets):
+        assert all(abs(q.phi2[0, 0]) > 1e-6 for q in qubits)
+    seen = {}
+
+    def capture(h0_diag, V, block0):
+        seen.update(h0=h0_diag, V=V, block0=block0)
+        return swt_effective_block(h0_diag, V, block0)
+
+    monkeypatch.setattr(swt_module, "swt_effective_block", capture)
+    numerical_swt(u, qubits, coupler)
+    H = np.diag(seen["h0"]) + seen["V"]
+    low = np.flatnonzero(seen["block0"])
+    full = assemble_full(qubits, coupler, u, n_keep=coupler.dims[0])
+    ground = assemble_full(qubits, coupler, u, n_keep=1)
+    np.testing.assert_allclose(H, full.data, rtol=1e-12)
+    np.testing.assert_allclose(H[np.ix_(low, low)], ground.data, rtol=1e-12)
 
 
 # ------------------------------------------------- Pauli decomposition

@@ -4,8 +4,8 @@ import numpy as np
 
 from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (OperatorMatrix, build_coupler,
-                                     build_qubit_bare, coupler_phase_from_basis,
-                                     kron_all, qubit_phase, reduce_qubit)
+                                     build_qubit_bare, coupler_phase, kron_all,
+                                     qubit_phase, reduce_qubit)
 from fluxcoupler.swt import pauli_decompose, swt_effective_block
 
 _I2 = np.eye(2)
@@ -29,7 +29,7 @@ def one_qubit_toy_error(alpha_eff, phi_cx=0.05, phi_jx=0.005, beta_c=0.2,
     c = build_coupler(u, n_c)
     ev_c, vec_c = np.linalg.eigh(c.data)
     e_c = ev_c - ev_c[0]
-    phi_c = vec_c.T @ coupler_phase_from_basis(u, n_c) @ vec_c
+    phi_c = vec_c.T @ coupler_phase(u, n_c).data @ vec_c
     h0 = np.concatenate([np.diag(q.h2)[0] + e_c, np.diag(q.h2)[1] + e_c])
     V = np.kron(q.phi2, phi_c) * u.E_Ltilde_c * alpha_eff
     block0 = np.array([(i % n_c) == 0 for i in range(2 * n_c)])
