@@ -2,9 +2,10 @@
 
 The coupler screening parameter beta_c = 2 pi L_c I_cc / Phi_0 controls how
 strongly virtual coupler excitations mediate multi-qubit interactions.  This
-script sweeps beta_c, extracts the fitted couplings at each point, and prints
-the trend, including the growth of the fit residual as the coupler softens
-and the Ising description degrades.
+script sweeps beta_c, projects the coupler-ground manifold onto the bare
+coupler-ground subspace at each point, and prints the couplings together with
+the non-Ising norm, which grows as the coupler softens and the Ising
+description degrades.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ grid = np.round(np.arange(0.05, 0.61, 0.05), 3)
 res = sweep_beta(reference_circuit(), grid, TRUNC)
 
 print(f"{'beta_c':>7} {'J2 (MHz)':>10} {'J4 (MHz)':>10} "
-      f"{'residual (MHz)':>15} {'delta_gap (GHz)':>16}")
+      f"{'non-Ising (MHz)':>15} {'delta_gap (GHz)':>16}")
 for row in res.rows:
     if row["spectral_status"] != "ok":
         print(f"{row['beta_c']:7.2f}  {row['spectral_status']}")
@@ -30,8 +31,8 @@ for row in res.rows:
 
 print()
 print("the two-local coupling J2 grows steadily in magnitude with beta_c,")
-print("while the fitted J4 stays small; the residual column shows where the")
-print("16-level manifold stops being describable by any Ising model at all.")
+print("while J4 stays a few MHz; the non-Ising column shows where the 16-level")
+print("manifold stops being describable by any Ising model at all.")
 
 try:
     import matplotlib

@@ -49,5 +49,5 @@ show(sweep_flux(p, np.linspace(-m, m, 5), qubit_offsets=offsets, trunc=TRUNC),
 
 print("tilting the qubit loops breaks the degeneracy of the two circulating-")
 print("current states; the effective model acquires longitudinal fields and")
-print("the fitted couplings move by tens of percent per milli-Phi_0, which is")
+print("J4 moves by tens of percent per milli-Phi_0, which is")
 print("why per-qubit flux compensation matters much more than coupler drift.")

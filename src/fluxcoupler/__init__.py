@@ -5,7 +5,8 @@ Library layout:
   oscillator  single-mode basis math (Laguerre cosine elements, double well)
   hamiltonian operator assembly (bare, product space, target Ising model)
   spectrum    diagonalization, classification, coupling extraction
-  swt         Schrieffer-Wolff engine (analytic + numerical branches)
+  swt         Schrieffer-Wolff engine (analytic + numerical branches) and
+              the Pauli reading of 16x16 effective Hamiltonians
   analysis    sweeps, branch comparison, susceptibilities
   cli         config parsing and CSV emission
 """
@@ -19,9 +20,10 @@ from .hamiltonian import (OperatorMatrix, IsingModel, build_coupler,
                           build_qubit_bare, reduce_qubit, assemble_full,
                           assemble_ising_model)
 from .spectrum import (eigendecompose, extract_couplings, gap_diagnostics,
-                       two_excitation_splitting, CouplingStrengths)
+                       two_excitation_splitting)
 from .swt import (analytic_couplings, numerical_swt, pauli_decompose,
-                  swt_coefficients, swt_prefactors, linear_map_L)
+                  swt_coefficients, swt_prefactors, linear_map_L,
+                  CouplingStrengths)
 from .analysis import (Truncations, sweep_beta, sweep_flux, compare_swt,
                        susceptibility, spectral_point, find_special_point)
 

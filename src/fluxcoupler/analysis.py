@@ -41,7 +41,7 @@ def build_system(u, trunc=Truncations()):
     return qubits, coupler
 
 
-def spectral_point(u, trunc=Truncations(), fit_J3=True):
+def spectral_point(u, trunc=Truncations()):
     """Full-numerics pipeline at one parameter point.
 
     Returns (CouplingStrengths, GapDiagnostics, SpectrumResult, omegas).
@@ -50,7 +50,7 @@ def spectral_point(u, trunc=Truncations(), fit_J3=True):
     full = assemble_full(qubits, coupler, u, trunc.n_keep)
     spec = eigendecompose(full)
     omega = np.array([q.omega for q in qubits])
-    cs = extract_couplings(spec, omega, fit_J3=fit_J3)
+    cs = extract_couplings(spec, omega)
     gd = gap_diagnostics(spec)
     return cs, gd, spec, omega
 
@@ -155,13 +155,13 @@ def sweep_flux(p: CircuitParams, coupler_grid, qubit_offsets=None,
 
 
 def compare_swt(p: CircuitParams, beta_grid, trunc=Truncations()) -> SweepResult:
-    """Spectral fit, analytic SWT, and numerical SWT side by side."""
+    """Spectral projection, analytic SWT, and numerical SWT side by side."""
     return sweep_beta(p, beta_grid, trunc, branches=tuple(BRANCHES))
 
 
 def find_special_point(p: CircuitParams, lo=0.05, hi=0.6, trunc=Truncations(),
                        extraction="spectral_fit", tol=1e-3):
-    """beta_c where the fitted J4 equals -2 J2 (bisection on J4 + 2 J2)."""
+    """beta_c where the extracted J4 equals -2 J2 (bisection on J4 + 2 J2)."""
     def f(b):
         cs = couplings_point(derive_unitless(with_beta_c(p, b)), trunc, extraction)
         return cs.J4 + 2.0 * cs.J2

@@ -2,7 +2,7 @@
 
 Bare coupler and qubit Hamiltonians in truncated oscillator bases, the
 two-level qubit reduction, the 4-qubit (x) coupler product-space Hamiltonian,
-and the generalized Ising target model used for fitting.
+and the generalized Ising model (known 16-level spectra).
 
 The product space is laid out qubits first (qubit 0 slowest) and coupler
 index fastest.  This module is the only one that builds operators on it.  The

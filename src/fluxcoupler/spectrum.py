@@ -1,12 +1,11 @@
 """Diagonalization, subspace classification, coupling extraction, gap diagnostics."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .hamiltonian import (AdaptedBasis, OperatorMatrix, IsingModel,
-                          assemble_ising_model, kron_all)
+from .hamiltonian import AdaptedBasis, OperatorMatrix, kron_all
+from .swt import CouplingStrengths, ising_couplings
 
 _HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -21,9 +20,13 @@ class SpectrumResult:
     basis: str
     frame: AdaptedBasis = None       # the operator's OperatorMatrix.frame
 
+    def manifold(self, n=16):
+        """Indices of the lowest n levels labeled coupler_ground."""
+        idx = np.flatnonzero(self.subspace_label)
+        return idx[np.argsort(self.eigenvalues[idx], kind="stable")[:n]]
+
     def coupler_ground_levels(self, n=16):
-        lv = self.eigenvalues[self.subspace_label]
-        return np.sort(lv)[:n]
+        return self.eigenvalues[self.manifold(n)]
 
 
 @dataclass
@@ -63,63 +66,38 @@ def eigendecompose(h: OperatorMatrix) -> SpectrumResult:
                           frame=h.frame)
 
 
-@dataclass
-class CouplingStrengths:
-    J1: float
-    J2: float
-    J3: float
-    J4: float
-    shift: float
-    provenance: str           # 'spectral_fit' | 'analytic_swt' | 'numerical_swt'
-    residual: float = 0.0     # rms misfit (spectral) or non-Ising norm (swt)
-    diagnostics: dict = field(default_factory=dict)
+def extract_couplings(s: SpectrumResult, omega) -> CouplingStrengths:
+    """Couplings of the 16 coupler-ground levels by exact projection.
 
-
-def extract_couplings(s: SpectrumResult, omega, fit_J3=True,
-                      residual_threshold=None) -> CouplingStrengths:
-    """Global least-squares fit of the generalized Ising model to the 16
-    coupler-ground levels.
-
-    omega: bare qubit splittings (Hz).  Virtual coupler excitations dress
-    the qubits' transverse terms too, so the model's splittings are
-    kappa * omega with one common dressing factor kappa that is fitted.  The
-    other fitted parameters are the global shift and the symmetric coupling
-    strengths (J1, J2, J4), plus J3 when fit_J3.  diagnostics["omega_eff"]
-    holds the fitted splittings kappa * omega.  The rms residual is the
-    model-mismatch diagnostic; a large residual means the effective Ising
-    description does not hold.
+    The manifold eigenvectors are projected onto the bare coupler-ground
+    subspace P (coupler ground state, qubits in the persistent-current
+    frame) and orthogonalized symmetrically, T = B (B^T B)^(-1/2): the
+    direct-rotation Schrieffer-Wolff transformation (Bravyi, DiVincenzo &
+    Loss, Ann. Phys. 326, 2793 (2011)).  H_eff = T diag(E) T^T is the
+    effective Hamiltonian on P to all orders; ising_couplings reads it.
+    omega: bare qubit splittings (Hz); diagnostics["kappa"] is the dressing
+    factor omega_eff / omega.
     """
-    target = s.coupler_ground_levels(16)
-    if len(target) < 16:
+    idx = s.manifold(16)
+    if len(idx) < 16:
         raise ValueError("fewer than 16 coupler-ground levels identified")
-    omega = np.asarray(omega, dtype=float)
-    scale = max(np.mean(omega), 1.0)
-
-    def model(x):
-        shift, J1, J2, J3, J4, kappa = x
-        m = IsingModel.symmetric(0.0, J1, J2, J3 if fit_J3 else 0.0, J4, shift)
-        m.omega = kappa * omega
-        return np.linalg.eigvalsh(assemble_ising_model(m).data)
-
-    def resid(x):
-        return model(x) - target
-
-    # a nonzero initial guess keeps the finite-difference Jacobian away from
-    # the degenerate all-zero-coupling point
-    x0 = np.array([np.mean(target), 1e-4 * scale, -1e-4 * scale,
-                   1e-5 * scale, 1e-4 * scale, 1.0])
-    x_scale = np.append(np.full(5, 1e-3 * scale), 1e-3)
-    sol = least_squares(resid, x0, x_scale=x_scale, method="lm", xtol=1e-10)
-    shift, J1, J2, J3, J4, kappa = sol.x
-    rms = float(np.sqrt(np.mean(sol.fun**2)))
-    diag = {"success": bool(sol.success), "omega_eff": kappa * omega}
-    if residual_threshold is not None and rms > residual_threshold:
-        diag["model_mismatch"] = (
-            "effective Ising model does not describe this spectrum")
-    return CouplingStrengths(J1=float(J1), J2=float(J2),
-                             J3=float(J3) if fit_J3 else 0.0, J4=float(J4),
-                             shift=float(shift), provenance="spectral_fit",
-                             residual=rms, diagnostics=diag)
+    vec = s.eigenvectors[:, idx]
+    if s.basis == "ising_pc":
+        B = vec
+    elif s.basis == "product" and s.frame is not None:
+        # <z, bare coupler ground | psi_k> = sum_n <0|chi_n(z)> psi_k(z, n)
+        B = np.einsum("zn,znk->zk", s.frame.states[:, 0, :],
+                      vec.reshape(16, s.dims[-1], 16))
+    else:
+        raise ValueError("projection needs an ising_pc spectrum or a product "
+                         "spectrum with its adapted-basis frame")
+    U, _, Wt = np.linalg.svd(B)
+    T = U @ Wt
+    h_eff = OperatorMatrix((T * s.eigenvalues[idx]) @ T.T, "ising_pc",
+                           (2, 2, 2, 2))
+    cs = ising_couplings(h_eff, "spectral_fit")
+    cs.diagnostics["kappa"] = cs.diagnostics["omega_eff"] / np.asarray(omega)
+    return cs
 
 
 def _two_excitation_projector_weights(s: SpectrumResult):

@@ -2,11 +2,12 @@
 
 Closed-form analytic coupling strengths from the quartic-truncated coupler,
 the numerical 4th-order SWT in the exact coupler eigenbasis, and the
-Pauli-string decomposition of effective Hamiltonians.
+Pauli-string decomposition of effective Hamiltonians that every numerical
+branch reads its couplings from (ising_couplings).
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -17,6 +18,18 @@ from .hamiltonian import (OperatorMatrix, PAIRS, TRIPLES, add_interaction,
                           unperturbed_diagonal, _I2, _X, _Z)
 
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+@dataclass
+class CouplingStrengths:
+    J1: float
+    J2: float
+    J3: float
+    J4: float
+    shift: float
+    provenance: str           # 'spectral_fit' | 'analytic_swt' | 'numerical_swt'
+    residual: float = 0.0     # non-Ising norm (numerical branches)
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _bernoulli(n):
@@ -104,8 +117,6 @@ def analytic_couplings(u, well):
                          + 5 (alpha s)^2 / (xi_c (1-beta_c)^{5/2}) ]
     J1 from the quartic-vertex expression; all diverge as beta_c -> 1.
     """
-    from .spectrum import CouplingStrengths
-
     if u.beta_c >= 1:
         raise ValueError("beta_c >= 1: analytic couplings diverge")
     E = u.E_Ltilde_c
@@ -219,8 +230,6 @@ def numerical_swt(u, qubits, coupler: OperatorMatrix, order=4):
     ground vs rest, runs the generator recursion, and Pauli-decomposes the
     resulting 16x16 low block in the persistent-current frame.
     """
-    from .spectrum import CouplingStrengths
-
     if order != 4:
         raise ValueError("only the 4th-order expansion is implemented")
     n_c = coupler.dims[0]
@@ -240,17 +249,27 @@ def numerical_swt(u, qubits, coupler: OperatorMatrix, order=4):
     U = kron_all(pc_rotations(qubits))
     h_pc = U.conj().T @ block @ U
     h_eff = OperatorMatrix(h_pc, "ising_pc", (2, 2, 2, 2))
+    return h_eff, ising_couplings(h_eff, "numerical_swt")
+
+
+def ising_couplings(h_eff: OperatorMatrix, provenance) -> CouplingStrengths:
+    """Coupling strengths of a 16x16 effective Hamiltonian (pc frame).
+
+    J1, J2 and J3 are the means over qubits, pairs and triples of the
+    pauli_decompose coefficients, with their spreads in diagnostics;
+    diagnostics["omega_eff"] holds the dressed transverse splittings and the
+    residual is the non-Ising norm.
+    """
     model, residual = pauli_decompose(h_eff)
-    cs = CouplingStrengths(
+    return CouplingStrengths(
         J1=float(np.mean(model["J1"])), J2=float(np.mean(model["J2"])),
         J3=float(np.mean(model["J3"])), J4=float(model["J4"]),
-        shift=float(model["shift"]), provenance="numerical_swt",
+        shift=float(model["shift"]), provenance=provenance,
         residual=residual,
         diagnostics={"J1_spread": float(np.ptp(model["J1"])),
                      "J2_spread": float(np.ptp(model["J2"])),
                      "J3_spread": float(np.ptp(model["J3"])),
                      "omega_eff": model["omega"]})
-    return h_eff, cs
 
 
 def pauli_decompose(h_eff: OperatorMatrix):

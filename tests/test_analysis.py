@@ -99,12 +99,12 @@ def test_sweep_flux_coupler_even_symmetry():
     # the spectrum is exactly even in the coupler offset (phi -> -phi maps
     # one sign to the other at the qubit degeneracy point)
     assert np.allclose(lv[-1], lv[1], rtol=1e-9, atol=1.0)
-    # the fitted couplings inherit the symmetry up to fit noise
+    # the extracted couplings inherit the symmetry
     out = sweep_flux(p, [-2e-3, 0.0, 2e-3], trunc=FAST)
     J4 = out.column("spectral_J4")
     J2 = out.column("spectral_J2")
-    assert J4[0] == pytest.approx(J4[2], rel=2e-3)
-    assert J2[0] == pytest.approx(J2[2], rel=2e-3)
+    assert J4[0] == pytest.approx(J4[2], rel=1e-9)
+    assert J2[0] == pytest.approx(J2[2], rel=1e-9)
 
 
 def test_sweep_flux_common_mode_plumbing():

@@ -8,6 +8,7 @@ from fluxcoupler.hamiltonian import (IsingModel, OperatorMatrix, assemble_full,
                                      reduce_qubit)
 from fluxcoupler.spectrum import (eigendecompose, extract_couplings,
                                   gap_diagnostics, two_excitation_splitting)
+from fluxcoupler.swt import pauli_decompose
 
 
 def _spec_of(model: IsingModel):
@@ -41,12 +42,8 @@ def test_fit_round_trip(J1, J2, J3, J4):
     cs = extract_couplings(_spec_of(m), omega)
     assert cs.provenance == "spectral_fit"
     assert cs.residual < 1e-7
-    # the spectrum is even under a global X flip (odd-weight Z strings change
-    # sign), so the J1/J3 direction is quadratically flat near zero and those
-    # two recover less sharply than the even couplings
-    for name, want, tol in [("J1", J1, 5e-4), ("J2", J2, 1e-6),
-                            ("J3", J3, 5e-4), ("J4", J4, 1e-6)]:
-        assert getattr(cs, name) == pytest.approx(want, abs=tol)
+    for name, want in [("J1", J1), ("J2", J2), ("J3", J3), ("J4", J4)]:
+        assert getattr(cs, name) == pytest.approx(want, abs=1e-6)
     assert cs.shift == pytest.approx(0.7, abs=1e-6)
 
 
@@ -58,6 +55,53 @@ def test_fit_reports_dressed_splittings():
     assert np.allclose(cs.diagnostics["omega_eff"], 0.9 * 2.9, rtol=1e-8)
     assert cs.J2 == pytest.approx(-0.3, abs=1e-6)
     assert cs.J4 == pytest.approx(0.05, abs=1e-6)
+
+
+def _bare_frame_projection(spec):
+    """Effective Hamiltonian on the bare coupler-ground subspace, computed
+    through the bare frame: the 16 manifold eigenvectors carried there, their
+    coupler-ground row rotated to the persistent-current frame and
+    orthogonalized symmetrically by B (B^T B)^(-1/2)."""
+    sel = np.where(spec.subspace_label)[0][:16]
+    W = spec.frame.isometry()
+    n_c = spec.frame.states.shape[1]
+    bare = (W @ spec.eigenvectors[:, sel]).reshape(16, n_c, 16)[:, 0, :]
+    B = spec.frame.rotation.T @ bare
+    w, v = np.linalg.eigh(B.T @ B)
+    T = B @ (v / np.sqrt(w)) @ v.T
+    return T @ np.diag(spec.eigenvalues[sel]) @ T.T
+
+
+@pytest.mark.parametrize("beta_c", [0.05, 0.43])
+def test_spectral_couplings_are_the_bare_frame_projection(beta_c):
+    u = derive_unitless(reference_circuit(beta_c=beta_c))
+    qubits = [reduce_qubit(build_qubit_bare(u, j, 40), qubit_phase(u, j, 40))
+              for j in range(4)]
+    spec = eigendecompose(assemble_full(qubits, build_coupler(u, 30), u, 8))
+    cs = extract_couplings(spec, [q.omega for q in qubits])
+    model, residual = pauli_decompose(OperatorMatrix(
+        _bare_frame_projection(spec), "ising_pc", (2, 2, 2, 2)))
+    scale = abs(cs.J2)
+    for name in ("J1", "J2", "J3"):
+        assert np.allclose(getattr(cs, name), np.mean(model[name]),
+                           rtol=1e-9, atol=1e-9 * scale)
+    assert cs.J4 == pytest.approx(model["J4"], rel=1e-9, abs=1e-9 * scale)
+    assert cs.shift == pytest.approx(model["shift"], rel=1e-9)
+    assert cs.residual == pytest.approx(residual, rel=1e-9)
+    assert np.allclose(cs.diagnostics["omega_eff"], model["omega"], rtol=1e-9)
+    # the half-flux bias makes the odd-weight Z strings vanish
+    assert abs(cs.J1) <= 1e-6 * scale
+    assert abs(cs.J3) <= 1e-6 * scale
+
+
+def test_projection_needs_a_frame():
+    u = derive_unitless(reference_circuit(beta_c=0.3))
+    qubits = [reduce_qubit(build_qubit_bare(u, j, 30), qubit_phase(u, j, 30))
+              for j in range(4)]
+    H = assemble_full(qubits, build_coupler(u, 20), u, 4)
+    H.frame = None
+    with pytest.raises(ValueError, match="frame"):
+        extract_couplings(eigendecompose(H), [q.omega for q in qubits])
 
 
 def test_two_excitation_sector_in_the_adapted_basis():
@@ -78,14 +122,6 @@ def test_two_excitation_sector_in_the_adapted_basis():
                        atol=1e-9)
 
 
-def test_fit_without_three_local():
-    m = IsingModel.symmetric(2.9, J2=-0.2, J4=0.1)
-    cs = extract_couplings(_spec_of(m), np.full(4, 2.9), fit_J3=False)
-    assert cs.J3 == 0.0
-    assert cs.J2 == pytest.approx(-0.2, abs=1e-8)
-    assert cs.J4 == pytest.approx(0.1, abs=1e-8)
-
-
 def test_fit_noise_robustness():
     # perturb the spectrum at the 1e-6 level; recovered couplings move by a
     # comparable amount, not catastrophically
@@ -97,17 +133,6 @@ def test_fit_noise_robustness():
     assert cs.J4 == pytest.approx(0.29, abs=1e-4)
     assert cs.J2 == pytest.approx(-0.15, abs=1e-4)
     assert cs.residual < 1e-5
-
-
-def test_fit_residual_threshold_diagnostic():
-    # a spectrum the Ising model cannot reproduce: random symmetric levels
-    rng = np.random.default_rng(11)
-    m = IsingModel.symmetric(2.9, J2=-0.15)
-    s = _spec_of(m)
-    s.eigenvalues = np.sort(s.eigenvalues + rng.normal(scale=0.3, size=16))
-    cs = extract_couplings(s, np.full(4, 2.9), residual_threshold=0.01)
-    assert cs.residual > 0.01
-    assert "model_mismatch" in cs.diagnostics
 
 
 def test_two_excitation_four_local_pattern():

@@ -312,6 +312,27 @@ def test_numerical_swt_sees_the_spectral_hamiltonian(monkeypatch,
 # ------------------------------------------------- Pauli decomposition
 
 
+def test_spectral_branch_is_the_all_orders_limit_of_the_swt():
+    # the spectral projection is the Schrieffer-Wolff effective Hamiltonian
+    # to all orders, so it differs from the 4th-order numerical SWT at 6th
+    # order in the coupling: shrinking M_j at fixed beta_c, the differences
+    # fall at least as the 5th power
+    from fluxcoupler.analysis import (Truncations, build_system,
+                                      spectral_point, with_beta_c)
+    scales = np.array([0.5, 0.25, 0.125])
+    d2, d4 = [], []
+    for s in scales:
+        p = reference_circuit()
+        p.M_j = p.M_j * s
+        u = derive_unitless(with_beta_c(p, 0.43))
+        cs, _, _, _ = spectral_point(u, Truncations())
+        _, ref = numerical_swt(u, *build_system(u, Truncations()))
+        d2.append(abs(cs.J2 - ref.J2))
+        d4.append(abs(cs.J4 - ref.J4))
+    for d in (d2, d4):
+        assert np.polyfit(np.log(scales), np.log(d), 1)[0] >= 5.0
+
+
 def test_pauli_decompose_round_trip():
     rng = np.random.default_rng(5)
     m = IsingModel(omega=rng.normal(size=4), J1=rng.normal(size=4),
