@@ -188,22 +188,24 @@ def add_interaction(H, qubits, phi_c, u):
     """Add E_Ltilde_c [sum_{i<j} alpha_i alpha_j phi_i phi_j
     + sum_j alpha_j phi_j phi_c] onto the product-space matrix H, in place.
 
-    The direct term runs over each unordered pair once.  Returns H.
+    The direct term runs over each unordered pair once.  Both sums are
+    formed on the 16 qubit states first, so H receives two Kronecker
+    products with the coupler.  Returns H.
     """
-    ops0 = [_I2] * 4 + [np.eye(phi_c.shape[0])]
-
-    def embed(slot_ops):
-        ops = list(ops0)
+    def on_qubits(slot_ops):
+        ops = [_I2] * 4
         for slot, op in slot_ops:
             ops[slot] = op
         return kron_all(ops)
 
+    alpha = [float(a) for a in u.alpha]
+    phi = [q.phi2 for q in qubits]
+    direct = sum(alpha[i] * alpha[j] * on_qubits([(i, phi[i]), (j, phi[j])])
+                 for i, j in PAIRS)
+    force = sum(alpha[j] * on_qubits([(j, phi[j])]) for j in range(4))
     E = u.E_Ltilde_c
-    for i, j in PAIRS:
-        H += E * float(u.alpha[i] * u.alpha[j]) * embed(
-            [(i, qubits[i].phi2), (j, qubits[j].phi2)])
-    for j in range(4):
-        H += E * float(u.alpha[j]) * embed([(j, qubits[j].phi2), (4, phi_c)])
+    H += np.kron(E * direct, np.eye(phi_c.shape[0]))
+    H += np.kron(E * force, phi_c)
     return H
 
 

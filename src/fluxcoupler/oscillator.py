@@ -8,7 +8,7 @@ two-level qubit reduction factor s.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import binom, eval_genlaguerre, gammaln
 from scipy.optimize import brentq
 
 def ladder(n):
@@ -17,6 +17,25 @@ def ladder(n):
     k = np.arange(1, n)
     a[k - 1, k] = np.sqrt(k)
     return a
+
+
+def _genlaguerre_matrix(lo, k, x):
+    """L_lo^k(x) elementwise over the integer arrays lo and k.
+
+    The three-term recurrence of scipy's eval_genlaguerre for integer
+    degree, with p = L_j^k / binom(j+k, j), run over the whole array at
+    once: step j holds for the elements with lo > j.
+    """
+    k = k.astype(float)
+    d = -x / (k + 1.0)
+    p = d + 1.0
+    for j in range(1, int(np.max(lo, initial=0))):
+        step = j < lo
+        d_next = -x / (j + k + 1.0) * p + (j / (j + k + 1.0)) * d
+        d = np.where(step, d_next, d)
+        p = np.where(step, p + d, p)
+    return np.select([lo == 0, lo == 1], [1.0, -x + k + 1.0],
+                     binom(lo + k, lo) * p)
 
 
 def displacement_matrix(n, r):
@@ -31,10 +50,7 @@ def displacement_matrix(n, r):
     lo = np.minimum(M, N)
     hi = np.maximum(M, N)
     k = hi - lo
-    lag = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            lag[i, j] = eval_genlaguerre(lo[i, j], k[i, j], r * r)
+    lag = _genlaguerre_matrix(lo, k, r * r)
     if r == 0.0:
         amp = (k == 0).astype(float)
     else:

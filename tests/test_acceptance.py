@@ -54,7 +54,7 @@ def test_criterion_1_operating_point():
         "C1 operating point", ok,
         f"J4 = {cs.J4 / 1e6:.1f} MHz vs 291 +- 15%, "
         f"J2 = {cs.J2 / 1e6:.1f} MHz vs -145.5 +- 15%, "
-        f"fit rms residual {cs.residual / 1e6:.1f} MHz, {dt:.1f} s")
+        f"non-Ising norm {cs.residual / 1e6:.1f} MHz, {dt:.1f} s")
 
 
 def test_criterion_2_special_point_degeneracy():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammaln
 
 from fluxcoupler.oscillator import (cosine_matrix, displaced_overlap,
                                     displacement_matrix, find_well_minimum,
@@ -82,6 +82,23 @@ def test_displacement_unitary_up_to_truncation():
     D = displacement_matrix(60, 0.3)
     prod = D.conj().T @ D
     assert np.allclose(prod[:40, :40], np.eye(40), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 13, 60])
+@pytest.mark.parametrize("r", [0.0, 0.05, 0.3, 0.55, 1.3])
+def test_displacement_matrix_against_scalar_laguerre(n, r):
+    # the closed form with one scalar eval_genlaguerre call per element
+    want = np.empty((n, n), dtype=complex)
+    for m in range(n):
+        for k in range(n):
+            lo, hi = min(m, k), max(m, k)
+            amp = float(lo == hi) if r == 0.0 else np.exp(
+                0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
+                + (hi - lo) * np.log(r) - r * r / 2.0)
+            want[m, k] = ((1j) ** (hi - lo) * amp
+                          * eval_genlaguerre(lo, hi - lo, r * r))
+    np.testing.assert_allclose(displacement_matrix(n, r), want, rtol=1e-13,
+                               atol=0)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.05, 0.3, 1.2])

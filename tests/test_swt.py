@@ -14,7 +14,8 @@ from fluxcoupler.swt import (C1_CONSTANT, _bernoulli, analytic_couplings,
                              delta_form_couplings, linear_map_L, numerical_swt,
                              pauli_decompose, swt_coefficients, swt_prefactors,
                              swt_effective_block)
-from toys import linear_coupler_toy, one_qubit_toy_error
+from toys import (dense_swt_effective_block, linear_coupler_toy,
+                  one_qubit_toy_error)
 
 
 def _u(beta_c=0.43):
@@ -117,6 +118,47 @@ def test_one_qubit_toy_halving():
     e1 = one_qubit_toy_error(0.05)
     e2 = one_qubit_toy_error(0.025)
     assert e1 / e2 >= 16.0
+
+
+def _random_swt_case(seed, n, low, complex_v):
+    """Low states `low` near 0, the others near 3, and a Hermitian V."""
+    rng = np.random.default_rng(seed)
+    block0 = np.zeros(n, dtype=bool)
+    block0[low] = True
+    h0 = rng.uniform(0, 1, n) + 3.0 * ~block0
+    A = rng.normal(size=(n, n))
+    if complex_v:
+        A = A + 1j * rng.normal(size=(n, n))
+    return h0, 0.1 * (A + A.conj().T) / 2.0, block0
+
+
+@pytest.mark.parametrize("complex_v", [False, True])
+@pytest.mark.parametrize("low", [[0, 1, 2], [1, 4, 6], [7, 2], [0, 3, 5, 9]])
+def test_block_recursion_matches_the_dense_one(low, complex_v):
+    # contiguous and scattered low blocks, real and complex perturbations
+    h0, V, block0 = _random_swt_case(len(low), 10, low, complex_v)
+    got = swt_effective_block(h0, V, block0)
+    want = dense_swt_effective_block(h0, V, block0)
+    assert got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-14 * np.linalg.norm(want, 2))
+
+
+def test_degenerate_cross_block_pair_raises():
+    h0, V, block0 = _random_swt_case(0, 8, [1, 4], False)
+    h0[6] = h0[4] * (1.0 + 1e-15)
+    with pytest.raises(ZeroDivisionError, match="degenerate cross-block"):
+        swt_effective_block(h0, V, block0)
+
+
+def test_anti_hermiticity_check_is_live():
+    # a non-Hermitian perturbation gives a generator that is not
+    # anti-Hermitian, which the block recursion must notice from its two
+    # off-diagonal blocks
+    h0, V, block0 = _random_swt_case(0, 8, [1, 4], False)
+    V[1, 5] += 0.01
+    with pytest.raises(AssertionError):
+        swt_effective_block(h0, V, block0)
 
 
 # ------------------------------------------------- prefactors and closed forms
@@ -309,6 +351,40 @@ def test_numerical_swt_sees_the_spectral_hamiltonian(monkeypatch,
                                rtol=0, atol=tol)
 
 
+def _captured_swt_inputs(monkeypatch, u):
+    """The (h0, V, block0) that numerical_swt hands to swt_effective_block."""
+    seen = {}
+
+    def capture(h0_diag, V, block0):
+        seen.update(h0=h0_diag, V=V, block0=block0)
+        return swt_effective_block(h0_diag, V, block0)
+
+    with monkeypatch.context() as m:
+        m.setattr(swt_module, "swt_effective_block", capture)
+        numerical_swt(u, *_system(u))
+    return seen["h0"], seen["V"], seen["block0"]
+
+
+@pytest.mark.parametrize("beta_c,qubit_offsets", [
+    (0.02, None), (0.43, None), (0.60, None),
+    (0.43, (1e-3, -2e-3, 1.5e-3, 5e-4))])
+def test_block_recursion_on_the_circuit(monkeypatch, beta_c, qubit_offsets):
+    # the block recursion against the dense one on the circuit's own
+    # 640-state H0 and V, at weak and strong screening and with qubit flux
+    # offsets (those of test_numerical_swt_sees_the_spectral_hamiltonian)
+    kw = {}
+    if qubit_offsets is not None:
+        kw["Phi_jx_offset"] = tuple(CONSTANTS.flux_quantum * x
+                                    for x in qubit_offsets)
+    u = derive_unitless(reference_circuit(beta_c=beta_c, **kw))
+    h0, V, block0 = _captured_swt_inputs(monkeypatch, u)
+    assert h0.size == 640 and block0.sum() == 16
+    got = swt_effective_block(h0, V, block0)
+    want = dense_swt_effective_block(h0, V, block0)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-14 * np.linalg.norm(want, 2))
+
+
 # ------------------------------------------------- Pauli decomposition
 
 
@@ -346,6 +422,45 @@ def test_pauli_decompose_round_trip():
     assert model["J4"] == pytest.approx(m.J4, abs=1e-12)
     assert model["shift"] == pytest.approx(m.shift, abs=1e-12)
     assert residual == pytest.approx(0.0, abs=1e-9)
+
+
+def test_pauli_decompose_is_the_trace_projection():
+    # every coefficient is tr(P^H A) / 16 for its Pauli string P
+    import itertools
+    from fluxcoupler.hamiltonian import OperatorMatrix, kron_all
+    paulis = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+              "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+              "Z": np.diag([1.0, -1.0])}
+    rng = np.random.default_rng(7)
+    B = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    A = (B + B.conj().T) / 2.0
+    c = {"".join(s): np.trace(kron_all([paulis[x] for x in s]).conj().T @ A)
+         / 16.0 for s in itertools.product("IXYZ", repeat=4)}
+
+    def z_string(qubits):
+        return "".join("Z" if k in qubits else "I" for k in range(4))
+
+    model, residual = pauli_decompose(OperatorMatrix(A, "ising_pc",
+                                                     (2, 2, 2, 2)))
+    tol = 1e-14 * np.linalg.norm(A)
+    assert model["shift"] == pytest.approx(c["IIII"].real, abs=tol)
+    assert model["J4"] == pytest.approx(c["ZZZZ"].real, abs=tol)
+    for key, groups in (("J1", [(i,) for i in range(4)]),
+                        ("J2", list(itertools.combinations(range(4), 2))),
+                        ("J3", list(itertools.combinations(range(4), 3)))):
+        want = [c[z_string(g)].real for g in groups]
+        np.testing.assert_allclose(model[key], want, rtol=0, atol=tol)
+    x_strings = ["".join("X" if k == i else "I" for k in range(4))
+                 for i in range(4)]
+    np.testing.assert_allclose(model["omega"],
+                               [2.0 * c[x].real for x in x_strings],
+                               rtol=0, atol=tol)
+    ising = {"IIII", "ZZZZ", *x_strings,
+             *(z_string(g) for n in (1, 2, 3)
+               for g in itertools.combinations(range(4), n))}
+    want = np.sqrt(16.0 * sum(abs(v) ** 2 for k, v in c.items()
+                              if k not in ising))
+    assert residual == pytest.approx(want, rel=1e-13)
 
 
 def test_pauli_decompose_residual_detects_non_ising():

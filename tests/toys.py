@@ -6,10 +6,53 @@ from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (OperatorMatrix, build_coupler,
                                      build_qubit_bare, coupler_phase, kron_all,
                                      qubit_phase, reduce_qubit)
-from fluxcoupler.swt import pauli_decompose, swt_effective_block
+from fluxcoupler.swt import (linear_map_L, pauli_decompose,
+                             swt_coefficients, swt_effective_block)
 
 _I2 = np.eye(2)
 _Z = np.diag([1.0, -1.0])
+
+
+def _block_split(x, block0):
+    od_mask = np.logical_xor.outer(block0, block0)
+    xd = x.copy()
+    xd[od_mask] = 0.0
+    xod = x - xd
+    return xd, xod
+
+
+def dense_swt_effective_block(h0_diag, V, block0, coeffs=None):
+    """The 4th-order SWT recursion with full-size dense commutators.
+
+    The reference for swt.swt_effective_block, which carries the same
+    recursion in block form:
+      S1 = L(V_od)
+      S2 = -L([V_d, S1])
+      S3 = -L([V_d, S2]) + a2 L([S1, [S1, V_od]])
+    Effective low block:
+      P (H0 + V) P + b1 P [S1+S2+S3, V_od] P + b3 P [S1,[S1,[S1,V_od]]] P.
+    """
+    if coeffs is None:
+        coeffs = swt_coefficients()
+    block0 = np.asarray(block0, dtype=bool)
+    Vd, Vod = _block_split(V, block0)
+
+    def comm(A, B):
+        return A @ B - B @ A
+
+    S1 = linear_map_L(Vod, h0_diag, block0)
+    S2 = -linear_map_L(comm(Vd, S1), h0_diag, block0)
+    S3 = -linear_map_L(comm(Vd, S2), h0_diag, block0) \
+        + coeffs.a2 * linear_map_L(comm(S1, comm(S1, Vod)), h0_diag, block0)
+    for S in (S1, S2, S3):
+        assert np.linalg.norm(S + S.conj().T) < 1e-12 * max(np.linalg.norm(S), 1.0)
+    # P V_od P vanishes by construction, so the first-order low block is Vd
+    Heff = np.diag(h0_diag).astype(V.dtype) + Vd \
+        + coeffs.b1 * comm(S1 + S2 + S3, Vod) \
+        + coeffs.b3 * comm(S1, comm(S1, comm(S1, Vod)))
+    low = np.where(block0)[0]
+    block = Heff[np.ix_(low, low)]
+    return (block + block.conj().T) / 2.0
 
 
 def one_qubit_toy_error(alpha_eff, phi_cx=0.05, phi_jx=0.005, beta_c=0.2,
