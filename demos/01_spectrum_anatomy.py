@@ -14,6 +14,7 @@ import numpy as np
 
 from fluxcoupler.analysis import Truncations, spectral_point
 from fluxcoupler.circuit import derive_unitless, reference_circuit, validate_regime
+from fluxcoupler.spectrum import GAP_THRESHOLD
 
 u = derive_unitless(reference_circuit(beta_c=0.43))
 report = validate_regime(u)
@@ -57,4 +58,4 @@ print(f"the manifold is well defined: its minimum coupler-ground weight is "
 print()
 print(f"subspace separation: delta_gap = {gaps.delta_gap / 1e9:.3f} GHz, "
       f"delta_max = {gaps.delta_max / 1e9:.3f} GHz "
-      f"(separated by >= {gaps.threshold}x: {gaps.valid})")
+      f"(separated by >= {GAP_THRESHOLD}x: {gaps.valid})")

@@ -20,6 +20,12 @@ class Truncations:
     coupler_states: int = 40
     n_keep: int = 8
 
+    def ranges(self):
+        """Inclusive (min, max) of each truncation: the sizes that
+        build_qubit_bare, build_coupler and assemble_full accept."""
+        return {"qubit_states": (2, np.inf), "coupler_states": (10, np.inf),
+                "n_keep": (1, self.coupler_states)}
+
 
 @dataclass
 class SweepResult:
@@ -104,7 +110,6 @@ def _row_for(u, trunc, branches):
                 cs, gd, _, _ = spectral_point(u, trunc)
                 row["delta_gap"] = gd.delta_gap
                 row["delta_max"] = gd.delta_max
-                row["gap_valid"] = gd.valid
             else:
                 cs = couplings_point(u, trunc, branch)
             for name in ("J1", "J2", "J3", "J4"):
@@ -195,8 +200,8 @@ def _central_diff(f, x0, step):
     return (f(x0 + step) - f(x0 - step)) / (2.0 * step)
 
 
-def susceptibility(p: CircuitParams, parameter, trunc=Truncations(),
-                   extraction="analytic_swt", rel_step=1e-4) -> Susceptibility:
+def susceptibility(p: CircuitParams, parameter,
+                   rel_step=1e-4) -> Susceptibility:
     """Normalized fabrication-error susceptibilities at the operating point.
 
     parameter in {'E_Jj', 'E_Jc', 'L_c', 'E_Ltilde_c', 'E_Lj'}.  Junction and
@@ -204,13 +209,13 @@ def susceptibility(p: CircuitParams, parameter, trunc=Truncations(),
     for the two-local case because each qubit talks to three partners); the
     coupler-inductance case is the chain-rule sum over E_Ltilde_c, xi_c and
     beta_c; the E_Ltilde_c case is the overall-energy-scale variation with
-    E_Lj/E_Ltilde_c held fixed.  Derivatives are central differences with a
-    Richardson half-step check.
+    E_Lj/E_Ltilde_c held fixed.  Derivatives are central differences of the
+    analytic-SWT couplings with a Richardson half-step check.
     """
     u0 = derive_unitless(p)
 
     def J_of(u):
-        cs = couplings_point(u, trunc, extraction)
+        cs = couplings_point(u, extraction="analytic_swt")
         return np.array([cs.J4, cs.J2])
 
     def perturbed(**updates):

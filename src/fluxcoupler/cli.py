@@ -7,7 +7,8 @@ Config format: line-oriented sections with `key = value` entries,
     beta_c = 0.43
 
 Physical quantities require a unit; dimensionless ones forbid it.  Unknown
-keys and malformed grids are parse errors that name the line.
+keys, malformed grids and out-of-range integers are parse errors that name
+the line.
 
 Subcommands: spectrum, sweep-beta, sweep-flux, susceptibility, compare-swt,
 gap-scan.  Each writes one CSV with a `#` comment header (tool version plus
@@ -59,7 +60,7 @@ class RunConfig:
     circuit: CircuitParams
     truncations: Truncations
     sweep: dict = field(default_factory=dict)
-    extraction: dict = field(default_factory=dict)
+    branches: tuple = ("spectral_fit",)
     precision: int = 12
 
 
@@ -152,6 +153,11 @@ def parse_config(text) -> RunConfig:
             setattr(trunc, key, int(value))
         except ValueError:
             raise ConfigError(f"line {lineno}: '{key}' must be an integer")
+    ranges = trunc.ranges()
+    for key, (value, lineno) in sections["truncation"].items():
+        lo, hi = ranges[key]
+        if not lo <= getattr(trunc, key) <= hi:
+            raise ConfigError(f"line {lineno}: '{key}' must be in [{lo}, {hi}]")
 
     sweep = {}
     for key, (value, lineno) in sections["sweep"].items():
@@ -171,23 +177,24 @@ def parse_config(text) -> RunConfig:
                 raise ConfigError(f"line {lineno}: common_mode must be true/false")
             sweep[key] = value.lower() == "true"
 
-    extraction = {"branches": ("spectral_fit",)}
+    branches = RunConfig.branches
     for value, lineno in sections["extraction"].values():
         branches = tuple(b.strip() for b in value.split(","))
         bad = set(branches) - set(BRANCHES)
         if bad:
             raise ConfigError(f"line {lineno}: unknown branch {sorted(bad)}")
-        extraction["branches"] = branches
 
-    precision = 12
+    precision = RunConfig.precision
     for key, (value, lineno) in sections["output"].items():
         try:
             precision = int(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: precision must be an integer")
+        if precision < 1:
+            raise ConfigError(f"line {lineno}: precision must be >= 1")
 
     return RunConfig(circuit=params, truncations=trunc, sweep=sweep,
-                     extraction=extraction, precision=precision)
+                     branches=branches, precision=precision)
 
 
 def _format_value(x, precision):
@@ -202,12 +209,10 @@ def _format_value(x, precision):
     return f"{float(x):.{precision - 1}e}"
 
 
-def write_csv(path, columns, rows, cfg: RunConfig, subcommand, seed=None):
+def write_csv(path, columns, rows, cfg: RunConfig, subcommand):
     """Comment-headed CSV, 12-significant-digit scientific, LF, byte-stable."""
-    lines = [f"# fluxcoupler {__version__}", f"# subcommand: {subcommand}"]
-    if seed is not None:
-        lines.append(f"# seed: {seed}")
-    lines.append("# resolved config:")
+    lines = [f"# fluxcoupler {__version__}", f"# subcommand: {subcommand}",
+             "# resolved config:"]
     lines.append(f"#   truncation: qubit_states={cfg.truncations.qubit_states} "
                  f"coupler_states={cfg.truncations.coupler_states} "
                  f"n_keep={cfg.truncations.n_keep}")
@@ -241,44 +246,43 @@ def _default_beta_grid(cfg):
     return grid
 
 
-def cmd_sweep_beta(cfg, outdir, seed):
+def cmd_sweep_beta(cfg, outdir):
     grid = _default_beta_grid(cfg)
-    res = sweep_beta(cfg.circuit, grid, cfg.truncations,
-                     branches=cfg.extraction["branches"])
-    cols = (["beta_c"] + _coupling_columns(cfg.extraction["branches"])
+    res = sweep_beta(cfg.circuit, grid, cfg.truncations, branches=cfg.branches)
+    cols = (["beta_c"] + _coupling_columns(cfg.branches)
             + ["delta_gap", "delta_max"])
     write_csv(os.path.join(outdir, "sweep_beta.csv"), cols, res.rows, cfg,
-              "sweep-beta", seed)
+              "sweep-beta")
     return res.rows
 
 
-def cmd_sweep_flux(cfg, outdir, seed):
+def cmd_sweep_flux(cfg, outdir):
     grid = cfg.sweep.get("grid")
     if grid is None:
         grid = -3e-3 + 2.5e-4 * np.arange(25)
     res = sweep_flux(cfg.circuit, grid,
                      qubit_offsets=cfg.sweep.get("qubit_offsets"),
                      common_mode=cfg.sweep.get("common_mode", False),
-                     trunc=cfg.truncations, branches=cfg.extraction["branches"])
-    cols = (["flux_offset"] + _coupling_columns(cfg.extraction["branches"])
+                     trunc=cfg.truncations, branches=cfg.branches)
+    cols = (["flux_offset"] + _coupling_columns(cfg.branches)
             + ["delta_gap", "delta_max"])
     write_csv(os.path.join(outdir, "sweep_flux.csv"), cols, res.rows, cfg,
-              "sweep-flux", seed)
+              "sweep-flux")
     return res.rows
 
 
-def cmd_compare_swt(cfg, outdir, seed):
+def cmd_compare_swt(cfg, outdir):
     grid = _default_beta_grid(cfg)
     res = compare_swt(cfg.circuit, grid, cfg.truncations)
     cols = ["beta_c"] + _coupling_columns(BRANCHES)
     write_csv(os.path.join(outdir, "compare_swt.csv"), cols, res.rows, cfg,
-              "compare-swt", seed)
+              "compare-swt")
     return res.rows
 
 
-def cmd_gap_scan(cfg, outdir, seed):
-    grid = _default_beta_grid(cfg)
-    if cfg.sweep.get("grid") is None:
+def cmd_gap_scan(cfg, outdir):
+    grid = cfg.sweep.get("grid")
+    if grid is None:
         grid = 0.05 + 0.05 * np.arange(18)   # 0.05 .. 0.90
     rows = []
     for b in grid:
@@ -296,11 +300,11 @@ def cmd_gap_scan(cfg, outdir, seed):
         rows.append(row)
     write_csv(os.path.join(outdir, "gap_scan.csv"),
               ["beta_c", "delta_gap", "delta_max", "valid", "status"],
-              rows, cfg, "gap-scan", seed)
+              rows, cfg, "gap-scan")
     return rows
 
 
-def cmd_spectrum(cfg, outdir, seed):
+def cmd_spectrum(cfg, outdir):
     """Two-excitation level structure vs the qubit frequency ratio.
 
     Qubits 1,2 keep their splitting; qubits 3,4 are scaled by the grid ratio
@@ -331,16 +335,16 @@ def cmd_spectrum(cfg, outdir, seed):
         rows.append(row)
     write_csv(os.path.join(outdir, "spectrum.csv"),
               ["omega_ratio"] + [f"level_{k}" for k in range(6)] + ["status"],
-              rows, cfg, "spectrum", seed)
+              rows, cfg, "spectrum")
     return rows
 
 
-def cmd_susceptibility(cfg, outdir, seed):
+def cmd_susceptibility(cfg, outdir):
     rows = []
     for parameter in ("E_Jj", "E_Jc", "L_c", "E_Ltilde_c", "E_Lj"):
         row = {"parameter": parameter}
         try:
-            chi = susceptibility(cfg.circuit, parameter, cfg.truncations)
+            chi = susceptibility(cfg.circuit, parameter)
             row.update(chi_4J=chi.chi_4J, chi_2J=chi.chi_2J,
                        normalization=chi.normalization, step=chi.step,
                        richardson_ok=chi.richardson_ok, status="ok")
@@ -350,7 +354,7 @@ def cmd_susceptibility(cfg, outdir, seed):
     write_csv(os.path.join(outdir, "susceptibility.csv"),
               ["parameter", "chi_4J", "chi_2J", "normalization", "step",
                "richardson_ok", "status"],
-              rows, cfg, "susceptibility", seed)
+              rows, cfg, "susceptibility")
     return rows
 
 
@@ -371,11 +375,6 @@ def main(argv=None):
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="path to a run config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count hint for sweeps (orchestration is "
-                             "deterministic regardless)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for the randomized property-test harness")
     args = parser.parse_args(argv)
 
     try:
@@ -384,15 +383,13 @@ def main(argv=None):
                 cfg = parse_config(fh.read())
         else:
             cfg = parse_config("")
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     os.makedirs(args.out, exist_ok=True)
     try:
-        rows = _COMMANDS[args.subcommand](cfg, args.out, args.seed)
+        rows = _COMMANDS[args.subcommand](cfg, args.out)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -51,7 +51,6 @@ class OperatorMatrix:
     data: np.ndarray
     basis: str            # 'oscillator', 'coupler_eigen', 'qubit_2level', 'product', 'ising_pc'
     dims: tuple           # subsystem dimensions, product equals matrix size
-    units: str = "Hz"
     # product basis only: the adapted coupler basis the operator is written
     # in; None when it is written in the bare frame itself
     frame: AdaptedBasis = None
@@ -63,9 +62,13 @@ class OperatorMatrix:
             raise ValueError("operator must be square")
         if int(np.prod(self.dims)) != n:
             raise ValueError("basis dims inconsistent with matrix dimension")
-        herm_err = np.linalg.norm(self.data - self.data.conj().T)
-        if herm_err > 1e-12 * max(np.linalg.norm(self.data), 1.0):
-            raise ValueError("operator not Hermitian within tolerance")
+        check_hermitian(self.data)
+
+
+def check_hermitian(A):
+    """Raise ValueError unless ||A - A^H||_F <= 1e-12 max(||A||_F, 1)."""
+    if np.linalg.norm(A - A.conj().T) > 1e-12 * max(np.linalg.norm(A), 1.0):
+        raise ValueError("operator not Hermitian within tolerance")
 
 
 def kron_all(ops):
@@ -109,7 +112,7 @@ def build_coupler(u, n_trunc=40):
 def coupler_phase(u, n_trunc=40):
     """phi operator of the coupler in the same oscillator basis as build_coupler."""
     _, phi, _ = _oscillator_ops(u.xi_c, 1.0, n_trunc)
-    return OperatorMatrix(phi, "oscillator", (n_trunc,), units="dimensionless")
+    return OperatorMatrix(phi, "oscillator", (n_trunc,))
 
 
 def build_qubit_bare(u, j, n_trunc=50):
@@ -131,16 +134,14 @@ def qubit_phase(u, j, n_trunc=50):
     """phi operator of qubit j, matching build_qubit_bare's basis."""
     c = 1.0 + float(u.alpha[j])**2
     _, phi, _ = _oscillator_ops(float(u.xi_j[j]), c, n_trunc)
-    return OperatorMatrix(phi, "oscillator", (n_trunc,), units="dimensionless")
+    return OperatorMatrix(phi, "oscillator", (n_trunc,))
 
 
 @dataclass
 class ReducedQubit:
     h2: np.ndarray          # 2x2, Hz, trace removed, diagonal in energy basis
     phi2: np.ndarray        # 2x2 phase operator in the same basis
-    s_effective: float      # |off-diagonal phi element| at zero offset
     omega: float            # splitting (Hz)
-    gauge_warning: bool
 
 
 def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
@@ -150,15 +151,13 @@ def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
     non-negative, making all downstream coupling signs deterministic.
     """
     ev, vec = np.linalg.eigh(h.data)
-    gauge_warning = bool(abs(ev[2] - ev[1]) < 1e-9 * max(abs(ev[2]), 1.0))
     v2 = vec[:, :2]
     phi2 = v2.T @ phi.data @ v2
     if phi2[0, 1] < 0:
         v2 = v2 @ np.diag([1.0, -1.0])
         phi2 = v2.T @ phi.data @ v2
     h2 = np.diag(ev[:2] - np.mean(ev[:2]))
-    return ReducedQubit(h2=h2, phi2=phi2, s_effective=abs(phi2[0, 1]),
-                        omega=float(ev[1] - ev[0]), gauge_warning=gauge_warning)
+    return ReducedQubit(h2=h2, phi2=phi2, omega=float(ev[1] - ev[0]))
 
 
 def coupler_eigenbasis(coupler: OperatorMatrix, u, n_keep):
@@ -257,6 +256,8 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep=8):
     if len(qubits) != 4:
         raise ValueError("need exactly four reduced qubits")
     n_c = coupler.dims[0]
+    if n_keep < 1:
+        raise ValueError("n_keep must be at least 1")
     if n_keep > n_c:
         raise ValueError("n_keep exceeds coupler truncation")
     e_c, phi_c = coupler_eigenbasis(coupler, u, n_c)

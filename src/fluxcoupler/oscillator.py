@@ -59,24 +59,20 @@ def displacement_matrix(n, r):
     return (1j) ** k * amp * lag
 
 
-def cosine_matrix(n_trunc, r, theta=0.0):
-    """Matrix of cos(r (a^dag + a) + theta) on the truncated Fock space.
+def cosine_matrix(n_trunc, r):
+    """Matrix of cos(r (a^dag + a)) on the truncated Fock space.
 
     Built as the Hermitian average of e^{+i(.)} and e^{-i(.)} from the
     displacement-operator closed form, so it is convention-proof and exactly
-    Hermitian.  Returns a real matrix for theta = 0 (parity selection makes
-    the imaginary part vanish identically).
+    symmetric.  The matrix is real: parity selection makes the imaginary part
+    vanish identically.
     """
     if n_trunc < 2:
         raise ValueError("n_trunc must be >= 2")
     if r < 0:
         raise ValueError("r must be non-negative")
-    E = np.exp(1j * theta) * displacement_matrix(n_trunc, r)
-    C = (E + E.conj().T) / 2.0
-    C = (C + C.conj().T) / 2.0
-    if theta == 0.0:
-        return C.real
-    return C
+    E = displacement_matrix(n_trunc, r)
+    return ((E + E.conj().T) / 2.0).real
 
 
 def find_well_minimum(beta, alpha=0.0):
@@ -141,7 +137,6 @@ class WellSolution:
     omega_eff: float    # effective well frequency (units of E_L)
     overlap00: float    # <0_-|0_+>
     s: float            # two-level projection factor
-    double_well: bool
 
 
 def qubit_reduction(xi, beta, alpha=0.0):
@@ -164,4 +159,4 @@ def qubit_reduction(xi, beta, alpha=0.0):
             "vanishing barrier: overlap -> 1 and the projection factor s diverges")
     s = 1.0 / np.sqrt(denom)
     return WellSolution(phi_p=phi_p, m_eff=m_eff, omega_eff=omega_eff,
-                        overlap00=overlap00, s=s, double_well=True)
+                        overlap00=overlap00, s=s)

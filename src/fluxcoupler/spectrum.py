@@ -4,10 +4,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import AdaptedBasis, OperatorMatrix, kron_all
+from .hamiltonian import (AdaptedBasis, OperatorMatrix, check_hermitian,
+                          kron_all)
 from .swt import CouplingStrengths, ising_couplings
 
 _HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+# the subspaces count as separated when delta_gap > GAP_THRESHOLD * delta_max
+GAP_THRESHOLD = 3.0
 
 
 @dataclass
@@ -34,7 +38,6 @@ class GapDiagnostics:
     delta_gap: float     # lowest coupler-excited minus highest of 16 ground levels
     delta_max: float     # largest spacing between adjacent coupler-ground levels
     valid: bool
-    threshold: float = 3.0
 
 
 def eigendecompose(h: OperatorMatrix) -> SpectrumResult:
@@ -48,12 +51,9 @@ def eigendecompose(h: OperatorMatrix) -> SpectrumResult:
     coupler_ground.  Pure qubit-space operators are labeled coupler_ground
     throughout.
     """
-    A = h.data
-    if np.linalg.norm(A - A.conj().T) > 1e-10 * max(np.linalg.norm(A), 1.0):
-        raise ValueError("input operator is not Hermitian")
-    ev, vec = np.linalg.eigh(A)
-    resid = np.linalg.norm(A @ vec - vec * ev, axis=0)
-    assert np.all(resid < 1e-10 * max(np.linalg.norm(A), 1.0))
+    # OperatorMatrix checks at construction; this catches later edits of .data
+    check_hermitian(h.data)
+    ev, vec = np.linalg.eigh(h.data)
     if h.basis == "product" and len(h.dims) == 5:
         n_keep = h.dims[-1]
         w = vec.reshape(16, n_keep, -1)
@@ -121,14 +121,14 @@ def _two_excitation_projector_weights(s: SpectrumResult):
     raise ValueError("two-excitation analysis needs an ising_pc or product basis")
 
 
-def two_excitation_splitting(s: SpectrumResult, omega, cluster_tol=1e-6,
-                             min_weight=0.5):
+def two_excitation_splitting(s: SpectrumResult, omega, cluster_tol=1e-6):
     """Degeneracy structure of the six-state two-excitation manifold.
 
     Identifies the manifold by eigenvector weight on the two-excitation qubit
     sector (restricted to coupler-ground states for product-space spectra),
-    clusters its energies with tolerance cluster_tol * spread, and reports the
-    degeneracy multiset and the top-bottom distance.
+    refuses it when a weight falls below 0.5, clusters its energies with
+    tolerance cluster_tol * spread, and reports the degeneracy multiset and
+    the top-bottom distance.
     """
     omega = np.asarray(omega, dtype=float)
     if np.ptp(omega) > 1e-6 * np.mean(omega):
@@ -137,7 +137,7 @@ def two_excitation_splitting(s: SpectrumResult, omega, cluster_tol=1e-6,
     cand = np.where(s.subspace_label)[0]
     order = cand[np.argsort(weights[cand])[::-1]]
     sel = order[:6]
-    if np.min(weights[sel]) < min_weight:
+    if np.min(weights[sel]) < 0.5:
         raise RuntimeError(
             "two-excitation manifold not identifiable: strong mixing "
             f"(min sector weight {np.min(weights[sel]):.3f})")
@@ -164,15 +164,15 @@ def two_excitation_splitting(s: SpectrumResult, omega, cluster_tol=1e-6,
     }
 
 
-def gap_diagnostics(s: SpectrumResult, threshold=3.0) -> GapDiagnostics:
+def gap_diagnostics(s: SpectrumResult) -> GapDiagnostics:
     """Subspace separation: delta_gap vs delta_max of the coupler-ground manifold."""
     ground = s.coupler_ground_levels(16)
     excited = s.eigenvalues[~s.subspace_label]
     if len(ground) < 2:
-        return GapDiagnostics(np.nan, np.nan, False, threshold)
+        return GapDiagnostics(np.nan, np.nan, False)
     delta_max = float(np.max(np.diff(ground)))
     if len(excited) == 0:
-        return GapDiagnostics(np.inf, delta_max, True, threshold)
+        return GapDiagnostics(np.inf, delta_max, True)
     delta_gap = float(np.min(excited) - np.max(ground))
     return GapDiagnostics(delta_gap, delta_max,
-                          bool(delta_gap > threshold * delta_max), threshold)
+                          bool(delta_gap > GAP_THRESHOLD * delta_max))

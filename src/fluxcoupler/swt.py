@@ -84,15 +84,13 @@ class SwtPrefactors:
     m_c: float           # coupler effective mass (1/Hz)
     omega_c: float       # coupler harmonic frequency (Hz)
     epsilon: float       # alpha * s
-    delta_n0: np.ndarray  # coupler excitation energies n * Delta_10 (Hz)
 
 
-def swt_prefactors(u, well, n_levels=9) -> SwtPrefactors:
+def swt_prefactors(u, well) -> SwtPrefactors:
     """Analytic-branch vertex strengths for the quartic-truncated coupler.
 
     m_c = 1/(4 E xi_c^2), omega_c = 2 E xi_c sqrt(1-beta_c),
     g = E alpha s / sqrt(2 m_c omega_c), K = E beta_c / (96 m_c^2 omega_c^2).
-    The harmonic ladder gives Delta_n0 = n Delta_10.
     """
     E = u.E_Ltilde_c
     alpha = float(np.mean(u.alpha))
@@ -102,15 +100,12 @@ def swt_prefactors(u, well, n_levels=9) -> SwtPrefactors:
     eps = alpha * s
     g = E * eps / np.sqrt(2.0 * m_c * omega_c)
     K = E * u.beta_c / (96.0 * m_c**2 * omega_c**2)
-    delta = omega_c * np.arange(n_levels)
     return SwtPrefactors(g_qb_c=g, g_qb_qb=E * eps**2, K_corr=K, m_c=m_c,
-                         omega_c=omega_c, epsilon=eps, delta_n0=delta)
+                         omega_c=omega_c, epsilon=eps)
 
 
-# surd sum shared by C1_CONSTANT and the c~ of delta_form_couplings
-_SURD_SUM = (1689.0 + 1060.0 * np.sqrt(2.0) - 82.0 * np.sqrt(6.0)
-             - 12.0 * np.sqrt(30.0))
-C1_CONSTANT = _SURD_SUM / 55296.0
+C1_CONSTANT = (1689.0 + 1060.0 * np.sqrt(2.0) - 82.0 * np.sqrt(6.0)
+               - 12.0 * np.sqrt(30.0)) / 55296.0
 
 
 def analytic_couplings(u, well):
@@ -146,25 +141,6 @@ def analytic_couplings(u, well):
                              diagnostics=diag)
 
 
-def delta_form_couplings(p: SwtPrefactors):
-    """Simplified 4th-order couplings written in the gap Delta_10.
-
-    J4 = 24 g^4/D^3;  J3 = -6 K g^3/D^3;
-    J2 = g_qbqb - 2 (1 - K/(4D) - c~ K^2/D^2) g^2/D + 40 g^4/D^3
-    with c~ ~= 122 (same surd combination as C1_CONSTANT, normalized by 24);
-    J1 = -(628 + 24 sqrt 3) K^3 g / D^3 - 12 K g^3 / D^3.
-    Used for the term-by-term consistency check against analytic_couplings.
-    """
-    g, K, D = p.g_qb_c, p.K_corr, p.omega_c
-    c_tilde = _SURD_SUM / 24.0
-    J4 = 24.0 * g**4 / D**3
-    J3 = -6.0 * K * g**3 / D**3
-    J2 = p.g_qb_qb - 2.0 * (1.0 - K / (4.0 * D) - c_tilde * K**2 / D**2) * g**2 / D \
-        + 40.0 * g**4 / D**3
-    J1 = -(628.0 + 24.0 * np.sqrt(3.0)) * K**3 * g / D**3 - 12.0 * K * g**3 / D**3
-    return {"J1": J1, "J2": J2, "J3": J3, "J4": J4}
-
-
 def _cross_block_gaps(energies, block0):
     """E_p - E_q for p in the low block (rows) and q outside it (columns).
 
@@ -177,22 +153,6 @@ def _cross_block_gaps(energies, block0):
         raise ZeroDivisionError(
             "degenerate cross-block energies: L map undefined")
     return gaps
-
-
-def linear_map_L(x, energies, block0):
-    """The superoperator L of the SWT recursion.
-
-    Element (i, j) of the block-off-diagonal part of x divided by
-    (E_i - E_j); block-diagonal elements are zeroed.  block0 is the boolean
-    mask of the low-energy block.  Degenerate cross-block energies raise.
-    """
-    block0 = np.asarray(block0, dtype=bool)
-    gaps = _cross_block_gaps(energies, block0)
-    p, q = np.flatnonzero(block0), np.flatnonzero(~block0)
-    out = np.zeros_like(x, dtype=x.dtype)
-    out[np.ix_(p, q)] = x[np.ix_(p, q)] / gaps
-    out[np.ix_(q, p)] = x[np.ix_(q, p)] / -gaps.T
-    return out
 
 
 # block names of block-off-diagonal and block-diagonal operators, with P the
@@ -212,7 +172,7 @@ def _block_commutator(A, B, blocks):
     return {ik: product(A, B, ik) - product(B, A, ik) for ik in blocks}
 
 
-def swt_effective_block(h0_diag, V, block0, coeffs=None):
+def swt_effective_block(h0_diag, V, block0):
     """4th-order SWT effective Hamiltonian on the low block.
 
     h0_diag: unperturbed diagonal energies; V: perturbation; block0: boolean
@@ -231,8 +191,7 @@ def swt_effective_block(h0_diag, V, block0, coeffs=None):
     |P| = 16 of 640 states the recursion costs about 0.1 Gflop, where dense
     640 x 640 commutators cost 8.4.
     """
-    if coeffs is None:
-        coeffs = swt_coefficients()
+    coeffs = swt_coefficients()
     block0 = np.asarray(block0, dtype=bool)
     gaps = _cross_block_gaps(h0_diag, block0)
     index = {"P": np.flatnonzero(block0), "Q": np.flatnonzero(~block0)}
@@ -261,7 +220,7 @@ def swt_effective_block(h0_diag, V, block0, coeffs=None):
     return (block + block.conj().T) / 2.0
 
 
-def numerical_swt(u, qubits, coupler: OperatorMatrix, order=4):
+def numerical_swt(u, qubits, coupler: OperatorMatrix):
     """Numerical 4th-order SWT in the exact coupler eigenbasis.
 
     Builds the 16 x n_trunc product space with the diagonal unperturbed part
@@ -270,8 +229,6 @@ def numerical_swt(u, qubits, coupler: OperatorMatrix, order=4):
     ground vs rest, runs the generator recursion, and Pauli-decomposes the
     resulting 16x16 low block in the persistent-current frame.
     """
-    if order != 4:
-        raise ValueError("only the 4th-order expansion is implemented")
     n_c = coupler.dims[0]
     e_c, phi_c = coupler_eigenbasis(coupler, u, n_c)
 

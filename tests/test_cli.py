@@ -14,7 +14,7 @@ def test_parse_defaults_to_reference_circuit():
     assert cfg.truncations.qubit_states == 50
     assert cfg.truncations.coupler_states == 40
     assert cfg.truncations.n_keep == 8
-    assert cfg.extraction["branches"] == ("spectral_fit",)
+    assert cfg.branches == ("spectral_fit",)
     assert cfg.precision == 12
 
 
@@ -58,6 +58,14 @@ beta_c = 0.25  # inline
     ("[sweep]\nqubit_offsets = 1,2,3", "line 2: qubit_offsets needs 4"),
     ("[extraction]\nbranches = magic", "line 2: unknown branch"),
     ("[extraction]\nfit_J3 = maybe", "line 2: unknown key 'fit_J3'"),
+    ("[output]\nprecision = 0", "line 2: precision must be >= 1"),
+    ("[output]\nprecision = -3", "line 2: precision must be >= 1"),
+    ("[truncation]\nn_keep = 0", "line 2: 'n_keep' must be in [1, 40]"),
+    ("[truncation]\nn_keep = 50", "line 2: 'n_keep' must be in [1, 40]"),
+    ("[truncation]\ncoupler_states = 12\nn_keep = 13",
+     "line 3: 'n_keep' must be in [1, 12]"),
+    ("[truncation]\ncoupler_states = 5", "line 2: 'coupler_states' must be"),
+    ("[truncation]\nqubit_states = 1", "line 2: 'qubit_states' must be"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ConfigError, match="line \\d+"):
@@ -139,12 +147,6 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["sweep-beta", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["sweep-beta", "--config", str(tmp_path / "missing.cfg")]) == 2
-
-
-def test_threads_validation(tmp_path):
-    cfg = _write(tmp_path, FAST_TRUNC)
-    assert main(["sweep-beta", "--config", cfg, "--out", str(tmp_path),
-                 "--threads", "0"]) == 2
 
 
 def test_sweep_flux_csv(tmp_path):

@@ -103,6 +103,11 @@ def test_builder_input_validation():
     shallow.beta_j = np.full(4, 0.8)
     with pytest.raises(ValueError):
         build_qubit_bare(shallow, 0, 50)
+    qubits = [reduce_qubit(build_qubit_bare(u, j, 20), qubit_phase(u, j, 20))
+              for j in range(4)]
+    for n_keep, message in ((0, "at least 1"), (11, "exceeds")):
+        with pytest.raises(ValueError, match=message):
+            assemble_full(qubits, build_coupler(u, 10), u, n_keep)
 
 
 def test_operator_matrix_validation():
@@ -117,7 +122,6 @@ def test_operator_matrix_validation():
 def test_reduce_qubit_properties():
     u = _u()
     red = reduce_qubit(build_qubit_bare(u, 0, 50), qubit_phase(u, 0, 50))
-    assert not red.gauge_warning
     # gauge fix: off-diagonal phase element real and non-negative
     assert red.phi2[0, 1] >= 0
     assert np.allclose(red.phi2, red.phi2.T)
@@ -128,7 +132,7 @@ def test_reduce_qubit_properties():
     # barrier is shallow, so neither limit is reached
     w = qubit_reduction(float(u.xi_j[0]), float(u.beta_j[0]), float(u.alpha[0]))
     deep = w.phi_p / np.sqrt(1.0 - w.overlap00**2)
-    assert w.s < red.s_effective < deep
+    assert w.s < red.phi2[0, 1] < deep
     # reference-point splitting: 2.9 GHz for the 817 pH / 77 fF / beta = 1.1
     # qubit (grid-oracle cross-checked via test_qubit_spectrum_against_grid)
     assert red.omega == pytest.approx(2.9e9, rel=1e-2)

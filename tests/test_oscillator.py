@@ -34,26 +34,20 @@ def _overlap_quadrature(M, N, d):
     return float(np.sum(w * f))
 
 
-def _cosine_series(n, r, theta=0.0, order=60):
-    """cos(r(a+a^dag)+theta) by Taylor series in an enlarged space."""
+def _cosine_series(n, r, order=60):
+    """cos(r(a+a^dag)) by Taylor series in an enlarged space."""
     big = n + 4 * order
     a = ladder(big)
     phi = r * (a + a.T)
     term = np.eye(big)
     cos_m = np.zeros((big, big))
-    sin_m = np.zeros((big, big))
     for k in range(order):
         if k % 4 == 0:
             cos_m += term
-        elif k % 4 == 1:
-            sin_m += term
         elif k % 4 == 2:
             cos_m -= term
-        else:
-            sin_m -= term
         term = term @ phi / (k + 1)
-    full = np.cos(theta) * cos_m - np.sin(theta) * sin_m
-    return full[:n, :n]
+    return cos_m[:n, :n]
 
 
 def _minimum_bisection(beta, alpha=0.0):
@@ -102,10 +96,9 @@ def test_displacement_matrix_against_scalar_laguerre(n, r):
 
 
 @pytest.mark.parametrize("r", [0.0, 0.05, 0.3, 1.2])
-@pytest.mark.parametrize("theta", [0.0, 0.7])
-def test_cosine_matrix_against_series(r, theta):
-    got = cosine_matrix(12, r, theta)
-    want = _cosine_series(12, r, theta)
+def test_cosine_matrix_against_series(r):
+    got = cosine_matrix(12, r)
+    want = _cosine_series(12, r)
     assert np.allclose(got, want, atol=1e-11)
 
 
@@ -113,12 +106,10 @@ def test_cosine_matrix_hermitian_and_real():
     C = cosine_matrix(25, 0.22)
     assert C.dtype == np.float64
     assert np.allclose(C, C.T)
-    Ct = cosine_matrix(25, 0.22, theta=0.4)
-    assert np.allclose(Ct, Ct.conj().T)
 
 
 def test_cosine_matrix_parity_selection():
-    # theta = 0: cos is even in phi, so odd |m-n| elements vanish
+    # cos is even in phi, so odd |m-n| elements vanish
     C = cosine_matrix(14, 0.37)
     m, n = np.meshgrid(np.arange(14), np.arange(14), indexing="ij")
     assert np.allclose(C[(m + n) % 2 == 1], 0.0, atol=1e-14)

@@ -6,8 +6,9 @@ from fluxcoupler.hamiltonian import (IsingModel, OperatorMatrix, assemble_full,
                                      assemble_ising_model, build_coupler,
                                      build_qubit_bare, qubit_phase,
                                      reduce_qubit)
-from fluxcoupler.spectrum import (eigendecompose, extract_couplings,
-                                  gap_diagnostics, two_excitation_splitting)
+from fluxcoupler.spectrum import (GAP_THRESHOLD, eigendecompose,
+                                  extract_couplings, gap_diagnostics,
+                                  two_excitation_splitting)
 from fluxcoupler.swt import pauli_decompose
 
 
@@ -20,6 +21,22 @@ def test_eigendecompose_rejects_non_hermitian():
     H = assemble_ising_model(m)
     H.data = H.data + np.triu(np.ones_like(H.data), 1) * 0.5
     with pytest.raises(ValueError):
+        eigendecompose(H)
+
+
+@pytest.mark.parametrize("rel,rejected", [(1e-11, True), (1e-13, False)])
+def test_one_hermiticity_rule(rel, rejected):
+    # the same 1e-12 rule at construction and for a later edit of .data
+    H = assemble_ising_model(IsingModel.symmetric(1.0, J2=0.1))
+    H.data = H.data.copy()
+    H.data[0, 1] += rel * np.linalg.norm(H.data)
+    if not rejected:
+        OperatorMatrix(H.data, "ising_pc", (2, 2, 2, 2))
+        eigendecompose(H)
+        return
+    with pytest.raises(ValueError, match="not Hermitian"):
+        OperatorMatrix(H.data, "ising_pc", (2, 2, 2, 2))
+    with pytest.raises(ValueError, match="not Hermitian"):
         eigendecompose(H)
 
 
@@ -192,4 +209,4 @@ def test_gap_diagnostics_product_space():
     assert np.sum(s.subspace_label) >= 16
     assert gd.delta_gap > 0
     assert gd.delta_max > 0
-    assert gd.valid == (gd.delta_gap > gd.threshold * gd.delta_max)
+    assert gd.valid == (gd.delta_gap > GAP_THRESHOLD * gd.delta_max)

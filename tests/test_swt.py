@@ -11,11 +11,10 @@ from fluxcoupler.hamiltonian import (IsingModel, assemble_full,
                                      reduce_qubit)
 from fluxcoupler.oscillator import qubit_reduction
 from fluxcoupler.swt import (C1_CONSTANT, _bernoulli, analytic_couplings,
-                             delta_form_couplings, linear_map_L, numerical_swt,
-                             pauli_decompose, swt_coefficients, swt_prefactors,
-                             swt_effective_block)
-from toys import (dense_swt_effective_block, linear_coupler_toy,
-                  one_qubit_toy_error)
+                             numerical_swt, pauli_decompose, swt_coefficients,
+                             swt_prefactors, swt_effective_block)
+from toys import (delta_form_couplings, dense_swt_effective_block,
+                  linear_coupler_toy, linear_map_L, one_qubit_toy_error)
 
 
 def _u(beta_c=0.43):
@@ -175,8 +174,6 @@ def test_prefactor_identities():
                                      rel=1e-12)
     assert p.g_qb_c == pytest.approx(
         E * p.epsilon * np.sqrt(xi) * (1.0 - b) ** -0.25, rel=1e-12)
-    # harmonic ladder: equally spaced virtual excitation energies
-    assert np.allclose(p.delta_n0, np.arange(9) * p.omega_c, rtol=1e-12)
 
 
 def test_four_local_closed_form_equivalence():
@@ -299,13 +296,6 @@ def test_numerical_swt_gap_collapse():
     shallow = OperatorMatrix(np.diag(np.arange(12) * 1.0e9), "oscillator", (12,))
     with pytest.raises(RuntimeError, match="gap collapse"):
         numerical_swt(u, qubits, shallow)
-
-
-def test_numerical_swt_order_guard():
-    u = _u(0.3)
-    qubits, coupler = _system(u)
-    with pytest.raises(ValueError):
-        numerical_swt(u, qubits, coupler, order=2)
 
 
 @pytest.mark.parametrize("qubit_offsets", [(0.0, 0.0, 0.0, 0.0),

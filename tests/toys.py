@@ -6,11 +6,47 @@ from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (OperatorMatrix, build_coupler,
                                      build_qubit_bare, coupler_phase, kron_all,
                                      qubit_phase, reduce_qubit)
-from fluxcoupler.swt import (linear_map_L, pauli_decompose,
-                             swt_coefficients, swt_effective_block)
+from fluxcoupler.swt import (C1_CONSTANT, SwtPrefactors, _cross_block_gaps,
+                             pauli_decompose, swt_coefficients,
+                             swt_effective_block)
 
 _I2 = np.eye(2)
 _Z = np.diag([1.0, -1.0])
+
+
+def delta_form_couplings(p: SwtPrefactors):
+    """Simplified 4th-order couplings written in the gap Delta_10.
+
+    J4 = 24 g^4/D^3;  J3 = -6 K g^3/D^3;
+    J2 = g_qbqb - 2 (1 - K/(4D) - c~ K^2/D^2) g^2/D + 40 g^4/D^3
+    with c~ ~= 122 (same surd combination as C1_CONSTANT, normalized by 24);
+    J1 = -(628 + 24 sqrt 3) K^3 g / D^3 - 12 K g^3 / D^3.
+    Used for the term-by-term consistency check against analytic_couplings.
+    """
+    g, K, D = p.g_qb_c, p.K_corr, p.omega_c
+    c_tilde = C1_CONSTANT * 55296.0 / 24.0
+    J4 = 24.0 * g**4 / D**3
+    J3 = -6.0 * K * g**3 / D**3
+    J2 = p.g_qb_qb - 2.0 * (1.0 - K / (4.0 * D) - c_tilde * K**2 / D**2) * g**2 / D \
+        + 40.0 * g**4 / D**3
+    J1 = -(628.0 + 24.0 * np.sqrt(3.0)) * K**3 * g / D**3 - 12.0 * K * g**3 / D**3
+    return {"J1": J1, "J2": J2, "J3": J3, "J4": J4}
+
+
+def linear_map_L(x, energies, block0):
+    """The superoperator L of the SWT recursion.
+
+    Element (i, j) of the block-off-diagonal part of x divided by
+    (E_i - E_j); block-diagonal elements are zeroed.  block0 is the boolean
+    mask of the low-energy block.  Degenerate cross-block energies raise.
+    """
+    block0 = np.asarray(block0, dtype=bool)
+    gaps = _cross_block_gaps(energies, block0)
+    p, q = np.flatnonzero(block0), np.flatnonzero(~block0)
+    out = np.zeros_like(x, dtype=x.dtype)
+    out[np.ix_(p, q)] = x[np.ix_(p, q)] / gaps
+    out[np.ix_(q, p)] = x[np.ix_(q, p)] / -gaps.T
+    return out
 
 
 def _block_split(x, block0):
@@ -21,7 +57,7 @@ def _block_split(x, block0):
     return xd, xod
 
 
-def dense_swt_effective_block(h0_diag, V, block0, coeffs=None):
+def dense_swt_effective_block(h0_diag, V, block0):
     """The 4th-order SWT recursion with full-size dense commutators.
 
     The reference for swt.swt_effective_block, which carries the same
@@ -32,8 +68,7 @@ def dense_swt_effective_block(h0_diag, V, block0, coeffs=None):
     Effective low block:
       P (H0 + V) P + b1 P [S1+S2+S3, V_od] P + b3 P [S1,[S1,[S1,V_od]]] P.
     """
-    if coeffs is None:
-        coeffs = swt_coefficients()
+    coeffs = swt_coefficients()
     block0 = np.asarray(block0, dtype=bool)
     Vd, Vod = _block_split(V, block0)
 
