@@ -30,7 +30,7 @@ print()
 
 cs, gaps, spec, omega = spectral_point(u, Truncations())
 lv = spec.eigenvalues - spec.eigenvalues[0]
-ground = spec.coupler_ground_levels(16)
+ground = spec.coupler_ground_levels()
 
 print(f"bare qubit splitting   : {omega[0] / 1e9:.4f} GHz")
 print(f"coupler-ground manifold ({len(ground)} levels, GHz above ground):")

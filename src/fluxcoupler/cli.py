@@ -324,8 +324,7 @@ def cmd_spectrum(cfg, outdir):
             spec = eigendecompose(assemble_full(qubits, coupler, u,
                                                 cfg.truncations.n_keep))
             omega = np.array([q.omega for q in qubits])
-            man = two_excitation_splitting(spec, np.full(4, omega.mean()),
-                                           cluster_tol=1e-6)
+            man = two_excitation_splitting(spec, np.full(4, omega.mean()))
             levels = man["levels"] - man["levels"].mean()
             for k in range(6):
                 row[f"level_{k}"] = levels[k]

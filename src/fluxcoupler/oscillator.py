@@ -1,8 +1,8 @@
 """Single-mode oscillator-basis mathematics.
 
-Ladder operators, cosine matrix elements via generalized Laguerre
-polynomials, double-well minimum solving, displaced-well overlaps, and the
-two-level qubit reduction factor s.
+Ladder operators, the cosine matrix from the even-distance upper triangle
+with one generalized-Laguerre recurrence per distance, double-well minimum
+solving, displaced-well overlaps, and the two-level qubit reduction factor s.
 """
 
 from dataclasses import dataclass
@@ -19,60 +19,52 @@ def ladder(n):
     return a
 
 
-def _genlaguerre_matrix(lo, k, x):
-    """L_lo^k(x) elementwise over the integer arrays lo and k.
-
-    The three-term recurrence of scipy's eval_genlaguerre for integer
-    degree, with p = L_j^k / binom(j+k, j), run over the whole array at
-    once: step j holds for the elements with lo > j.
-    """
-    k = k.astype(float)
-    d = -x / (k + 1.0)
-    p = d + 1.0
-    for j in range(1, int(np.max(lo, initial=0))):
-        step = j < lo
-        d_next = -x / (j + k + 1.0) * p + (j / (j + k + 1.0)) * d
-        d = np.where(step, d_next, d)
-        p = np.where(step, p + d, p)
-    return np.select([lo == 0, lo == 1], [1.0, -x + k + 1.0],
-                     binom(lo + k, lo) * p)
-
-
-def displacement_matrix(n, r):
-    """Matrix elements <m| exp(i r (a^dag + a)) |n| on the truncated space.
-
-    Closed form via generalized Laguerre polynomials:
-    <m|D|n> = i^{|m-n|} sqrt(min!/max!) r^{|m-n|} e^{-r^2/2} L_min^{|m-n|}(r^2)
-    for the displacement-type operator with purely imaginary argument.
-    """
-    idx = np.arange(n)
-    M, N = np.meshgrid(idx, idx, indexing="ij")
-    lo = np.minimum(M, N)
-    hi = np.maximum(M, N)
-    k = hi - lo
-    lag = _genlaguerre_matrix(lo, k, r * r)
-    if r == 0.0:
-        amp = (k == 0).astype(float)
-    else:
-        amp = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
-                     + k * np.log(r) - r * r / 2.0)
-    return (1j) ** k * amp * lag
-
-
 def cosine_matrix(n_trunc, r):
     """Matrix of cos(r (a^dag + a)) on the truncated Fock space.
 
-    Built as the Hermitian average of e^{+i(.)} and e^{-i(.)} from the
-    displacement-operator closed form, so it is convention-proof and exactly
-    symmetric.  The matrix is real: parity selection makes the imaginary part
-    vanish identically.
+    Real and symmetric, and zero at odd distance k = hi - lo by parity.  An
+    upper-triangle element at even k is the real part of the displacement
+    closed form <lo|exp(i r (a^dag + a))|hi>:
+    (-1)^{k/2} sqrt(lo!/hi!) r^k e^{-r^2/2} L_lo^k(r^2).
+
+    L_lo^k comes from the three-term recurrence of scipy's eval_genlaguerre
+    for integer degree, with p = L_j^k / binom(j+k, j).  Its state after step
+    j depends on (j, k) only, so it runs once over the vector of even k, and
+    element (lo, k) reads the state after step lo - 1.
     """
     if n_trunc < 2:
         raise ValueError("n_trunc must be >= 2")
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    E = displacement_matrix(n_trunc, r)
-    return ((E + E.conj().T) / 2.0).real
+    if not np.isfinite(r) or r < 0:
+        raise ValueError("r must be finite and non-negative")
+    if r == 0.0:
+        return np.eye(n_trunc)
+    x = r * r
+    k = np.arange(0, n_trunc, 2, dtype=float)
+    j = np.arange(1, n_trunc - 1)[:, None]
+    den = j + k + 1.0
+    d = -x / (k + 1.0)
+    p = d + 1.0
+    P = [p]
+    for a, b in zip(-x / den, j / den):
+        d = a * p + b * d
+        p = p + d
+        P.append(p)
+    P = np.array(P)
+
+    lo, hi = np.triu_indices(n_trunc)
+    even = (hi - lo) % 2 == 0
+    lo, hi = lo[even], hi[even]
+    k = hi - lo
+    lag = np.select([lo == 0, lo == 1], [1.0, -x + k + 1.0],
+                    binom(hi, lo) * P[lo - 1, k // 2])
+    amp = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
+                 + k * np.log(r) - r * r / 2.0)
+    # + 0.0 turns an underflowed -0.0 into +0.0: no element is ever -0.0
+    val = np.where(k % 4 == 0, amp, -amp) * lag + 0.0
+    C = np.zeros((n_trunc, n_trunc))
+    C[lo, hi] = val
+    C[hi, lo] = val
+    return C
 
 
 def find_well_minimum(beta, alpha=0.0):

@@ -24,13 +24,13 @@ class SpectrumResult:
     basis: str
     frame: AdaptedBasis = None       # the operator's OperatorMatrix.frame
 
-    def manifold(self, n=16):
-        """Indices of the lowest n levels labeled coupler_ground."""
+    def manifold(self):
+        """Indices of the lowest 16 levels labeled coupler_ground."""
         idx = np.flatnonzero(self.subspace_label)
-        return idx[np.argsort(self.eigenvalues[idx], kind="stable")[:n]]
+        return idx[np.argsort(self.eigenvalues[idx], kind="stable")[:16]]
 
-    def coupler_ground_levels(self, n=16):
-        return self.eigenvalues[self.manifold(n)]
+    def coupler_ground_levels(self):
+        return self.eigenvalues[self.manifold()]
 
 
 @dataclass
@@ -78,7 +78,7 @@ def extract_couplings(s: SpectrumResult, omega) -> CouplingStrengths:
     omega: bare qubit splittings (Hz); diagnostics["kappa"] is the dressing
     factor omega_eff / omega.
     """
-    idx = s.manifold(16)
+    idx = s.manifold()
     if len(idx) < 16:
         raise ValueError("fewer than 16 coupler-ground levels identified")
     vec = s.eigenvectors[:, idx]
@@ -166,7 +166,7 @@ def two_excitation_splitting(s: SpectrumResult, omega, cluster_tol=1e-6):
 
 def gap_diagnostics(s: SpectrumResult) -> GapDiagnostics:
     """Subspace separation: delta_gap vs delta_max of the coupler-ground manifold."""
-    ground = s.coupler_ground_levels(16)
+    ground = s.coupler_ground_levels()
     excited = s.eigenvalues[~s.subspace_label]
     if len(ground) < 2:
         return GapDiagnostics(np.nan, np.nan, False)

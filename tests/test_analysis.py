@@ -82,7 +82,8 @@ def test_sweep_beta_error_rows_stay_in_band():
     # a grid point in the forbidden regime shows up as an error row, without
     # taking down the rest of the sweep
     p = reference_circuit()
-    out = sweep_beta(p, [0.3, 1.05], FAST)
+    with pytest.warns(RuntimeWarning, match="beta_c >= 1"):
+        out = sweep_beta(p, [0.3, 1.05], FAST)
     assert out.rows[0]["spectral_status"] == "ok"
     assert out.rows[1]["spectral_status"].startswith("error")
     assert np.isnan(out.column("spectral_J4")[1])

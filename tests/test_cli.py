@@ -136,7 +136,9 @@ def test_sweep_beta_per_point_failure_exit_code(tmp_path):
 [sweep]
 grid = 0.3, 1.05
 """)
-    code = main(["sweep-beta", "--config", cfg, "--out", str(tmp_path / "o")])
+    with pytest.warns(RuntimeWarning, match="beta_c >= 1"):
+        code = main(["sweep-beta", "--config", cfg,
+                     "--out", str(tmp_path / "o")])
     assert code == 1
     text = (tmp_path / "o" / "sweep_beta.csv").read_text()
     assert "error" in text

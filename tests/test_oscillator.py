@@ -4,8 +4,9 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.special import eval_genlaguerre, gammaln
 
 from fluxcoupler.oscillator import (cosine_matrix, displaced_overlap,
-                                    displacement_matrix, find_well_minimum,
-                                    ladder, qubit_reduction)
+                                    find_well_minimum, ladder,
+                                    qubit_reduction)
+from toys import displacement_matrix
 
 
 # ---------------------------------------------------------------- oracles
@@ -102,6 +103,17 @@ def test_cosine_matrix_against_series(r):
     assert np.allclose(got, want, atol=1e-11)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 13, 40, 50, 60])
+@pytest.mark.parametrize("r", [0.0, 1e-40, 0.05, 0.2, 0.31, 0.55, 1.3])
+def test_cosine_matrix_is_bit_identical_to_the_displacement_form(n, r):
+    # r = 1e-40 underflows the far-diagonal amplitudes to zero, whose sign
+    # the Hermitian average makes +0.0
+    E = displacement_matrix(n, r)
+    want = ((E + E.conj().T) / 2.0).real
+    got = cosine_matrix(n, r)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_cosine_matrix_hermitian_and_real():
     C = cosine_matrix(25, 0.22)
     assert C.dtype == np.float64
@@ -120,6 +132,9 @@ def test_cosine_matrix_input_validation():
         cosine_matrix(1, 0.1)
     with pytest.raises(ValueError):
         cosine_matrix(10, -0.1)
+    for r in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            cosine_matrix(6, r)
 
 
 @pytest.mark.parametrize("beta,alpha", [(1.1, 0.0), (1.1, 0.049),

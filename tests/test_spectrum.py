@@ -45,7 +45,7 @@ def test_eigendecompose_sorted_and_labeled():
     assert np.all(np.diff(s.eigenvalues) >= 0)
     # pure qubit-space spectrum: everything is coupler-ground
     assert np.all(s.subspace_label)
-    assert len(s.coupler_ground_levels(16)) == 16
+    assert len(s.coupler_ground_levels()) == 16
 
 
 @pytest.mark.parametrize("J1,J2,J3,J4", [

@@ -1,6 +1,7 @@
 """Small exactly-solvable toy systems shared between test modules."""
 
 import numpy as np
+from scipy.special import binom, gammaln
 
 from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (OperatorMatrix, build_coupler,
@@ -164,3 +165,45 @@ def linear_coupler_toy(g, delta, omega=0.0, n_c=25):
     U = kron_all([had] * 4)
     h_eff = OperatorMatrix(U.T @ block @ U, "ising_pc", (2, 2, 2, 2))
     return pauli_decompose(h_eff)
+
+
+def _genlaguerre_matrix(lo, k, x):
+    """L_lo^k(x) elementwise over the integer arrays lo and k.
+
+    The three-term recurrence of scipy's eval_genlaguerre for integer
+    degree, with p = L_j^k / binom(j+k, j), run over the whole array at
+    once: step j holds for the elements with lo > j.
+    """
+    k = k.astype(float)
+    d = -x / (k + 1.0)
+    p = d + 1.0
+    for j in range(1, int(np.max(lo, initial=0))):
+        step = j < lo
+        d_next = -x / (j + k + 1.0) * p + (j / (j + k + 1.0)) * d
+        d = np.where(step, d_next, d)
+        p = np.where(step, p + d, p)
+    return np.select([lo == 0, lo == 1], [1.0, -x + k + 1.0],
+                     binom(lo + k, lo) * p)
+
+
+def displacement_matrix(n, r):
+    """Matrix elements <m| exp(i r (a^dag + a)) |n| on the truncated space.
+
+    Closed form via generalized Laguerre polynomials:
+    <m|D|n> = i^{|m-n|} sqrt(min!/max!) r^{|m-n|} e^{-r^2/2} L_min^{|m-n|}(r^2)
+    for the displacement-type operator with purely imaginary argument.
+    The reference for oscillator.cosine_matrix, which equals
+    ((E + E^H)/2).real bit for bit.
+    """
+    idx = np.arange(n)
+    M, N = np.meshgrid(idx, idx, indexing="ij")
+    lo = np.minimum(M, N)
+    hi = np.maximum(M, N)
+    k = hi - lo
+    lag = _genlaguerre_matrix(lo, k, r * r)
+    if r == 0.0:
+        amp = (k == 0).astype(float)
+    else:
+        amp = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
+                     + k * np.log(r) - r * r / 2.0)
+    return (1j) ** k * amp * lag
