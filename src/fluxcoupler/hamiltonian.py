@@ -5,13 +5,14 @@ two-level qubit reduction, the 4-qubit (x) coupler product-space Hamiltonian,
 and the generalized Ising model (known 16-level spectra).
 
 The product space is laid out qubits first (qubit 0 slowest) and coupler
-index fastest.  This module is the only one that builds operators on it.  The
-numerical SWT works in the bare frame: each qubit in its energy basis and the
-coupler in its own eigenbasis (coupler_eigenbasis, unperturbed_diagonal,
-add_interaction).  The spectral path (assemble_full) works in a coupler basis
-adapted to each of the 16 persistent-current configurations z of the qubits:
-the displaced coupler states chi_n(z) of Irish, PRL 99, 173601 (2007), kept
-per configuration as a local basis reduction.
+index fastest.  This module is the only one that builds operators on it, and
+it writes the interaction once, on the 16 persistent-current configurations z
+of the qubits (qubit_configurations).  The numerical SWT reads it in the bare
+frame: each qubit in its energy basis, the coupler in its own eigenbasis
+(coupler_eigenbasis, bare_frame).  The spectral path (assemble_full) reads it
+in a coupler basis adapted to each z: the displaced coupler states chi_n(z) of
+Irish, PRL 99, 173601 (2007), kept per configuration as a local basis
+reduction.
 
 All assembled operators carry units of Hz (energy/h).
 """
@@ -49,7 +50,7 @@ class AdaptedBasis:
 @dataclass
 class OperatorMatrix:
     data: np.ndarray
-    basis: str            # 'oscillator', 'coupler_eigen', 'qubit_2level', 'product', 'ising_pc'
+    basis: str            # 'oscillator', 'product' or 'ising_pc'
     dims: tuple           # subsystem dimensions, product equals matrix size
     # product basis only: the adapted coupler basis the operator is written
     # in; None when it is written in the bare frame itself
@@ -160,12 +161,12 @@ def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
     return ReducedQubit(h2=h2, phi2=phi2, omega=float(ev[1] - ev[0]))
 
 
-def coupler_eigenbasis(coupler: OperatorMatrix, u, n_keep):
-    """Lowest n_keep coupler levels (Hz, relative to the ground level) and the
-    coupler phase phi_c in that eigenbasis."""
+def coupler_eigenbasis(coupler: OperatorMatrix, u):
+    """Coupler levels (Hz, relative to the ground level) and the coupler phase
+    phi_c in the coupler eigenbasis."""
     ev, vec = np.linalg.eigh(coupler.data)
     phi_c = vec.T @ coupler_phase(u, coupler.dims[0]).data @ vec
-    return ev[:n_keep] - ev[0], phi_c[:n_keep, :n_keep]
+    return ev - ev[0], phi_c
 
 
 def _configuration_sum(x):
@@ -176,53 +177,45 @@ def _configuration_sum(x):
     return out
 
 
-def unperturbed_diagonal(qubits, e_c):
-    """Diagonal of sum_j H_j + H_c on the product space: qubit splittings
-    from the two-level reductions plus the coupler levels e_c."""
-    d = _configuration_sum([np.diag(q.h2) for q in qubits])
-    return np.add.outer(d, e_c).ravel()
+def qubit_configurations(qubits, u):
+    """The qubits' side of the product space, which both builders read:
+    the interaction E_Ltilde_c [sum_{i<j} alpha_i alpha_j phi_i phi_j
+    + sum_j alpha_j phi_j phi_c] on the 16 persistent-current configurations
+    z (qubit 0 slowest), on which every phi_j is diagonal.
 
-
-def add_interaction(H, qubits, phi_c, u):
-    """Add E_Ltilde_c [sum_{i<j} alpha_i alpha_j phi_i phi_j
-    + sum_j alpha_j phi_j phi_c] onto the product-space matrix H, in place.
-
-    The direct term runs over each unordered pair once.  Both sums are
-    formed on the 16 qubit states first, so H receives two Kronecker
-    products with the coupler.  Returns H.
-    """
-    def on_qubits(slot_ops):
-        ops = [_I2] * 4
-        for slot, op in slot_ops:
-            ops[slot] = op
-        return kron_all(ops)
-
-    alpha = [float(a) for a in u.alpha]
-    phi = [q.phi2 for q in qubits]
-    direct = sum(alpha[i] * alpha[j] * on_qubits([(i, phi[i]), (j, phi[j])])
-                 for i, j in PAIRS)
-    force = sum(alpha[j] * on_qubits([(j, phi[j])]) for j in range(4))
-    E = u.E_Ltilde_c
-    H += np.kron(E * direct, np.eye(phi_c.shape[0]))
-    H += np.kron(E * force, phi_c)
-    return H
-
-
-def pc_rotations(qubits):
-    """Per-qubit rotation from the energy basis to the persistent-current basis.
-
-    Columns are the eigenvectors of phi2 (descending eigenvalue: right-well
-    state first), gauge-fixed to positive first components.
+    Returns (R, h_pc, force, direct): R = R_0 (x) ... (x) R_3, whose column z
+    is configuration z in the qubit energy basis; h_pc (4, 2, 2), each
+    qubit's h2 in its pc basis; force, the coupler force lambda(z) =
+    E_Ltilde_c sum_j alpha_j phi_j(z_j); direct, the pair energy of z with
+    each unordered pair once.  The columns of R_j are the eigenvectors of
+    phi2 (descending eigenvalue: right-well state first), gauge-fixed to
+    positive largest components.
     """
     R = []
     for q in qubits:
-        w, v = np.linalg.eigh(q.phi2)
-        v = v[:, ::-1]
-        for k in range(2):
-            if v[np.argmax(np.abs(v[:, k])), k] < 0:
-                v[:, k] = -v[:, k]
-        R.append(v)
-    return R
+        v = np.linalg.eigh(q.phi2)[1][:, ::-1]
+        R.append(v * np.sign(v[np.abs(v).argmax(axis=0), [0, 1]]))
+    a_phi = np.asarray(u.alpha, dtype=float)[:, None] * np.array(
+        [np.diag(r.T @ q.phi2 @ r) for r, q in zip(R, qubits)])
+    h_pc = np.array([r.T @ q.h2 @ r for r, q in zip(R, qubits)])
+    x = _configuration_sum(a_phi)
+    E = u.E_Ltilde_c
+    # sum_{i<j} x_i x_j = ((sum_j x_j)^2 - sum_j x_j^2) / 2
+    direct = 0.5 * E * (x**2 - _configuration_sum(a_phi**2))
+    return kron_all(R), h_pc, E * x, direct
+
+
+def bare_frame(qubits, u, e_c, phi_c):
+    """The product-space Hamiltonian in the bare frame (each qubit in its
+    energy basis, the coupler in its eigenbasis: levels e_c, phase phi_c),
+    split into the diagonal h0 = sum_j H_j + H_c and the interaction
+        V = (R diag(direct) R^T) (x) 1 + (R diag(force) R^T) (x) phi_c
+    of qubit_configurations.  Returns (h0, V, R)."""
+    R, _, force, direct = qubit_configurations(qubits, u)
+    h0 = np.add.outer(_configuration_sum([np.diag(q.h2) for q in qubits]), e_c)
+    V = np.kron(R @ (direct[:, None] * R.T), np.eye(e_c.size))
+    V += np.kron(R @ (force[:, None] * R.T), phi_c)
+    return h0.ravel(), V, R
 
 
 # the 32 configuration pairs (z, z') that differ in qubit j only, z_j = 0,
@@ -260,18 +253,11 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep=8):
         raise ValueError("n_keep must be at least 1")
     if n_keep > n_c:
         raise ValueError("n_keep exceeds coupler truncation")
-    e_c, phi_c = coupler_eigenbasis(coupler, u, n_c)
-    R = pc_rotations(qubits)
-    h_pc = np.array([r.T @ q.h2 @ r for r, q in zip(R, qubits)])
-    a_phi = np.asarray(u.alpha, dtype=float)[:, None] * np.array(
-        [np.diag(r.T @ q.phi2 @ r) for r, q in zip(R, qubits)])
-    E = u.E_Ltilde_c
-    force = _configuration_sum(a_phi)
-    # sum_{i<j} x_i x_j = ((sum_j x_j)^2 - sum_j x_j^2) / 2
-    direct = 0.5 * E * (force**2 - _configuration_sum(a_phi**2))
+    e_c, phi_c = coupler_eigenbasis(coupler, u)
+    R, h_pc, force, direct = qubit_configurations(qubits, u)
     shift = direct + _configuration_sum(np.diagonal(h_pc, axis1=1, axis2=2))
 
-    eps, chi = np.linalg.eigh(np.diag(e_c) + (E * force)[:, None, None] * phi_c)
+    eps, chi = np.linalg.eigh(np.diag(e_c) + force[:, None, None] * phi_c)
     eps, chi = eps[:, :n_keep], chi[:, :, :n_keep]
 
     z = np.arange(16)
@@ -283,7 +269,7 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep=8):
     H[_FLIP_HI, :, _FLIP_LO, :] = hop.transpose(0, 2, 1)
     return OperatorMatrix(H.reshape(16 * n_keep, 16 * n_keep), "product",
                           (2, 2, 2, 2, n_keep),
-                          frame=AdaptedBasis(kron_all(R), chi))
+                          frame=AdaptedBasis(R, chi))
 
 
 @dataclass

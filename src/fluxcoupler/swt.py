@@ -18,9 +18,8 @@ from math import factorial
 
 import numpy as np
 
-from .hamiltonian import (OperatorMatrix, PAIRS, TRIPLES, add_interaction,
-                          coupler_eigenbasis, kron_all, pc_rotations,
-                          unperturbed_diagonal, _I2, _X, _Z)
+from .hamiltonian import (OperatorMatrix, PAIRS, TRIPLES, bare_frame,
+                          coupler_eigenbasis, _I2, _X, _Z)
 
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _PAULIS = np.array([_I2, _X, _Y, _Z])   # in the order of the names "IXYZ"
@@ -223,29 +222,26 @@ def swt_effective_block(h0_diag, V, block0):
 def numerical_swt(u, qubits, coupler: OperatorMatrix):
     """Numerical 4th-order SWT in the exact coupler eigenbasis.
 
-    Builds the 16 x n_trunc product space with the diagonal unperturbed part
-    (qubit splittings + exact coupler levels) and the full interaction
-    (direct pair term + qubit-coupler term), block-partitions on coupler
-    ground vs rest, runs the generator recursion, and Pauli-decomposes the
-    resulting 16x16 low block in the persistent-current frame.
+    Takes the product space in the bare frame from hamiltonian.bare_frame:
+    the diagonal h0 (qubit splittings + exact coupler levels) and the
+    interaction V (direct pair term + qubit-coupler term), written from the
+    same qubit configurations that assemble_full reads.  Partitions it on
+    coupler ground vs rest, runs the generator recursion, rotates the 16x16
+    low block with the configurations' R into the persistent-current frame
+    and Pauli-decomposes it.
     """
-    n_c = coupler.dims[0]
-    e_c, phi_c = coupler_eigenbasis(coupler, u, n_c)
+    e_c, phi_c = coupler_eigenbasis(coupler, u)
 
     omega = np.array([q.omega for q in qubits])
     if np.min(e_c[1:]) <= np.max(omega):
         raise RuntimeError("gap collapse: coupler gap below qubit splitting, "
                            "SWT convergence lost")
 
-    h0 = unperturbed_diagonal(qubits, e_c)
-    V = add_interaction(np.zeros((h0.size, h0.size)), qubits, phi_c, u)
-    block0 = np.arange(h0.size) % n_c == 0
+    h0, V, R = bare_frame(qubits, u, e_c, phi_c)
+    block0 = np.arange(h0.size) % e_c.size == 0
     block = swt_effective_block(h0, V, block0)
 
-    # rotate each qubit from its energy basis to the persistent-current basis
-    U = kron_all(pc_rotations(qubits))
-    h_pc = U.conj().T @ block @ U
-    h_eff = OperatorMatrix(h_pc, "ising_pc", (2, 2, 2, 2))
+    h_eff = OperatorMatrix(R.T @ block @ R, "ising_pc", (2, 2, 2, 2))
     return h_eff, ising_couplings(h_eff, "numerical_swt")
 
 

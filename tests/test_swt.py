@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -7,14 +8,15 @@ from fluxcoupler import swt as swt_module
 from fluxcoupler.circuit import CONSTANTS, derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (IsingModel, assemble_full,
                                      assemble_ising_model, build_coupler,
-                                     build_qubit_bare, qubit_phase,
-                                     reduce_qubit)
+                                     build_qubit_bare, coupler_eigenbasis,
+                                     qubit_phase, reduce_qubit)
 from fluxcoupler.oscillator import qubit_reduction
 from fluxcoupler.swt import (C1_CONSTANT, _bernoulli, analytic_couplings,
                              numerical_swt, pauli_decompose, swt_coefficients,
                              swt_prefactors, swt_effective_block)
-from toys import (delta_form_couplings, dense_swt_effective_block,
-                  linear_coupler_toy, linear_map_L, one_qubit_toy_error)
+from toys import (add_interaction, delta_form_couplings,
+                  dense_swt_effective_block, linear_coupler_toy, linear_map_L,
+                  one_qubit_toy_error)
 
 
 def _u(beta_c=0.43):
@@ -339,6 +341,13 @@ def test_numerical_swt_sees_the_spectral_hamiltonian(monkeypatch,
     np.testing.assert_array_equal(low, np.arange(0, H.shape[0], n_c))
     np.testing.assert_allclose(carried[np.ix_(low, low)], H[np.ix_(low, low)],
                                rtol=0, atol=tol)
+    # both paths read one description of the interaction, so it is checked
+    # on its own against the terms written out one Kronecker product each
+    e_c, phi_c = coupler_eigenbasis(coupler, u)
+    bare = functools.reduce(np.add.outer,
+                            [np.diag(q.h2) for q in qubits] + [e_c]).ravel()
+    reference = add_interaction(np.diag(bare), qubits, phi_c, u)
+    np.testing.assert_allclose(H, reference, rtol=0, atol=tol)
 
 
 def _captured_swt_inputs(monkeypatch, u):

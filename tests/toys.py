@@ -4,7 +4,7 @@ import numpy as np
 from scipy.special import binom, gammaln
 
 from fluxcoupler.circuit import derive_unitless, reference_circuit
-from fluxcoupler.hamiltonian import (OperatorMatrix, build_coupler,
+from fluxcoupler.hamiltonian import (PAIRS, OperatorMatrix, build_coupler,
                                      build_qubit_bare, coupler_phase, kron_all,
                                      qubit_phase, reduce_qubit)
 from fluxcoupler.swt import (C1_CONSTANT, SwtPrefactors, _cross_block_gaps,
@@ -123,6 +123,34 @@ def one_qubit_toy_error(alpha_eff, phi_cx=0.05, phi_jx=0.005, beta_c=0.2,
     X = W @ gv @ np.diag(gw ** -0.5) @ gv.T
     h_exact = X @ np.diag(ev[idx]) @ X.T
     return np.linalg.norm(h_eff - h_exact)
+
+
+# The interaction written term by term as Kronecker products of the 2 x 2
+# phi operators: the reference for hamiltonian.qubit_configurations, which
+# both product-space builders read.
+def add_interaction(H, qubits, phi_c, u):
+    """Add E_Ltilde_c [sum_{i<j} alpha_i alpha_j phi_i phi_j
+    + sum_j alpha_j phi_j phi_c] onto the product-space matrix H, in place.
+
+    The direct term runs over each unordered pair once.  Both sums are
+    formed on the 16 qubit states first, so H receives two Kronecker
+    products with the coupler.  Returns H.
+    """
+    def on_qubits(slot_ops):
+        ops = [_I2] * 4
+        for slot, op in slot_ops:
+            ops[slot] = op
+        return kron_all(ops)
+
+    alpha = [float(a) for a in u.alpha]
+    phi = [q.phi2 for q in qubits]
+    direct = sum(alpha[i] * alpha[j] * on_qubits([(i, phi[i]), (j, phi[j])])
+                 for i, j in PAIRS)
+    force = sum(alpha[j] * on_qubits([(j, phi[j])]) for j in range(4))
+    E = u.E_Ltilde_c
+    H += np.kron(E * direct, np.eye(phi_c.shape[0]))
+    H += np.kron(E * force, phi_c)
+    return H
 
 
 def linear_coupler_toy(g, delta, omega=0.0, n_c=25):
