@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circuit as circ
-from .circuit import CircuitParams, derive_unitless, critical_current_from_beta
+from .circuit import (CircuitParams, critical_current_from_beta,
+                      derive_unitless, rescaled_coupler_inductance)
 from .oscillator import qubit_reduction
 from .hamiltonian import (build_coupler, build_qubit_bare, qubit_phase,
                           reduce_qubit, assemble_full)
@@ -80,8 +81,8 @@ def couplings_point(u, trunc=Truncations(), extraction="spectral_fit"):
 def with_beta_c(p: CircuitParams, beta_c) -> CircuitParams:
     """Copy of the circuit with the coupler critical current set from beta_c."""
     q = copy.deepcopy(p)
-    L_tilde = p.L_c - np.sum(p.M_j**2 / p.L_j)
-    q.I_cc = critical_current_from_beta(beta_c, L_tilde)
+    q.I_cc = critical_current_from_beta(
+        beta_c, rescaled_coupler_inductance(p.L_c, p.M_j, p.L_j))
     return q
 
 

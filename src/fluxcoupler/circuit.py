@@ -88,64 +88,68 @@ class UnitlessParams:
     phi_jx: np.ndarray
 
 
-def impedance_parameter(L, C, const=CONSTANTS):
+def impedance_parameter(L, C):
     """xi = 4 pi sqrt(L/C) / R_Q; asserted equal to (2 pi e / Phi_0) sqrt(L/C)."""
     z = np.sqrt(L / C)
-    xi_a = 4.0 * np.pi * z / const.resistance_quantum
-    xi_b = TWO_PI * const.electron_charge / const.flux_quantum * z
+    xi_a = 4.0 * np.pi * z / CONSTANTS.resistance_quantum
+    xi_b = TWO_PI * CONSTANTS.electron_charge / CONSTANTS.flux_quantum * z
     # the two textbook forms are algebraically identical; keep both to catch
     # constant-handling bugs
     assert np.allclose(xi_a, xi_b, rtol=1e-12)
     return xi_a
 
 
-def inductive_energy(L, const=CONSTANTS):
+def inductive_energy(L):
     """E_L = (Phi_0 / 2 pi)^2 / L, returned as a frequency (Hz)."""
-    return (const.flux_quantum / TWO_PI) ** 2 / L / const.planck_h
+    return (CONSTANTS.flux_quantum / TWO_PI) ** 2 / L / CONSTANTS.planck_h
 
 
-def screening_parameter(I_c, L, const=CONSTANTS):
+def screening_parameter(I_c, L):
     """beta = 2 pi L I_c / Phi_0."""
-    return TWO_PI * L * I_c / const.flux_quantum
+    return TWO_PI * L * I_c / CONSTANTS.flux_quantum
 
 
-def critical_current_from_beta(beta, L, const=CONSTANTS):
+def critical_current_from_beta(beta, L):
     """Inverse of screening_parameter at fixed inductance."""
-    return beta * const.flux_quantum / (TWO_PI * L)
+    return beta * CONSTANTS.flux_quantum / (TWO_PI * L)
 
 
-def capacitance_from_xi(xi, L, const=CONSTANTS):
+def capacitance_from_xi(xi, L):
     """Inverse of impedance_parameter at fixed inductance."""
-    z = xi * const.resistance_quantum / (4.0 * np.pi)
+    z = xi * CONSTANTS.resistance_quantum / (4.0 * np.pi)
     return L / z**2
 
 
-def shifted_phase(Phi, const=CONSTANTS):
+def shifted_phase(Phi):
     """Dimensionless flux offset, pi-shifted so Phi_0/2 maps to 0."""
-    return TWO_PI * Phi / const.flux_quantum - np.pi
+    return TWO_PI * Phi / CONSTANTS.flux_quantum - np.pi
 
 
-def derive_unitless(p: CircuitParams, const: PhysicalConstants = CONSTANTS) -> UnitlessParams:
-    alpha = p.M_j / p.L_j
-    L_tilde_c = p.L_c - np.sum(alpha * p.M_j)
+def rescaled_coupler_inductance(L_c, M_j, L_j):
+    """L_tilde_c = L_c - sum_j alpha_j M_j, alpha_j = M_j / L_j."""
+    return L_c - np.sum(M_j / L_j * M_j)
+
+
+def derive_unitless(p: CircuitParams) -> UnitlessParams:
+    L_tilde_c = rescaled_coupler_inductance(p.L_c, p.M_j, p.L_j)
     if L_tilde_c <= 0:
         raise ValueError("unphysical mutual inductance network: L_tilde_c <= 0")
-    beta_c = screening_parameter(p.I_cc, L_tilde_c, const)
+    beta_c = screening_parameter(p.I_cc, L_tilde_c)
     if beta_c >= 1:
         warnings.warn(
             "beta_c >= 1: coupler is no longer a single-well high-frequency "
             "mode; perturbative treatment invalid", RuntimeWarning)
     return UnitlessParams(
-        alpha=alpha,
+        alpha=p.M_j / p.L_j,
         L_tilde_c=L_tilde_c,
-        E_Ltilde_c=inductive_energy(L_tilde_c, const),
-        E_Lj=inductive_energy(p.L_j, const),
-        xi_c=impedance_parameter(L_tilde_c, p.C_c, const),
-        xi_j=impedance_parameter(p.L_j, p.C_j, const),
+        E_Ltilde_c=inductive_energy(L_tilde_c),
+        E_Lj=inductive_energy(p.L_j),
+        xi_c=impedance_parameter(L_tilde_c, p.C_c),
+        xi_j=impedance_parameter(p.L_j, p.C_j),
         beta_c=beta_c,
-        beta_j=screening_parameter(p.I_cj, p.L_j, const),
-        phi_cx=float(shifted_phase(p.Phi_cx, const)),
-        phi_jx=shifted_phase(p.Phi_jx, const),
+        beta_j=screening_parameter(p.I_cj, p.L_j),
+        phi_cx=float(shifted_phase(p.Phi_cx)),
+        phi_jx=shifted_phase(p.Phi_jx),
     )
 
 
@@ -186,8 +190,7 @@ def validate_regime(u: UnitlessParams) -> RegimeReport:
 
 
 def reference_circuit(beta_c=0.43, beta_j=1.1, Phi_cx_offset=0.0,
-                      Phi_jx_offset=(0.0, 0.0, 0.0, 0.0),
-                      const=CONSTANTS) -> CircuitParams:
+                      Phi_jx_offset=(0.0, 0.0, 0.0, 0.0)) -> CircuitParams:
     """Realizable parameter set used throughout: L_j = 817 pH, C_j = 77 fF,
     L_c = 170 pH, C_c = 407 fF, M_j = 40 pH, critical currents set from the
     requested screening parameters.  Flux offsets are given relative to the
@@ -196,16 +199,16 @@ def reference_circuit(beta_c=0.43, beta_j=1.1, Phi_cx_offset=0.0,
     L_j = np.full(4, 817e-12)
     M_j = np.full(4, 40e-12)
     L_c = 170e-12
-    L_tilde_c = L_c - np.sum(M_j**2 / L_j)
-    half = const.flux_quantum / 2.0
+    half = CONSTANTS.flux_quantum / 2.0
     return CircuitParams(
         L_j=L_j,
         C_j=np.full(4, 77e-15),
-        I_cj=critical_current_from_beta(np.full(4, beta_j), L_j, const),
+        I_cj=critical_current_from_beta(np.full(4, beta_j), L_j),
         M_j=M_j,
         L_c=L_c,
         C_c=407e-15,
-        I_cc=critical_current_from_beta(beta_c, L_tilde_c, const),
+        I_cc=critical_current_from_beta(
+            beta_c, rescaled_coupler_inductance(L_c, M_j, L_j)),
         Phi_cx=half + Phi_cx_offset,
         Phi_jx=half + np.asarray(Phi_jx_offset, dtype=float),
     )

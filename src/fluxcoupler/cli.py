@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .circuit import CircuitParams, derive_unitless, critical_current_from_beta
+from .circuit import (CircuitParams, critical_current_from_beta,
+                      derive_unitless, rescaled_coupler_inductance)
 from .analysis import (BRANCHES, Truncations, sweep_beta, sweep_flux,
                        compare_swt, susceptibility, with_beta_c, build_system)
 from .hamiltonian import assemble_full
@@ -135,7 +136,6 @@ def parse_config(text) -> RunConfig:
         circ.setdefault(key, val)
     L_j = np.full(4, circ["L_j"])
     M_j = np.full(4, circ["M_j"])
-    L_tilde = circ["L_c"] - np.sum(M_j**2 / L_j)
     if "I_cj" in circ:
         I_cj = np.full(4, circ["I_cj"])
     else:
@@ -143,7 +143,9 @@ def parse_config(text) -> RunConfig:
     if "I_cc" in circ:
         I_cc = circ["I_cc"]
     else:
-        I_cc = critical_current_from_beta(circ.get("beta_c", 0.43), L_tilde)
+        I_cc = critical_current_from_beta(
+            circ.get("beta_c", 0.43),
+            rescaled_coupler_inductance(circ["L_c"], M_j, L_j))
     params = CircuitParams(L_j=L_j, C_j=np.full(4, circ["C_j"]), I_cj=I_cj,
                            M_j=M_j, L_c=circ["L_c"], C_c=circ["C_c"], I_cc=I_cc)
 

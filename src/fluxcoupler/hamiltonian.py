@@ -30,13 +30,18 @@ TRIPLES = list(itertools.combinations(range(4), 3))
 _I2 = np.eye(2)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Z = np.diag([1.0, -1.0])
+# the persistent-current states of (omega/2) X by column, in its energy basis
+# (ground state first, as reduce_qubit orders it)
+_HAD = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 
 
 @dataclass
 class AdaptedBasis:
-    """The per-configuration coupler basis of assemble_full, as seen from the
-    bare frame (qubit energy basis x full coupler eigenbasis): basis state
-    (z, n) is rotation[:, z] (x) states[z, :, n]."""
+    """The frame of a product-space operator: a coupler basis per qubit
+    configuration z, seen from the bare frame (qubit energy basis x full
+    coupler eigenbasis).  Basis state (z, n) is rotation[:, z] (x)
+    states[z, :, n], n = 0 coupler-ground.  assemble_full keeps n_keep
+    displaced states chi_n(z); the Ising model keeps one, states = 1."""
     rotation: np.ndarray   # (16, 16) persistent-current states z, by column
     states: np.ndarray     # (16, n_c, n_keep) kept coupler states chi_n(z)
 
@@ -52,8 +57,8 @@ class OperatorMatrix:
     data: np.ndarray
     basis: str            # 'oscillator', 'product' or 'ising_pc'
     dims: tuple           # subsystem dimensions, product equals matrix size
-    # product basis only: the adapted coupler basis the operator is written
-    # in; None when it is written in the bare frame itself
+    # the product space the operator is written in, which eigendecompose
+    # reads; None for oscillator operators and effective Hamiltonians
     frame: AdaptedBasis = None
 
     def __post_init__(self):
@@ -294,7 +299,12 @@ class IsingModel:
 
 
 def assemble_ising_model(m: IsingModel) -> OperatorMatrix:
-    """16x16 matrix of the generalized Ising model, persistent-current basis."""
+    """16x16 matrix of the generalized Ising model, persistent-current basis.
+
+    Its frame is the product space with one coupler state: each qubit's
+    persistent-current states carried to its energy basis by _HAD, so every
+    level is coupler-ground.
+    """
     H = m.shift * np.eye(16)
     for i in range(4):
         ops = [_I2] * 4
@@ -315,4 +325,6 @@ def assemble_ising_model(m: IsingModel) -> OperatorMatrix:
             ops[q] = _Z
         H += m.J3[k] * kron_all(ops)
     H += m.J4 * kron_all([_Z] * 4)
-    return OperatorMatrix(H, "ising_pc", (2, 2, 2, 2))
+    return OperatorMatrix(H, "ising_pc", (2, 2, 2, 2),
+                          frame=AdaptedBasis(kron_all([_HAD] * 4),
+                                             np.ones((16, 1, 1))))

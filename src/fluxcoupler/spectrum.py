@@ -4,11 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (AdaptedBasis, OperatorMatrix, check_hermitian,
-                          kron_all)
+from .hamiltonian import AdaptedBasis, OperatorMatrix, check_hermitian
 from .swt import CouplingStrengths, ising_couplings
-
-_HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 # the subspaces count as separated when delta_gap > GAP_THRESHOLD * delta_max
 GAP_THRESHOLD = 3.0
@@ -20,9 +17,8 @@ class SpectrumResult:
     eigenvectors: np.ndarray
     coupler_occupation: np.ndarray   # weight on coupler state 0, in [0,1]
     subspace_label: np.ndarray       # True = coupler_ground
-    dims: tuple
-    basis: str
-    frame: AdaptedBasis = None       # the operator's OperatorMatrix.frame
+    basis: str                       # the operator's tag, read by no path here
+    frame: AdaptedBasis              # the operator's OperatorMatrix.frame
 
     def manifold(self):
         """Indices of the lowest 16 levels labeled coupler_ground."""
@@ -43,26 +39,23 @@ class GapDiagnostics:
 def eigendecompose(h: OperatorMatrix) -> SpectrumResult:
     """Full dense Hermitian decomposition with coupler-subspace classification.
 
-    For product-space operators (last subsystem = coupler) the occupation is
-    the eigenvector weight on the kept coupler state 0 of each qubit
-    configuration: the displaced coupler ground state chi_0(z) of
-    assemble_full, i.e. the weight on the coupler-ground manifold that the
-    qubits dress.  Levels with occupation above 0.5 are labeled
-    coupler_ground.  Pure qubit-space operators are labeled coupler_ground
-    throughout.
+    The operator is read through its frame: the product space of 16 qubit
+    configurations z times the coupler states kept per z.  The occupation is
+    the eigenvector weight on coupler state 0 of each z, the coupler-ground
+    state that the qubits dress (chi_0(z) of assemble_full); levels with
+    occupation above 0.5 are labeled coupler_ground.  With one coupler state
+    (the Ising model) every level is coupler-ground.
     """
+    if h.frame is None:
+        raise ValueError("eigendecompose needs an operator with a frame")
     # OperatorMatrix checks at construction; this catches later edits of .data
     check_hermitian(h.data)
     ev, vec = np.linalg.eigh(h.data)
-    if h.basis == "product" and len(h.dims) == 5:
-        n_keep = h.dims[-1]
-        w = vec.reshape(16, n_keep, -1)
-        occ = np.sum(np.abs(w[:, 0, :]) ** 2, axis=0)
-    else:
-        occ = np.ones(len(ev))
+    w = vec.reshape(16, h.frame.states.shape[2], -1)
+    occ = np.sum(np.abs(w[:, 0, :]) ** 2, axis=0)
     return SpectrumResult(eigenvalues=ev, eigenvectors=vec,
                           coupler_occupation=occ,
-                          subspace_label=occ > 0.5, dims=h.dims, basis=h.basis,
+                          subspace_label=occ > 0.5, basis=h.basis,
                           frame=h.frame)
 
 
@@ -81,16 +74,9 @@ def extract_couplings(s: SpectrumResult, omega) -> CouplingStrengths:
     idx = s.manifold()
     if len(idx) < 16:
         raise ValueError("fewer than 16 coupler-ground levels identified")
-    vec = s.eigenvectors[:, idx]
-    if s.basis == "ising_pc":
-        B = vec
-    elif s.basis == "product" and s.frame is not None:
-        # <z, bare coupler ground | psi_k> = sum_n <0|chi_n(z)> psi_k(z, n)
-        B = np.einsum("zn,znk->zk", s.frame.states[:, 0, :],
-                      vec.reshape(16, s.dims[-1], 16))
-    else:
-        raise ValueError("projection needs an ising_pc spectrum or a product "
-                         "spectrum with its adapted-basis frame")
+    # <z, bare coupler ground | psi_k> = sum_n <0|chi_n(z)> psi_k(z, n)
+    B = np.einsum("zn,znk->zk", s.frame.states[:, 0, :],
+                  s.eigenvectors[:, idx].reshape(16, -1, 16))
     U, _, Wt = np.linalg.svd(B)
     T = U @ Wt
     h_eff = OperatorMatrix((T * s.eigenvalues[idx]) @ T.T, "ising_pc",
@@ -104,21 +90,11 @@ def _two_excitation_projector_weights(s: SpectrumResult):
     """Weight of each eigenvector on the two-excitation qubit sector."""
     popcount = np.array([bin(i).count("1") for i in range(16)])
     sector = popcount == 2
-    if s.basis == "ising_pc":
-        # rotate to the qubit energy basis: bare terms are (omega/2) X in the
-        # persistent-current frame, so energy eigenstates are Hadamard-rotated
-        U = kron_all([_HAD] * 4)
-        comp = U.T @ s.eigenvectors
-        return np.sum(np.abs(comp[sector, :]) ** 2, axis=0)
-    if s.basis == "product":
-        # the sector is defined in the qubit energy basis: carry the
-        # eigenvectors to the bare frame first
-        vec = s.eigenvectors
-        if s.frame is not None:
-            vec = s.frame.isometry() @ vec
-        w = vec.reshape(16, -1, vec.shape[1])
-        return np.sum(np.abs(w[sector, :, :]) ** 2, axis=(0, 1))
-    raise ValueError("two-excitation analysis needs an ising_pc or product basis")
+    # the sector is defined in the qubit energy basis: carry the eigenvectors
+    # to the bare frame first
+    vec = s.frame.isometry() @ s.eigenvectors
+    w = vec.reshape(16, -1, vec.shape[1])
+    return np.sum(np.abs(w[sector, :, :]) ** 2, axis=(0, 1))
 
 
 def two_excitation_splitting(s: SpectrumResult, omega, cluster_tol=1e-6):

@@ -236,6 +236,14 @@ def test_ising_model_known_spectra():
     lv = np.sort(np.linalg.eigvalsh(assemble_ising_model(m).data))
     want = np.sort([2.0 * sum(s) for s in itertools.product([-1, 1], repeat=4)])
     assert np.allclose(lv, want)
+    # its frame carries it to the qubit energy basis: diagonal, -+omega_j/2
+    # per qubit (ground state first), qubit 0 slowest
+    m.omega = np.array([1.0, 2.0, 4.0, 8.0])
+    H = assemble_ising_model(m)
+    W = H.frame.isometry()
+    want = [np.dot(m.omega / 2.0, s)
+            for s in itertools.product([-1, 1], repeat=4)]
+    assert np.allclose(W @ H.data @ W.T, np.diag(want), atol=1e-12)
 
 
 def test_ising_model_shift_and_orders():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fluxcoupler.circuit import derive_unitless, reference_circuit
-from fluxcoupler.hamiltonian import (IsingModel, OperatorMatrix, assemble_full,
-                                     assemble_ising_model, build_coupler,
-                                     build_qubit_bare, qubit_phase,
-                                     reduce_qubit)
+from fluxcoupler.hamiltonian import (AdaptedBasis, IsingModel, OperatorMatrix,
+                                     assemble_full, assemble_ising_model,
+                                     build_coupler, build_qubit_bare,
+                                     qubit_phase, reduce_qubit)
 from fluxcoupler.spectrum import (GAP_THRESHOLD, eigendecompose,
                                   extract_couplings, gap_diagnostics,
                                   two_excitation_splitting)
@@ -123,20 +123,28 @@ def test_projection_needs_a_frame():
 
 def test_two_excitation_sector_in_the_adapted_basis():
     # the sector weights are read in the qubit energy basis: the same levels
-    # come out of the adapted operator as out of its bare-frame image
+    # come out of the adapted operator as out of its image in the
+    # persistent-current frame (x) coupler eigenbasis, and so does J4
     u = derive_unitless(reference_circuit(beta_c=0.3))
     qubits = [reduce_qubit(build_qubit_bare(u, j, 40), qubit_phase(u, j, 40))
               for j in range(4)]
     coupler = build_coupler(u, 20)
-    H = assemble_full(qubits, coupler, u, 20)
+    n_c = coupler.dims[0]
+    H = assemble_full(qubits, coupler, u, n_c)
     omega = np.full(4, np.mean([q.omega for q in qubits]))
-    adapted = two_excitation_splitting(eigendecompose(H), omega)
-    W = H.frame.isometry()
-    bare = OperatorMatrix(W @ H.data @ W.T, "product", H.dims)
-    want = two_excitation_splitting(eigendecompose(bare), omega)
+    spec = eigendecompose(H)
+    adapted = two_excitation_splitting(spec, omega)
+    R = H.frame.rotation
+    W = np.kron(R.T, np.eye(n_c)) @ H.frame.isometry()
+    frame = AdaptedBasis(R, np.broadcast_to(np.eye(n_c), (16, n_c, n_c)))
+    bare = OperatorMatrix(W @ H.data @ W.T, "product", H.dims, frame=frame)
+    bare_spec = eigendecompose(bare)
+    want = two_excitation_splitting(bare_spec, omega)
     assert np.allclose(adapted["levels"], want["levels"], rtol=1e-9)
     assert np.allclose(adapted["sector_weights"], want["sector_weights"],
                        atol=1e-9)
+    assert extract_couplings(spec, omega).J4 == pytest.approx(
+        extract_couplings(bare_spec, omega).J4, rel=1e-9)
 
 
 def test_fit_noise_robustness():
