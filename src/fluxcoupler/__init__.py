@@ -7,7 +7,7 @@ Library layout:
   spectrum    diagonalization, classification, coupling extraction
   swt         Schrieffer-Wolff engine (analytic + numerical branches) and
               the Pauli reading of 16x16 effective Hamiltonians
-  analysis    sweeps, branch comparison, susceptibilities
+  analysis    the one point runner; sweeps, scans, susceptibilities
   cli         config parsing and CSV emission
 """
 

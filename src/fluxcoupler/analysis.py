@@ -1,7 +1,12 @@
-"""Parameter sweeps, branch comparisons, and fabrication-error susceptibilities."""
+"""The one point runner, and the sweeps, scans, special-point search and
+fabrication-error susceptibilities built on it.  `run_point` records a point
+as its columns and `ok`, or `error: <message>`, in its status column;
+`BRANCHES` maps each extraction branch to its CSV prefix and point function;
+`spectral_system` is the one spectral pipeline.
+"""
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -11,7 +16,8 @@ from .circuit import (CircuitParams, critical_current_from_beta,
 from .oscillator import qubit_reduction
 from .hamiltonian import (build_coupler, build_qubit_bare, qubit_phase,
                           reduce_qubit, assemble_full)
-from .spectrum import eigendecompose, extract_couplings, gap_diagnostics
+from .spectrum import (eigendecompose, extract_couplings, gap_diagnostics,
+                       two_excitation_splitting)
 from .swt import analytic_couplings, numerical_swt
 
 
@@ -48,34 +54,92 @@ def build_system(u, trunc=Truncations()):
     return qubits, coupler
 
 
+def spectral_system(u, trunc):
+    """The eigendecomposed product space at one parameter point, and the
+    bare qubit splittings: (SpectrumResult, omegas)."""
+    qubits, coupler = build_system(u, trunc)
+    spec = eigendecompose(assemble_full(qubits, coupler, u, trunc.n_keep))
+    return spec, np.array([q.omega for q in qubits])
+
+
 def spectral_point(u, trunc=Truncations()):
     """Full-numerics pipeline at one parameter point.
 
     Returns (CouplingStrengths, GapDiagnostics, SpectrumResult, omegas).
     """
+    spec, omega = spectral_system(u, trunc)
+    return extract_couplings(spec, omega), gap_diagnostics(spec), spec, omega
+
+
+# Point functions of the extraction branches: each returns the
+# CouplingStrengths and the branch's extra columns, and calls the pipeline
+# through this module's globals, so a rebound global is what runs.
+
+def _spectral(u, trunc):
+    cs, gd, _, _ = spectral_point(u, trunc)
+    return cs, {"delta_gap": gd.delta_gap, "delta_max": gd.delta_max}
+
+
+def _analytic(u, trunc):
+    w = qubit_reduction(float(np.mean(u.xi_j)), float(np.mean(u.beta_j)),
+                        float(np.mean(u.alpha)))
+    return analytic_couplings(u, w), {}
+
+
+def _numerical(u, trunc):
     qubits, coupler = build_system(u, trunc)
-    full = assemble_full(qubits, coupler, u, trunc.n_keep)
-    spec = eigendecompose(full)
-    omega = np.array([q.omega for q in qubits])
-    cs = extract_couplings(spec, omega)
-    gd = gap_diagnostics(spec)
-    return cs, gd, spec, omega
+    return numerical_swt(u, qubits, coupler)[1], {}
+
+
+# extraction branches, in column order: CSV column prefix, point function
+BRANCHES = {"spectral_fit": ("spectral", _spectral),
+            "analytic_swt": ("analytic", _analytic),
+            "numerical_swt": ("numswt", _numerical)}
 
 
 def couplings_point(u, trunc=Truncations(), extraction="spectral_fit"):
     """One parameter point, one extraction branch."""
-    if extraction == "spectral_fit":
-        cs, _, _, _ = spectral_point(u, trunc)
-        return cs
-    if extraction == "analytic_swt":
-        w = qubit_reduction(float(np.mean(u.xi_j)), float(np.mean(u.beta_j)),
-                            float(np.mean(u.alpha)))
-        return analytic_couplings(u, w)
-    if extraction == "numerical_swt":
-        qubits, coupler = build_system(u, trunc)
-        _, cs = numerical_swt(u, qubits, coupler)
-        return cs
-    raise ValueError(f"unknown extraction branch {extraction!r}")
+    if extraction not in BRANCHES:
+        raise ValueError(f"unknown extraction branch {extraction!r}")
+    return BRANCHES[extraction][1](u, trunc)[0]
+
+
+def run_point(row, status, point, *args):
+    """Add the columns point(*args) returns to row and set row[status] to
+    'ok', or to 'error: <message>' if the point raises, so that a failed
+    point keeps its row."""
+    try:
+        row.update(point(*args))
+        row[status] = "ok"
+    except Exception as exc:
+        row[status] = f"error: {exc}"
+    return row
+
+
+def _sweep(swept, column, grid, row_of):
+    """The one row loop: a row per grid value, in grid order, led by the
+    value under `column` and followed by the columns row_of(value) gives."""
+    return SweepResult(swept, [{column: x, **row_of(x)} for x in grid])
+
+
+def _scan(swept, grid, point):
+    """One point per grid value, with its status in the `status` column."""
+    return _sweep(swept, swept, grid,
+                  lambda x: run_point({}, "status", point, x))
+
+
+def _branch_columns(u, trunc, prefix, point):
+    cs, extra = point(u, trunc)
+    return {**{f"{prefix}_{name}": getattr(cs, name)
+               for name in ("J1", "J2", "J3", "J4", "residual")}, **extra}
+
+
+def _row_for(u, trunc, branches):
+    row = {}
+    for prefix, point in (BRANCHES[branch] for branch in branches):
+        run_point(row, f"{prefix}_status", _branch_columns, u, trunc, prefix,
+                  point)
+    return row
 
 
 def with_beta_c(p: CircuitParams, beta_c) -> CircuitParams:
@@ -97,44 +161,15 @@ def with_flux_offsets(p: CircuitParams, coupler_offset=0.0, qubit_offsets=None):
     return q
 
 
-# extraction branches, in column order, and their CSV column prefixes
-BRANCHES = {"spectral_fit": "spectral", "analytic_swt": "analytic",
-            "numerical_swt": "numswt"}
-
-
-def _row_for(u, trunc, branches):
-    row = {}
-    for branch in branches:
-        prefix = BRANCHES[branch]
-        try:
-            if branch == "spectral_fit":
-                cs, gd, _, _ = spectral_point(u, trunc)
-                row["delta_gap"] = gd.delta_gap
-                row["delta_max"] = gd.delta_max
-            else:
-                cs = couplings_point(u, trunc, branch)
-            for name in ("J1", "J2", "J3", "J4"):
-                row[f"{prefix}_{name}"] = getattr(cs, name)
-            row[f"{prefix}_residual"] = cs.residual
-            row[f"{prefix}_status"] = "ok"
-        except Exception as exc:  # per-point failures stay in-row
-            row[f"{prefix}_status"] = f"error: {exc}"
-    return row
-
-
 def sweep_beta(p: CircuitParams, beta_grid, trunc=Truncations(),
                branches=("spectral_fit",)) -> SweepResult:
     """Coupling strengths versus the coupler screening parameter."""
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size == 0 or np.any(np.diff(beta_grid) <= 0):
         raise ValueError("beta grid must be non-empty and strictly increasing")
-    out = SweepResult(swept="beta_c")
-    for b in beta_grid:
-        u = derive_unitless(with_beta_c(p, b))
-        row = {"beta_c": float(b)}
-        row.update(_row_for(u, trunc, branches))
-        out.rows.append(row)
-    return out
+    return _sweep("beta_c", "beta_c", [float(b) for b in beta_grid],
+                  lambda b: _row_for(derive_unitless(with_beta_c(p, b)),
+                                     trunc, branches))
 
 
 def sweep_flux(p: CircuitParams, coupler_grid, qubit_offsets=None,
@@ -146,23 +181,50 @@ def sweep_flux(p: CircuitParams, coupler_grid, qubit_offsets=None,
     common_mode: apply the swept offset to the qubits as well (same noise
     environment for the whole chip).
     """
-    coupler_grid = np.asarray(coupler_grid, dtype=float)
-    out = SweepResult(swept="phi_cx_offset")
-    for off in coupler_grid:
+    def row_of(off):
         qoff = qubit_offsets
         if common_mode:
             base = np.zeros(4) if qubit_offsets is None else np.asarray(qubit_offsets)
             qoff = base + off
         u = derive_unitless(with_flux_offsets(p, off, qoff))
-        row = {"flux_offset": float(off)}
-        row.update(_row_for(u, trunc, branches))
-        out.rows.append(row)
-    return out
+        return _row_for(u, trunc, branches)
+
+    return _sweep("phi_cx_offset", "flux_offset",
+                  [float(off) for off in coupler_grid], row_of)
 
 
 def compare_swt(p: CircuitParams, beta_grid, trunc=Truncations()) -> SweepResult:
     """Spectral projection, analytic SWT, and numerical SWT side by side."""
     return sweep_beta(p, beta_grid, trunc, branches=tuple(BRANCHES))
+
+
+def gap_scan(p: CircuitParams, beta_grid, trunc) -> SweepResult:
+    """Gap diagnostics of the full spectrum versus beta_c."""
+    def point(b):
+        spec, _ = spectral_system(derive_unitless(with_beta_c(p, b)), trunc)
+        gd = gap_diagnostics(spec)
+        return {"delta_gap": gd.delta_gap, "delta_max": gd.delta_max,
+                "valid": gd.valid}
+
+    return _scan("beta_c", [float(b) for b in beta_grid], point)
+
+
+def two_excitation_scan(p: CircuitParams, ratios, trunc) -> SweepResult:
+    """Two-excitation level structure versus the qubit frequency ratio.
+
+    Qubits 1, 2 keep their splitting; qubits 3, 4 are scaled by the ratio
+    (through their inductive energy), and the six manifold levels are given
+    relative to their mean.
+    """
+    def point(r):
+        u = derive_unitless(p)
+        u.E_Lj = u.E_Lj * np.array([1.0, 1.0, r, r])
+        spec, omega = spectral_system(u, trunc)
+        levels = two_excitation_splitting(spec, np.full(4, omega.mean()))["levels"]
+        levels = levels - levels.mean()
+        return {f"level_{k}": levels[k] for k in range(6)}
+
+    return _scan("omega_ratio", [float(r) for r in ratios], point)
 
 
 def find_special_point(p: CircuitParams, lo=0.05, hi=0.6, trunc=Truncations(),
@@ -201,6 +263,43 @@ def _central_diff(f, x0, step):
     return (f(x0 + step) - f(x0 - step)) / (2.0 * step)
 
 
+# the susceptibility parameters, in table order
+SUSCEPTIBILITY_PARAMETERS = ("E_Jj", "E_Jc", "L_c", "E_Ltilde_c", "E_Lj")
+
+
+def _susceptibility_terms(u0):
+    """Per parameter: (chi offset, terms, 2J multiplicity, normalization).
+
+    Each term is (unitless fields varied, each with its scale, x0, weight);
+    chi = offset + sum of weight |dJ/dx| / J over the terms.
+    """
+    beta_j = float(np.mean(u0.beta_j))
+    common_beta_j = {"beta_j": np.ones(4)}
+    return {
+        # E_Jj = beta_j E_Lj, all four beta_j varied together: the single-
+        # junction slope is 1/4 of the common one, so with multiplicity 4
+        # (and 3 more for J2) it is 1x / 3x; d/dE_Jj = (1/E_Lj) d/dbeta_j
+        "E_Jj": (0.0, [(common_beta_j, beta_j,
+                        u0.E_Ltilde_c / float(np.mean(u0.E_Lj)))],
+                 3.0, "E_Ltilde_c"),
+        # E_Jc = beta_c E_Ltilde_c (in energy/h units)
+        "E_Jc": (0.0, [({"beta_c": 1.0}, u0.beta_c, 1.0)], 1.0, "E_Ltilde_c"),
+        # chain rule through E_Ltilde_c (unit slope), xi_c, and beta_c
+        "L_c": (1.0, [({"xi_c": 1.0}, u0.xi_c, u0.xi_c),
+                      ({"beta_c": 1.0}, u0.beta_c, u0.beta_c)],
+                1.0, "L_tilde_c"),
+        # overall energy scale with E_Lj / E_Ltilde_c fixed: J ~ E exactly,
+        # multiplicities 1 (four-local) and 4 (two-local)
+        "E_Ltilde_c": (0.0, [({"E_Ltilde_c": 1.0,
+                               "E_Lj": u0.E_Lj / u0.E_Ltilde_c},
+                              u0.E_Ltilde_c, u0.E_Ltilde_c)],
+                       4.0, "E_Ltilde_c"),
+        # E_Lj enters through beta_j = E_Jj/E_Lj: |dbeta/dE_Lj| = beta_j/E_Lj;
+        # multiplicity 4 (and 12 for J2) against the 1/4 single-vs-common slope
+        "E_Lj": (0.0, [(common_beta_j, beta_j, beta_j)], 3.0, "E_Lj"),
+    }
+
+
 def susceptibility(p: CircuitParams, parameter,
                    rel_step=1e-4) -> Susceptibility:
     """Normalized fabrication-error susceptibilities at the operating point.
@@ -214,89 +313,37 @@ def susceptibility(p: CircuitParams, parameter,
     analytic-SWT couplings with a Richardson half-step check.
     """
     u0 = derive_unitless(p)
+    table = _susceptibility_terms(u0)
+    if parameter not in table:
+        raise ValueError(f"unknown susceptibility parameter {parameter!r}")
+    chi, terms, multiplicity_2J, normalization = table[parameter]
 
     def J_of(u):
         cs = couplings_point(u, extraction="analytic_swt")
         return np.array([cs.J4, cs.J2])
 
-    def perturbed(**updates):
-        u = copy.deepcopy(u0)
-        for k, v in updates.items():
-            setattr(u, k, v)
-        return u
-
     J0 = J_of(u0)
+    ok, steps = True, []
+    for fields, x0, weight in terms:
+        def f(x):
+            u = copy.deepcopy(u0)
+            for name, scale in fields.items():
+                setattr(u, name, scale * x)
+            return J_of(u)
 
-    def normalized_derivative(f, x0):
-        """|dJ/dx| / J at x0, with half-step agreement flag."""
         h = rel_step * abs(x0)
         d1 = _central_diff(f, x0, h)
         d2 = _central_diff(f, x0, h / 2.0)
-        ok = np.all(np.abs(d1 - d2) <= 5e-2 * np.maximum(np.abs(d2), 1e-300))
-        return np.abs(d2) / np.abs(J0), bool(ok), h
+        ok = ok and bool(np.all(
+            np.abs(d1 - d2) <= 5e-2 * np.maximum(np.abs(d2), 1e-300)))
+        chi = chi + weight * (np.abs(d2) / np.abs(J0))
+        steps.append(h)
+    return Susceptibility(parameter, float(chi[0]),
+                          multiplicity_2J * float(chi[1]), normalization,
+                          steps[0], ok)
 
-    if parameter == "E_Jj":
-        # E_Jj = beta_j E_Lj; vary all four beta_j together, so the
-        # single-junction derivative is 1/4 of the common one; with the
-        # multiplicity 4 (and extra 3 for J2) this is 1x / 3x the common slope
-        beta0 = float(np.mean(u0.beta_j))
-        E_Lj = float(np.mean(u0.E_Lj))
 
-        def f(b):
-            return J_of(perturbed(beta_j=np.full(4, b)))
-
-        d, ok, h = normalized_derivative(f, beta0)
-        d = d * u0.E_Ltilde_c / E_Lj   # d/dE_Jj = (1/E_Lj) d/dbeta_j, x E norm
-        return Susceptibility(parameter, float(d[0]), 3.0 * float(d[1]),
-                              "E_Ltilde_c", h, ok)
-
-    if parameter == "E_Jc":
-        # E_Jc = beta_c E_Ltilde_c (in energy/h units)
-        def f(b):
-            return J_of(perturbed(beta_c=float(b)))
-
-        d, ok, h = normalized_derivative(f, u0.beta_c)
-        return Susceptibility(parameter, float(d[0]), float(d[1]),
-                              "E_Ltilde_c", h, ok)
-
-    if parameter == "L_c":
-        # chain rule through E_Ltilde_c (unit slope), xi_c, and beta_c
-        def f_xi(x):
-            return J_of(perturbed(xi_c=float(x)))
-
-        def f_b(b):
-            return J_of(perturbed(beta_c=float(b)))
-
-        d_xi, ok1, h = normalized_derivative(f_xi, u0.xi_c)
-        d_b, ok2, _ = normalized_derivative(f_b, u0.beta_c)
-        chi = 1.0 + u0.xi_c * d_xi + u0.beta_c * d_b
-        return Susceptibility(parameter, float(chi[0]), float(chi[1]),
-                              "L_tilde_c", h, ok1 and ok2)
-
-    if parameter == "E_Ltilde_c":
-        # overall energy scale with E_Lj / E_Ltilde_c fixed: J ~ E exactly,
-        # multiplicities 1 (four-local) and 4 (two-local)
-        ratio = u0.E_Lj / u0.E_Ltilde_c
-
-        def f(E):
-            return J_of(perturbed(E_Ltilde_c=float(E), E_Lj=ratio * float(E)))
-
-        d, ok, h = normalized_derivative(f, u0.E_Ltilde_c)
-        d = d * u0.E_Ltilde_c
-        return Susceptibility(parameter, float(d[0]), 4.0 * float(d[1]),
-                              "E_Ltilde_c", h, ok)
-
-    if parameter == "E_Lj":
-        # E_Lj enters through beta_j = E_Jj/E_Lj: |dbeta/dE_Lj| = beta_j/E_Lj;
-        # multiplicity 4 (and 12 for J2) against the 1/4 single-vs-common slope
-        beta0 = float(np.mean(u0.beta_j))
-
-        def f(b):
-            return J_of(perturbed(beta_j=np.full(4, b)))
-
-        d, ok, h = normalized_derivative(f, beta0)
-        d = d * beta0
-        return Susceptibility(parameter, float(d[0]), 3.0 * float(d[1]),
-                              "E_Lj", h, ok)
-
-    raise ValueError(f"unknown susceptibility parameter {parameter!r}")
+def susceptibility_table(p: CircuitParams) -> SweepResult:
+    """Every parameter's susceptibility, one row each."""
+    return _scan("parameter", SUSCEPTIBILITY_PARAMETERS,
+                 lambda parameter: asdict(susceptibility(p, parameter)))

@@ -189,24 +189,29 @@ def validate_regime(u: UnitlessParams) -> RegimeReport:
     return RegimeReport(double_well, single_well, hierarchy, gap, splitting)
 
 
-def reference_circuit(beta_c=0.43, beta_j=1.1, Phi_cx_offset=0.0,
+# element values (SI) and screening parameters of the reference circuit
+REFERENCE = {"L_j": 817e-12, "C_j": 77e-15, "M_j": 40e-12, "L_c": 170e-12,
+             "C_c": 407e-15, "beta_j": 1.1, "beta_c": 0.43}
+
+
+def reference_circuit(beta_c=REFERENCE["beta_c"], beta_j=REFERENCE["beta_j"],
+                      Phi_cx_offset=0.0,
                       Phi_jx_offset=(0.0, 0.0, 0.0, 0.0)) -> CircuitParams:
-    """Realizable parameter set used throughout: L_j = 817 pH, C_j = 77 fF,
-    L_c = 170 pH, C_c = 407 fF, M_j = 40 pH, critical currents set from the
-    requested screening parameters.  Flux offsets are given relative to the
-    Phi_0/2 degeneracy bias, in Wb.
+    """The realizable parameter set used throughout (REFERENCE), with the
+    critical currents set from the requested screening parameters.  Flux
+    offsets are given relative to the Phi_0/2 degeneracy bias, in Wb.
     """
-    L_j = np.full(4, 817e-12)
-    M_j = np.full(4, 40e-12)
-    L_c = 170e-12
+    L_j = np.full(4, REFERENCE["L_j"])
+    M_j = np.full(4, REFERENCE["M_j"])
+    L_c = REFERENCE["L_c"]
     half = CONSTANTS.flux_quantum / 2.0
     return CircuitParams(
         L_j=L_j,
-        C_j=np.full(4, 77e-15),
+        C_j=np.full(4, REFERENCE["C_j"]),
         I_cj=critical_current_from_beta(np.full(4, beta_j), L_j),
         M_j=M_j,
         L_c=L_c,
-        C_c=407e-15,
+        C_c=REFERENCE["C_c"],
         I_cc=critical_current_from_beta(
             beta_c, rescaled_coupler_inductance(L_c, M_j, L_j)),
         Phi_cx=half + Phi_cx_offset,

@@ -11,9 +11,11 @@ keys, malformed grids and out-of-range integers are parse errors that name
 the line.
 
 Subcommands: spectrum, sweep-beta, sweep-flux, susceptibility, compare-swt,
-gap-scan.  Each writes one CSV with a `#` comment header (tool version plus
-the fully resolved config) and 12-significant-digit scientific rows with LF
-line endings, so identical configs give byte-identical files.
+gap-scan.  Each picks its grid, calls one `analysis` function, which runs
+and records every point, and writes one CSV with a `#` comment header (tool
+version plus the fully resolved config) and 12-significant-digit scientific
+rows with LF line endings, so identical configs give byte-identical files.
+A field holding a comma, a double quote or a line break is quoted (RFC 4180).
 """
 
 import argparse
@@ -24,12 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .circuit import (CircuitParams, critical_current_from_beta,
-                      derive_unitless, rescaled_coupler_inductance)
+from .circuit import (REFERENCE, CircuitParams, critical_current_from_beta,
+                      rescaled_coupler_inductance)
 from .analysis import (BRANCHES, Truncations, sweep_beta, sweep_flux,
-                       compare_swt, susceptibility, with_beta_c, build_system)
-from .hamiltonian import assemble_full
-from .spectrum import eigendecompose, gap_diagnostics, two_excitation_splitting
+                       compare_swt, gap_scan, two_excitation_scan,
+                       susceptibility_table)
 
 _UNIT_SCALE = {
     "H": 1.0, "mH": 1e-3, "uH": 1e-6, "nH": 1e-9, "pH": 1e-12,
@@ -95,7 +96,9 @@ def _parse_grid(text, lineno):
             start, stop, step = (float(x) for x in text.split(":"))
             if step <= 0 or stop < start:
                 raise ValueError
-            n = int(round((stop - start) / step)) + 1
+            # the last point never passes stop, but one within rounding of
+            # it is kept
+            n = int(np.floor((stop - start) / step * (1.0 + 1e-9))) + 1
             return start + step * np.arange(n)
         vals = np.array([float(x) for x in text.split(",")])
         if vals.size == 0 or np.any(np.diff(vals) <= 0):
@@ -126,26 +129,15 @@ def parse_config(text) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{section}]")
         sections[section][key] = (value, lineno)
 
-    circ = {}
+    circ = dict(REFERENCE)
     for key, (value, lineno) in sections["circuit"].items():
         circ[key] = _parse_quantity(key, value, lineno)
-
-    defaults = {"L_j": 817e-12, "C_j": 77e-15, "M_j": 40e-12,
-                "L_c": 170e-12, "C_c": 407e-15}
-    for key, val in defaults.items():
-        circ.setdefault(key, val)
     L_j = np.full(4, circ["L_j"])
     M_j = np.full(4, circ["M_j"])
-    if "I_cj" in circ:
-        I_cj = np.full(4, circ["I_cj"])
-    else:
-        I_cj = critical_current_from_beta(np.full(4, circ.get("beta_j", 1.1)), L_j)
-    if "I_cc" in circ:
-        I_cc = circ["I_cc"]
-    else:
-        I_cc = critical_current_from_beta(
-            circ.get("beta_c", 0.43),
-            rescaled_coupler_inductance(circ["L_c"], M_j, L_j))
+    I_cj = (np.full(4, circ["I_cj"]) if "I_cj" in circ else
+            critical_current_from_beta(np.full(4, circ["beta_j"]), L_j))
+    I_cc = circ["I_cc"] if "I_cc" in circ else critical_current_from_beta(
+        circ["beta_c"], rescaled_coupler_inductance(circ["L_c"], M_j, L_j))
     params = CircuitParams(L_j=L_j, C_j=np.full(4, circ["C_j"]), I_cj=I_cj,
                            M_j=M_j, L_c=circ["L_c"], C_c=circ["C_c"], I_cc=I_cc)
 
@@ -201,6 +193,8 @@ def parse_config(text) -> RunConfig:
 
 def _format_value(x, precision):
     if isinstance(x, str):
+        if any(c in x for c in ',"\r\n'):
+            return '"' + x.replace('"', '""') + '"'
         return x
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
@@ -223,6 +217,13 @@ def write_csv(path, columns, rows, cfg: RunConfig, subcommand):
                  % (c.L_j[0], c.C_j[0], c.I_cj[0], c.M_j[0]))
     lines.append("#            L_c=%.6e H, C_c=%.6e F, I_cc=%.6e A"
                  % (c.L_c, c.C_c, c.I_cc))
+    # the [sweep] keys that were set, apart from the grids the rows carry
+    sweep = [f"{k}={str(v).lower()}" if isinstance(v, bool)
+             else f"{k}=" + ",".join(f"{x:.11e}" for x in v)
+             for k, v in sorted(cfg.sweep.items())
+             if k not in ("grid", "ratio_grid")]
+    if sweep:
+        lines.append("#   sweep: " + " ".join(sweep))
     lines.append("# columns: " + ",".join(columns))
     for row in rows:
         lines.append(",".join(_format_value(row.get(col), cfg.precision)
@@ -233,130 +234,58 @@ def write_csv(path, columns, rows, cfg: RunConfig, subcommand):
 
 
 def _coupling_columns(branches):
-    cols = []
-    for b in branches:
-        p = BRANCHES[b]
-        cols += [f"{p}_J1", f"{p}_J2", f"{p}_J3", f"{p}_J4",
-                 f"{p}_residual", f"{p}_status"]
-    return cols
+    return [f"{BRANCHES[b][0]}_{name}" for b in branches
+            for name in ("J1", "J2", "J3", "J4", "residual", "status")]
 
 
-def _default_beta_grid(cfg):
-    grid = cfg.sweep.get("grid")
-    if grid is None:
-        grid = 0.02 + 0.02 * np.arange(30)   # 0.02 .. 0.60
-    return grid
+# default grids
+_BETA_GRID = 0.02 + 0.02 * np.arange(30)   # 0.02 .. 0.60
+_FLUX_GRID = -3e-3 + 2.5e-4 * np.arange(25)
+_GAP_GRID = 0.05 + 0.05 * np.arange(18)    # 0.05 .. 0.90
+_RATIO_GRID = 0.96 + 0.005 * np.arange(17)
+
+# Each subcommand picks its grid and calls analysis; it returns the CSV
+# columns and the SweepResult, which main writes.
 
 
-def cmd_sweep_beta(cfg, outdir):
-    grid = _default_beta_grid(cfg)
-    res = sweep_beta(cfg.circuit, grid, cfg.truncations, branches=cfg.branches)
-    cols = (["beta_c"] + _coupling_columns(cfg.branches)
-            + ["delta_gap", "delta_max"])
-    write_csv(os.path.join(outdir, "sweep_beta.csv"), cols, res.rows, cfg,
-              "sweep-beta")
-    return res.rows
+def cmd_sweep_beta(cfg):
+    res = sweep_beta(cfg.circuit, cfg.sweep.get("grid", _BETA_GRID),
+                     cfg.truncations, branches=cfg.branches)
+    return (["beta_c"] + _coupling_columns(cfg.branches)
+            + ["delta_gap", "delta_max"]), res
 
 
-def cmd_sweep_flux(cfg, outdir):
-    grid = cfg.sweep.get("grid")
-    if grid is None:
-        grid = -3e-3 + 2.5e-4 * np.arange(25)
-    res = sweep_flux(cfg.circuit, grid,
+def cmd_sweep_flux(cfg):
+    res = sweep_flux(cfg.circuit, cfg.sweep.get("grid", _FLUX_GRID),
                      qubit_offsets=cfg.sweep.get("qubit_offsets"),
                      common_mode=cfg.sweep.get("common_mode", False),
                      trunc=cfg.truncations, branches=cfg.branches)
-    cols = (["flux_offset"] + _coupling_columns(cfg.branches)
-            + ["delta_gap", "delta_max"])
-    write_csv(os.path.join(outdir, "sweep_flux.csv"), cols, res.rows, cfg,
-              "sweep-flux")
-    return res.rows
+    return (["flux_offset"] + _coupling_columns(cfg.branches)
+            + ["delta_gap", "delta_max"]), res
 
 
-def cmd_compare_swt(cfg, outdir):
-    grid = _default_beta_grid(cfg)
-    res = compare_swt(cfg.circuit, grid, cfg.truncations)
-    cols = ["beta_c"] + _coupling_columns(BRANCHES)
-    write_csv(os.path.join(outdir, "compare_swt.csv"), cols, res.rows, cfg,
-              "compare-swt")
-    return res.rows
+def cmd_compare_swt(cfg):
+    res = compare_swt(cfg.circuit, cfg.sweep.get("grid", _BETA_GRID),
+                      cfg.truncations)
+    return ["beta_c"] + _coupling_columns(BRANCHES), res
 
 
-def cmd_gap_scan(cfg, outdir):
-    grid = cfg.sweep.get("grid")
-    if grid is None:
-        grid = 0.05 + 0.05 * np.arange(18)   # 0.05 .. 0.90
-    rows = []
-    for b in grid:
-        row = {"beta_c": float(b)}
-        try:
-            u = derive_unitless(with_beta_c(cfg.circuit, b))
-            qubits, coupler = build_system(u, cfg.truncations)
-            spec = eigendecompose(assemble_full(qubits, coupler, u,
-                                                cfg.truncations.n_keep))
-            gd = gap_diagnostics(spec)
-            row.update(delta_gap=gd.delta_gap, delta_max=gd.delta_max,
-                       valid=gd.valid, status="ok")
-        except Exception as exc:
-            row["status"] = f"error: {exc}"
-        rows.append(row)
-    write_csv(os.path.join(outdir, "gap_scan.csv"),
-              ["beta_c", "delta_gap", "delta_max", "valid", "status"],
-              rows, cfg, "gap-scan")
-    return rows
+def cmd_gap_scan(cfg):
+    res = gap_scan(cfg.circuit, cfg.sweep.get("grid", _GAP_GRID),
+                   cfg.truncations)
+    return ["beta_c", "delta_gap", "delta_max", "valid", "status"], res
 
 
-def cmd_spectrum(cfg, outdir):
-    """Two-excitation level structure vs the qubit frequency ratio.
-
-    Qubits 1,2 keep their splitting; qubits 3,4 are scaled by the grid ratio
-    (through their inductive energy), and the six manifold levels are written
-    relative to their mean.
-    """
-    ratios = cfg.sweep.get("ratio_grid")
-    if ratios is None:
-        ratios = 0.96 + 0.005 * np.arange(17)
-    rows = []
-    for r in ratios:
-        row = {"omega_ratio": float(r)}
-        try:
-            u = derive_unitless(cfg.circuit)
-            u.E_Lj = u.E_Lj * np.array([1.0, 1.0, r, r])
-            qubits, coupler = build_system(u, cfg.truncations)
-            spec = eigendecompose(assemble_full(qubits, coupler, u,
-                                                cfg.truncations.n_keep))
-            omega = np.array([q.omega for q in qubits])
-            man = two_excitation_splitting(spec, np.full(4, omega.mean()))
-            levels = man["levels"] - man["levels"].mean()
-            for k in range(6):
-                row[f"level_{k}"] = levels[k]
-            row["status"] = "ok"
-        except Exception as exc:
-            row["status"] = f"error: {exc}"
-        rows.append(row)
-    write_csv(os.path.join(outdir, "spectrum.csv"),
-              ["omega_ratio"] + [f"level_{k}" for k in range(6)] + ["status"],
-              rows, cfg, "spectrum")
-    return rows
+def cmd_spectrum(cfg):
+    res = two_excitation_scan(cfg.circuit,
+                              cfg.sweep.get("ratio_grid", _RATIO_GRID),
+                              cfg.truncations)
+    return ["omega_ratio"] + [f"level_{k}" for k in range(6)] + ["status"], res
 
 
-def cmd_susceptibility(cfg, outdir):
-    rows = []
-    for parameter in ("E_Jj", "E_Jc", "L_c", "E_Ltilde_c", "E_Lj"):
-        row = {"parameter": parameter}
-        try:
-            chi = susceptibility(cfg.circuit, parameter)
-            row.update(chi_4J=chi.chi_4J, chi_2J=chi.chi_2J,
-                       normalization=chi.normalization, step=chi.step,
-                       richardson_ok=chi.richardson_ok, status="ok")
-        except Exception as exc:
-            row["status"] = f"error: {exc}"
-        rows.append(row)
-    write_csv(os.path.join(outdir, "susceptibility.csv"),
-              ["parameter", "chi_4J", "chi_2J", "normalization", "step",
-               "richardson_ok", "status"],
-              rows, cfg, "susceptibility")
-    return rows
+def cmd_susceptibility(cfg):
+    return (["parameter", "chi_4J", "chi_2J", "normalization", "step",
+             "richardson_ok", "status"], susceptibility_table(cfg.circuit))
 
 
 _COMMANDS = {
@@ -390,14 +319,18 @@ def main(argv=None):
 
     os.makedirs(args.out, exist_ok=True)
     try:
-        rows = _COMMANDS[args.subcommand](cfg, args.out)
+        columns, res = _COMMANDS[args.subcommand](cfg)
+        write_csv(os.path.join(args.out,
+                               args.subcommand.replace("-", "_") + ".csv"),
+                  columns, res.rows, cfg, args.subcommand)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    failures = [r for r in rows
+    failures = [r for r in res.rows
                 if any(str(v).startswith("error") for v in r.values())]
     if failures:
-        print(f"{len(failures)} of {len(rows)} points failed", file=sys.stderr)
+        print(f"{len(failures)} of {len(res.rows)} points failed",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -76,11 +78,23 @@ def test_parse_errors_name_the_line(text, fragment):
             raise
 
 
+GRID_CASES = [
+    ("0.1:0.5:0.1", 0.1 + 0.1 * np.arange(5)),
+    ("0.05, 0.1, 0.43", [0.05, 0.1, 0.43]),
+    # a range never passes its stop
+    ("0.5:0.95:0.3", [0.5, 0.8]),
+    ("0.05:0.60:0.07", 0.05 + 0.07 * np.arange(8)),
+    # a stop on the lattice keeps every point and every value
+    ("0.05:0.60:0.05", 0.05 + 0.05 * np.arange(12)),
+    ("0.02:0.60:0.02", 0.02 + 0.02 * np.arange(30)),
+    ("0.1:0.3:0.1", 0.1 + 0.1 * np.arange(3)),
+]
+
+
 def test_parse_grid_forms():
-    g = _parse_grid("0.1:0.5:0.1", 1)
-    assert np.allclose(g, [0.1, 0.2, 0.3, 0.4, 0.5])
-    g = _parse_grid("0.05, 0.1, 0.43", 1)
-    assert np.allclose(g, [0.05, 0.1, 0.43])
+    for text, expected in GRID_CASES:
+        g = _parse_grid(text, 1)
+        assert np.array_equal(g, expected), text
 
 
 def test_format_value():
@@ -90,6 +104,8 @@ def test_format_value():
     assert _format_value(True, 12) == "1"
     assert _format_value(None, 12) == "nan"
     assert _format_value("ok", 12) == "ok"
+    assert _format_value("error: a, b", 12) == '"error: a, b"'
+    assert _format_value('say "x"', 12) == '"say ""x"""'
 
 
 # ------------------------------------------------------------- subcommands
@@ -98,6 +114,15 @@ def _write(tmp_path, text):
     p = tmp_path / "run.cfg"
     p.write_text(text)
     return str(p)
+
+
+def _read_csv(path):
+    """(header lines, columns, rows as lists of fields) of a written CSV."""
+    lines = path.read_text().splitlines()
+    header = [l for l in lines if l.startswith("#")]
+    columns = header[-1].removeprefix("# columns: ").split(",")
+    rows = list(csv.reader(l for l in lines if not l.startswith("#")))
+    return header, columns, rows
 
 
 FAST_TRUNC = """
@@ -131,17 +156,67 @@ grid = 0.2, 0.4
     assert first[0] == "2.00000000000e-01"
 
 
-def test_sweep_beta_per_point_failure_exit_code(tmp_path):
-    cfg = _write(tmp_path, FAST_TRUNC + """
-[sweep]
-grid = 0.3, 1.05
-""")
+FAILING_CONFIGS = {  # subcommand: (config, rows)
+    "spectrum": ("[circuit]\nbeta_c = 1.05\n[sweep]\nratio_grid = 0.98, 1.0\n",
+                 2),
+    "susceptibility": ("[circuit]\nbeta_c = 1.05\n", 5),
+    "sweep-flux": ("[circuit]\nbeta_c = 1.05\n[sweep]\ngrid = 0.0, 0.001\n", 2),
+    "sweep-beta": ("[sweep]\ngrid = 0.3, 1.05\n", 2),
+    "compare-swt": ("[sweep]\ngrid = 0.3, 1.05\n", 2),
+    "gap-scan": ("[sweep]\ngrid = 0.3, 1.05\n", 2),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(FAILING_CONFIGS))
+def test_failed_points_keep_their_rows(tmp_path, subcommand):
+    # every subcommand records a failed point in its row and exits 1
+    config, n_rows = FAILING_CONFIGS[subcommand]
+    cfg = _write(tmp_path, FAST_TRUNC + config)
     with pytest.warns(RuntimeWarning, match="beta_c >= 1"):
-        code = main(["sweep-beta", "--config", cfg,
-                     "--out", str(tmp_path / "o")])
+        code = main([subcommand, "--config", cfg, "--out", str(tmp_path)])
     assert code == 1
-    text = (tmp_path / "o" / "sweep_beta.csv").read_text()
-    assert "error" in text
+    _, columns, rows = _read_csv(tmp_path / (subcommand.replace("-", "_")
+                                             + ".csv"))
+    assert len(rows) == n_rows
+    statuses = [row[i] for row in rows
+                for i, col in enumerate(columns) if col.endswith("status")]
+    failed = [s for s in statuses if s != "ok"]
+    assert failed and all(s.startswith("error: ") for s in failed)
+
+
+def test_error_status_with_a_comma_stays_in_its_field(tmp_path):
+    # at ten times the coupler capacitance the numerical SWT loses its gap
+    # at beta_c = 0.9, and its message holds a comma
+    cfg = _write(tmp_path, FAST_TRUNC + """
+[circuit]
+C_c = 4070 fF
+[sweep]
+grid = 0.43, 0.9
+[extraction]
+branches = numerical_swt
+""")
+    assert main(["sweep-beta", "--config", cfg, "--out", str(tmp_path)]) == 1
+    _, columns, rows = _read_csv(tmp_path / "sweep_beta.csv")
+    assert [len(row) for row in rows] == [len(columns)] * 2
+    status = [dict(zip(columns, row))["numswt_status"] for row in rows]
+    assert status == ["ok", "error: gap collapse: coupler gap below qubit "
+                            "splitting, SWT convergence lost"]
+
+
+def test_header_carries_the_sweep_settings(tmp_path):
+    headers = {}
+    for name, setting in (("plain", ""),
+                          ("offsets", "qubit_offsets = 0.001, 0, 0, 0\n"),
+                          ("common", "common_mode = true\n")):
+        cfg = _write(tmp_path, FAST_TRUNC + "[sweep]\ngrid = 0.0\n" + setting)
+        out = tmp_path / name
+        assert main(["sweep-flux", "--config", cfg, "--out", str(out)]) == 0
+        headers[name], _, _ = _read_csv(out / "sweep_flux.csv")
+    assert not any(l.startswith("#   sweep:") for l in headers["plain"])
+    assert ("#   sweep: qubit_offsets=1.00000000000e-03,0.00000000000e+00,"
+            "0.00000000000e+00,0.00000000000e+00") in headers["offsets"]
+    assert "#   sweep: common_mode=true" in headers["common"]
+    assert headers["offsets"] != headers["common"]
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -6,6 +6,8 @@ import importlib.util
 import pathlib
 import sys
 
+import pytest
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
@@ -49,3 +51,26 @@ def test_traced_workloads_keep_their_contract(tmp_path, monkeypatch):
     assert chips["point_ok"] == [True, True]
     assert sweep["point_ok"] == [True]
     assert tracer.summary()["counts"]["manifold_ok_ratio"] == 1.0
+
+
+@pytest.mark.parametrize("workload", ["fab-spread", "swt-sweep"])
+def test_selfcheck_sees_no_bypassed_call(workload, tmp_path, monkeypatch):
+    # the benchmark's selfcheck, one point of the workload under a profiler:
+    # every call of a traced function must go through its wrapper
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    child = _load("perfbench_child", PERFBENCH / "child.py")
+    saved = {name: dict(vars(module)) for name, module in sys.modules.items()
+             if name == "fluxcoupler" or name.startswith("fluxcoupler.")}
+    try:
+        result = child.selfcheck(workload, child.build_inputs(workload, 3), 3,
+                                 str(tmp_path))
+    finally:
+        for name, attrs in saved.items():
+            module = sys.modules[name]
+            for key, value in attrs.items():
+                if getattr(module, key, None) is not value:
+                    setattr(module, key, value)
+    assert result["missing"] == []
+    assert result["bypassed"]
+    assert all(count == 0 for count in result["bypassed"].values()), \
+        result["bypassed"]
