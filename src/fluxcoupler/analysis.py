@@ -6,7 +6,7 @@ as its columns and `ok`, or `error: <message>`, in its status column;
 """
 
 import copy
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -128,26 +128,28 @@ def _scan(swept, grid, point):
                   lambda x: run_point({}, "status", point, x))
 
 
-def _branch_columns(u, trunc, prefix, point):
-    cs, extra = point(u, trunc)
+def _branch_columns(u_of, trunc, prefix, point):
+    cs, extra = point(u_of(), trunc)
     return {**{f"{prefix}_{name}": getattr(cs, name)
                for name in ("J1", "J2", "J3", "J4", "residual")}, **extra}
 
 
-def _row_for(u, trunc, branches):
+def _row_for(u_of, trunc, branches):
+    """Each branch's columns at the point whose parameters u_of() builds;
+    u_of runs inside each branch, so a circuit it cannot build fails the
+    branches and keeps the row."""
     row = {}
     for prefix, point in (BRANCHES[branch] for branch in branches):
-        run_point(row, f"{prefix}_status", _branch_columns, u, trunc, prefix,
-                  point)
+        run_point(row, f"{prefix}_status", _branch_columns, u_of, trunc,
+                  prefix, point)
     return row
 
 
 def with_beta_c(p: CircuitParams, beta_c) -> CircuitParams:
-    """Copy of the circuit with the coupler critical current set from beta_c."""
-    q = copy.deepcopy(p)
-    q.I_cc = critical_current_from_beta(
-        beta_c, rescaled_coupler_inductance(p.L_c, p.M_j, p.L_j))
-    return q
+    """Copy of the circuit with the coupler critical current set from beta_c,
+    validated as CircuitParams validates its arguments."""
+    return replace(p, I_cc=critical_current_from_beta(
+        beta_c, rescaled_coupler_inductance(p.L_c, p.M_j, p.L_j)))
 
 
 def with_flux_offsets(p: CircuitParams, coupler_offset=0.0, qubit_offsets=None):
@@ -168,8 +170,9 @@ def sweep_beta(p: CircuitParams, beta_grid, trunc=Truncations(),
     if beta_grid.size == 0 or np.any(np.diff(beta_grid) <= 0):
         raise ValueError("beta grid must be non-empty and strictly increasing")
     return _sweep("beta_c", "beta_c", [float(b) for b in beta_grid],
-                  lambda b: _row_for(derive_unitless(with_beta_c(p, b)),
-                                     trunc, branches))
+                  lambda b: _row_for(
+                      lambda: derive_unitless(with_beta_c(p, b)), trunc,
+                      branches))
 
 
 def sweep_flux(p: CircuitParams, coupler_grid, qubit_offsets=None,
@@ -186,8 +189,9 @@ def sweep_flux(p: CircuitParams, coupler_grid, qubit_offsets=None,
         if common_mode:
             base = np.zeros(4) if qubit_offsets is None else np.asarray(qubit_offsets)
             qoff = base + off
-        u = derive_unitless(with_flux_offsets(p, off, qoff))
-        return _row_for(u, trunc, branches)
+        return _row_for(
+            lambda: derive_unitless(with_flux_offsets(p, off, qoff)), trunc,
+            branches)
 
     return _sweep("phi_cx_offset", "flux_offset",
                   [float(off) for off in coupler_grid], row_of)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oscillator import qubit_reduction
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -173,8 +175,6 @@ def validate_regime(u: UnitlessParams) -> RegimeReport:
     2 E_Ltilde_c xi_c sqrt(1 - beta_c); the qubit splitting estimate uses the
     two-level reduction from the oscillator module.
     """
-    from .oscillator import qubit_reduction
-
     double_well = bool(np.all(u.beta_j > 1))
     single_well = bool(u.beta_c < 1)
     gap = 2.0 * u.E_Ltilde_c * u.xi_c * np.sqrt(max(1.0 - u.beta_c, 0.0))

@@ -7,8 +7,8 @@ Config format: line-oriented sections with `key = value` entries,
     beta_c = 0.43
 
 Physical quantities require a unit; dimensionless ones forbid it.  Unknown
-keys, malformed grids and out-of-range integers are parse errors that name
-the line.
+keys, malformed grids, out-of-range integers and circuit values that
+CircuitParams rejects are parse errors that name the line.
 
 Subcommands: spectrum, sweep-beta, sweep-flux, susceptibility, compare-swt,
 gap-scan.  Each picks its grid, calls one `analysis` function, which runs
@@ -108,6 +108,27 @@ def _parse_grid(text, lineno):
         raise ConfigError(f"line {lineno}: malformed grid '{text}'") from None
 
 
+def _circuit_params(circ):
+    """The circuit of the resolved [circuit] values; a critical current not
+    given comes from its screening parameter."""
+    L_j = np.full(4, circ["L_j"])
+    M_j = np.full(4, circ["M_j"])
+    I_cj = (np.full(4, circ["I_cj"]) if "I_cj" in circ else
+            critical_current_from_beta(np.full(4, circ["beta_j"]), L_j))
+    I_cc = circ["I_cc"] if "I_cc" in circ else critical_current_from_beta(
+        circ["beta_c"], rescaled_coupler_inductance(circ["L_c"], M_j, L_j))
+    return CircuitParams(L_j=L_j, C_j=np.full(4, circ["C_j"]), I_cj=I_cj,
+                         M_j=M_j, L_c=circ["L_c"], C_c=circ["C_c"], I_cc=I_cc)
+
+
+def _builds(circ):
+    try:
+        _circuit_params(circ)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_config(text) -> RunConfig:
     sections = {name: {} for name in _SCHEMA}
     section = None
@@ -129,17 +150,20 @@ def parse_config(text) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{section}]")
         sections[section][key] = (value, lineno)
 
+    given = sections["circuit"]
     circ = dict(REFERENCE)
-    for key, (value, lineno) in sections["circuit"].items():
+    for key, (value, lineno) in given.items():
         circ[key] = _parse_quantity(key, value, lineno)
-    L_j = np.full(4, circ["L_j"])
-    M_j = np.full(4, circ["M_j"])
-    I_cj = (np.full(4, circ["I_cj"]) if "I_cj" in circ else
-            critical_current_from_beta(np.full(4, circ["beta_j"]), L_j))
-    I_cc = circ["I_cc"] if "I_cc" in circ else critical_current_from_beta(
-        circ["beta_c"], rescaled_coupler_inductance(circ["L_c"], M_j, L_j))
-    params = CircuitParams(L_j=L_j, C_j=np.full(4, circ["C_j"]), I_cj=I_cj,
-                           M_j=M_j, L_c=circ["L_c"], C_c=circ["C_c"], I_cc=I_cc)
+    try:
+        params = _circuit_params(circ)
+    except ValueError as exc:
+        # name the given keys that fail on their own, with every other value
+        # at its reference; if none does, it takes the given keys together
+        keys = [key for key in given
+                if not _builds({**REFERENCE, key: circ[key]})] or list(given)
+        where = ", ".join(f"line {given[key][1]}" for key in keys)
+        raise ConfigError(f"{where}: no valid circuit from "
+                          f"{', '.join(map(repr, keys))} ({exc})") from None
 
     trunc = Truncations()
     for key, (value, lineno) in sections["truncation"].items():

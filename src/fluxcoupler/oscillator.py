@@ -1,15 +1,16 @@
 """Single-mode oscillator-basis mathematics.
 
 Ladder operators, the cosine matrix from the even-distance upper triangle
-with one generalized-Laguerre recurrence per distance, double-well minimum
-solving, displaced-well overlaps, and the two-level qubit reduction factor s.
+with one generalized-Laguerre recurrence per distance, the double-well
+minimum by Brent's method, displaced-well overlaps, and the two-level qubit
+reduction factor s.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import binom, eval_genlaguerre, gammaln
-from scipy.optimize import brentq
+
 
 def ladder(n):
     """Annihilation operator on an n-dimensional truncated Fock space."""
@@ -67,6 +68,65 @@ def cosine_matrix(n_trunc, r):
     return C
 
 
+def _brentq(f, xa, xb, xtol, rtol):
+    """Root of f in the bracket [xa, xb] by Brent's method.
+
+    A step-for-step port of scipy.optimize.brentq's C routine
+    (scipy/optimize/Zeros/brentq.c) with its default 100 iterations: the
+    same bracket bookkeeping, tolerance 2 delta, interpolation and
+    extrapolation formulas in the same operation order and the same test for
+    a short step, so it returns the same bits (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations")
+
+
 def find_well_minimum(beta, alpha=0.0):
     """Positive minimum phi_p of the double-well potential.
 
@@ -75,9 +135,9 @@ def find_well_minimum(beta, alpha=0.0):
     (1+alpha^2) and the screening parameter is the qubit's own beta, as the
     potential dictates.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be non-negative")
     c = 1.0 + alpha**2
     if beta / c <= 1.0:
@@ -88,7 +148,7 @@ def find_well_minimum(beta, alpha=0.0):
 
     # f < 0 just right of 0 (since beta/c > 1), f > 0 at pi: bracketed root
     lo, hi = 1e-9, np.pi - 1e-9
-    phi_p = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    phi_p = _brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
     # one Newton polish
     for _ in range(3):
         step = f(phi_p) / (c - beta * np.cos(phi_p))

@@ -19,6 +19,18 @@ def test_with_beta_c_round_trip():
     assert derive_unitless(p).beta_c == pytest.approx(0.43, rel=1e-12)
 
 
+def test_sweep_beta_non_positive_beta_c_is_an_error_row():
+    out = sweep_beta(reference_circuit(), [-0.1, 0.2], FAST,
+                     branches=("spectral_fit", "analytic_swt"))
+    ok = sweep_beta(reference_circuit(), [0.2], FAST,
+                    branches=("spectral_fit", "analytic_swt"))
+    for prefix in ("spectral", "analytic"):
+        assert out.rows[0][f"{prefix}_status"] == (
+            "error: L_c, C_c, I_cc must be strictly positive")
+        assert np.isnan(out.column(f"{prefix}_J2")[0])
+    assert out.rows[1] == ok.rows[0]
+
+
 def test_with_flux_offsets_mapping():
     p = reference_circuit()
     u = derive_unitless(with_flux_offsets(p, 2e-3, [1e-3, 0, 0, -1e-3]))

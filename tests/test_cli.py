@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,12 @@ beta_c = 0.25  # inline
      "line 3: 'n_keep' must be in [1, 12]"),
     ("[truncation]\ncoupler_states = 5", "line 2: 'coupler_states' must be"),
     ("[truncation]\nqubit_states = 1", "line 2: 'qubit_states' must be"),
+    ("[circuit]\nbeta_c = -0.1",
+     "line 2: no valid circuit from 'beta_c' (L_c, C_c, I_cc must be"),
+    ("[circuit]\nL_j = 817 pH\nbeta_j = 0", "line 3: no valid circuit from "
+     "'beta_j' (I_cj entries must be strictly positive)"),
+    ("[circuit]\nC_c = -4 fF\nbeta_c = -1",
+     "line 2, line 3: no valid circuit from 'C_c', 'beta_c'"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ConfigError, match="line \\d+"):
@@ -224,6 +234,43 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["sweep-beta", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["sweep-beta", "--config", str(tmp_path / "missing.cfg")]) == 2
+    cfg = _write(tmp_path, "[circuit]\nbeta_c = -0.1\n")
+    assert main(["gap-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: line 2: no valid circuit from 'beta_c'" in (
+        capsys.readouterr().err)
+
+
+def test_non_positive_beta_c_is_an_error_row(tmp_path):
+    cfg = _write(tmp_path, FAST_TRUNC + "[sweep]\ngrid = -0.1, 0.2\n")
+    out = tmp_path / "both"
+    assert main(["gap-scan", "--config", cfg, "--out", str(out)]) == 1
+    _, _, rows = _read_csv(out / "gap_scan.csv")
+    assert rows[0][1:] == ["nan", "nan", "nan", "error: L_c, C_c, I_cc must "
+                           "be strictly positive"]
+    cfg = _write(tmp_path, FAST_TRUNC + "[sweep]\ngrid = 0.2\n")
+    assert main(["gap-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert rows[1] == _read_csv(tmp_path / "gap_scan.csv")[2][0]
+
+
+def test_start_up_imports_no_scipy_optimize():
+    # scipy.optimize costs a third of a second of every run's start-up; it
+    # must not come back, at import or lazily at the first point
+    code = "\n".join([
+        "import sys",
+        "import fluxcoupler.cli",
+        "from fluxcoupler import analysis",
+        "from fluxcoupler.circuit import derive_unitless, reference_circuit",
+        "print('scipy.optimize' in sys.modules)",
+        "u = derive_unitless(reference_circuit())",
+        "for branch in ('numerical_swt', 'analytic_swt'):",
+        "    analysis.couplings_point(u, extraction=branch)",
+        "    print('scipy.optimize' in sys.modules)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 def test_sweep_flux_csv(tmp_path):

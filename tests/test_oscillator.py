@@ -3,10 +3,11 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import eval_genlaguerre, gammaln
 
+from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.oscillator import (cosine_matrix, displaced_overlap,
                                     find_well_minimum, ladder,
                                     qubit_reduction)
-from toys import displacement_matrix
+from toys import brentq_well_minimum, displacement_matrix
 
 
 # ---------------------------------------------------------------- oracles
@@ -147,6 +148,25 @@ def test_well_minimum_against_bisection(beta, alpha):
     assert abs(c * got - beta * np.sin(got)) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.049, 0.1, 0.3])
+def test_well_minimum_is_bit_identical_to_scipy_brentq(alpha):
+    c = 1.0 + alpha**2
+    betas = np.concatenate([[1.0 + 1e-9, 1.0 + 1e-6, 1.0 + 1e-3, 1.02],
+                            np.linspace(1.0, 3.0, 401)[1:]])
+    betas = betas[betas / c > 1.0]
+    got = np.array([find_well_minimum(b, alpha) for b in betas])
+    want = np.array([brentq_well_minimum(b, alpha) for b in betas])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_reference_qubit_well_minimum_is_bit_identical_to_scipy_brentq():
+    u = derive_unitless(reference_circuit())
+    xi, beta, alpha = (float(v[0]) for v in (u.xi_j, u.beta_j, u.alpha))
+    got = np.float64(qubit_reduction(xi, beta, alpha).phi_p)
+    want = np.float64(brentq_well_minimum(beta, alpha))
+    assert got.view(np.int64) == want.view(np.int64)
+
+
 def test_well_minimum_single_well_branch():
     assert find_well_minimum(0.9) == 0.0
     assert find_well_minimum(1.0) == 0.0
@@ -154,6 +174,9 @@ def test_well_minimum_single_well_branch():
     assert find_well_minimum(1.0005, alpha=0.1) == 0.0
     with pytest.raises(ValueError):
         find_well_minimum(-1.0)
+    for beta, alpha in ((np.nan, 0.0), (1.1, np.nan), (np.inf, 0.0)):
+        with pytest.raises(ValueError):
+            find_well_minimum(beta, alpha)
 
 
 def test_well_minimum_near_threshold():

@@ -1,6 +1,7 @@
 """Small exactly-solvable toy systems shared between test modules."""
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import binom, gammaln
 
 from fluxcoupler.circuit import derive_unitless, reference_circuit
@@ -235,3 +236,23 @@ def displacement_matrix(n, r):
         amp = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
                      + k * np.log(r) - r * r / 2.0)
     return (1j) ** k * amp * lag
+
+
+def brentq_well_minimum(beta, alpha=0.0):
+    """Double-well minimum by scipy.optimize.brentq and one Newton polish.
+
+    The reference for oscillator.find_well_minimum, whose port of Brent's
+    method gives the same bits; only for beta > 1 + alpha^2.
+    """
+    c = 1.0 + alpha**2
+
+    def f(phi):
+        return c * phi - beta * np.sin(phi)
+
+    phi_p = brentq(f, 1e-9, np.pi - 1e-9, xtol=1e-15, rtol=8.9e-16)
+    for _ in range(3):
+        step = f(phi_p) / (c - beta * np.cos(phi_p))
+        phi_p -= step
+        if abs(step) < 1e-15:
+            break
+    return phi_p
