@@ -22,7 +22,7 @@ from .hamiltonian import (OperatorMatrix, IsingModel, build_coupler,
 from .spectrum import (eigendecompose, extract_couplings, gap_diagnostics,
                        two_excitation_splitting)
 from .swt import (analytic_couplings, numerical_swt, pauli_decompose,
-                  swt_coefficients, swt_prefactors, CouplingStrengths)
+                  swt_prefactors, CouplingStrengths)
 from .analysis import (Truncations, sweep_beta, sweep_flux, compare_swt,
                        susceptibility, spectral_point, find_special_point)
 

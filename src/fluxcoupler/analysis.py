@@ -5,7 +5,6 @@ as its columns and `ok`, or `error: <message>`, in its status column;
 `spectral_system` is the one spectral pipeline.
 """
 
-import copy
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -154,13 +153,13 @@ def with_beta_c(p: CircuitParams, beta_c) -> CircuitParams:
 
 def with_flux_offsets(p: CircuitParams, coupler_offset=0.0, qubit_offsets=None):
     """Copy of the circuit with flux offsets (units of Phi_0) away from the
-    half-flux-quantum degeneracy bias."""
-    q = copy.deepcopy(p)
+    half-flux-quantum degeneracy bias, validated as CircuitParams validates
+    its arguments."""
     phi0 = circ.CONSTANTS.flux_quantum
-    q.Phi_cx = phi0 / 2.0 + coupler_offset * phi0
-    if qubit_offsets is not None:
-        q.Phi_jx = phi0 / 2.0 + np.asarray(qubit_offsets, dtype=float) * phi0
-    return q
+    Phi_jx = p.Phi_jx if qubit_offsets is None else (
+        phi0 / 2.0 + np.asarray(qubit_offsets, dtype=float) * phi0)
+    return replace(p, Phi_cx=phi0 / 2.0 + coupler_offset * phi0,
+                   Phi_jx=Phi_jx)
 
 
 def sweep_beta(p: CircuitParams, beta_grid, trunc=Truncations(),
@@ -330,10 +329,8 @@ def susceptibility(p: CircuitParams, parameter,
     ok, steps = True, []
     for fields, x0, weight in terms:
         def f(x):
-            u = copy.deepcopy(u0)
-            for name, scale in fields.items():
-                setattr(u, name, scale * x)
-            return J_of(u)
+            return J_of(replace(u0, **{name: scale * x
+                                       for name, scale in fields.items()}))
 
         h = rel_step * abs(x0)
         d1 = _central_diff(f, x0, h)

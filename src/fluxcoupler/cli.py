@@ -7,8 +7,9 @@ Config format: line-oriented sections with `key = value` entries,
     beta_c = 0.43
 
 Physical quantities require a unit; dimensionless ones forbid it.  Unknown
-keys, malformed grids, out-of-range integers and circuit values that
-CircuitParams rejects are parse errors that name the line.
+keys, malformed or non-finite numbers, malformed grids, out-of-range
+integers, a critical current given with its screening parameter and circuit
+values that CircuitParams rejects are parse errors that name the line.
 
 Subcommands: spectrum, sweep-beta, sweep-flux, susceptibility, compare-swt,
 gap-scan.  Each picks its grid, calls one `analysis` function, which runs
@@ -66,6 +67,19 @@ class RunConfig:
     precision: int = 12
 
 
+def _number(text, lineno):
+    """The finite float that text spells.  Text float() cannot read, and the
+    NaN and infinities it can, are ConfigErrors that name the line."""
+    text = text.strip()
+    try:
+        x = float(text)
+    except ValueError:
+        raise ConfigError(f"line {lineno}: malformed number '{text}'") from None
+    if not np.isfinite(x):
+        raise ConfigError(f"line {lineno}: number '{text}' is not finite")
+    return x
+
+
 def _parse_quantity(key, value, lineno):
     parts = value.split()
     if key in _PHYSICAL_KEYS:
@@ -76,36 +90,31 @@ def _parse_quantity(key, value, lineno):
         num, unit = parts
         if unit not in _UNIT_SCALE:
             raise ConfigError(f"line {lineno}: unknown unit '{unit}' for '{key}'")
-        try:
-            return float(num) * _UNIT_SCALE[unit]
-        except ValueError:
-            raise ConfigError(f"line {lineno}: malformed number '{num}' for '{key}'")
+        return _number(num, lineno) * _UNIT_SCALE[unit]
     if len(parts) != 1:
         raise ConfigError(f"line {lineno}: '{key}' is dimensionless, no unit allowed")
-    try:
-        return float(parts[0])
-    except ValueError:
-        raise ConfigError(f"line {lineno}: malformed number '{parts[0]}' for '{key}'")
+    return _number(parts[0], lineno)
 
 
 def _parse_grid(text, lineno):
     """Grid spec: either 'start:stop:step' or a comma-separated list."""
     text = text.strip()
-    try:
-        if ":" in text:
-            start, stop, step = (float(x) for x in text.split(":"))
-            if step <= 0 or stop < start:
-                raise ValueError
+    if ":" in text:
+        vals = [_number(x, lineno) for x in text.split(":")]
+        if len(vals) == 3 and vals[2] > 0 and vals[1] >= vals[0]:
+            start, stop, step = vals
             # the last point never passes stop, but one within rounding of
             # it is kept
-            n = int(np.floor((stop - start) / step * (1.0 + 1e-9))) + 1
-            return start + step * np.arange(n)
-        vals = np.array([float(x) for x in text.split(",")])
-        if vals.size == 0 or np.any(np.diff(vals) <= 0):
-            raise ValueError
-        return vals
-    except ValueError:
-        raise ConfigError(f"line {lineno}: malformed grid '{text}'") from None
+            n = np.floor((stop - start) / step * (1.0 + 1e-9)) + 1
+            try:
+                return start + step * np.arange(int(n))
+            except (OverflowError, ValueError):  # more points than numpy holds
+                pass
+    else:
+        vals = np.array([_number(x, lineno) for x in text.split(",")])
+        if np.all(np.diff(vals) > 0):
+            return vals
+    raise ConfigError(f"line {lineno}: malformed grid '{text}'")
 
 
 def _circuit_params(circ):
@@ -151,6 +160,13 @@ def parse_config(text) -> RunConfig:
         sections[section][key] = (value, lineno)
 
     given = sections["circuit"]
+    # a critical current and its screening parameter say the same thing
+    for pair in (("I_cc", "beta_c"), ("I_cj", "beta_j")):
+        if set(pair) <= set(given):
+            where = ", ".join(f"line {n}" for n in
+                              sorted(given[key][1] for key in pair))
+            raise ConfigError(f"{where}: give {pair[0]!r} or {pair[1]!r}, "
+                              "not both")
     circ = dict(REFERENCE)
     for key, (value, lineno) in given.items():
         circ[key] = _parse_quantity(key, value, lineno)
@@ -182,11 +198,8 @@ def parse_config(text) -> RunConfig:
         if key in ("grid", "ratio_grid"):
             sweep[key] = _parse_grid(value, lineno)
         elif key == "qubit_offsets":
-            try:
-                vals = np.array([float(x) for x in value.split(",")])
-                if vals.shape != (4,):
-                    raise ValueError
-            except ValueError:
+            vals = np.array([_number(x, lineno) for x in value.split(",")])
+            if vals.shape != (4,):
                 raise ConfigError(
                     f"line {lineno}: qubit_offsets needs 4 comma-separated values")
             sweep[key] = vals

@@ -29,7 +29,9 @@ TRIPLES = list(itertools.combinations(range(4), 3))
 
 _I2 = np.eye(2)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _Z = np.diag([1.0, -1.0])
+_PAULIS = np.array([_I2, _X, _Y, _Z])   # in the order of the names "IXYZ"
 # the persistent-current states of (omega/2) X by column, in its energy basis
 # (ground state first, as reduce_qubit orders it)
 _HAD = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
@@ -298,33 +300,42 @@ class IsingModel:
                    J4=float(J4), shift=float(shift))
 
 
+def _on(pauli, support):
+    """Index tuple over "IXYZ", qubit 0 first, of the string with `pauli` on
+    the qubits of `support` and I elsewhere."""
+    return tuple(pauli if q in support else 0 for q in range(4))
+
+
+# The generalized Ising model's Pauli strings: for each IsingModel field, the
+# index tuples of its entries' strings (one tuple for a scalar field) and the
+# factor each entry carries in H.  Both directions read it:
+# assemble_ising_model writes H from a model, swt.pauli_decompose reads a
+# model back, indexing a (4, 4, 4, 4) array of string coefficients with
+# tuple(np.transpose(strings)).
+ISING_STRINGS = {
+    "omega": ([_on(1, (q,)) for q in range(4)], 0.5),
+    "J1": ([_on(3, (q,)) for q in range(4)], 1.0),
+    "J2": ([_on(3, pair) for pair in PAIRS], 1.0),
+    "J3": ([_on(3, triple) for triple in TRIPLES], 1.0),
+    "J4": (_on(3, range(4)), 1.0),
+    "shift": (_on(0, ()), 1.0),
+}
+
+
 def assemble_ising_model(m: IsingModel) -> OperatorMatrix:
-    """16x16 matrix of the generalized Ising model, persistent-current basis.
+    """16x16 matrix of the generalized Ising model, persistent-current basis:
+    the sum of its ISING_STRINGS with their coefficients.
 
     Its frame is the product space with one coupler state: each qubit's
     persistent-current states carried to its energy basis by _HAD, so every
     level is coupler-ground.
     """
-    H = m.shift * np.eye(16)
-    for i in range(4):
-        ops = [_I2] * 4
-        ops[i] = 0.5 * m.omega[i] * _X
-        H += kron_all(ops)
-    for i in range(4):
-        ops = [_I2] * 4
-        ops[i] = m.J1[i] * _Z
-        H += kron_all(ops)
-    for k, (i, j) in enumerate(PAIRS):
-        ops = [_I2] * 4
-        ops[i] = _Z
-        ops[j] = m.J2[k] * _Z
-        H += kron_all(ops)
-    for k, t in enumerate(TRIPLES):
-        ops = [_I2] * 4
-        for q in t:
-            ops[q] = _Z
-        H += m.J3[k] * kron_all(ops)
-    H += m.J4 * kron_all([_Z] * 4)
+    c = np.zeros((4,) * 4)
+    for name, (strings, factor) in ISING_STRINGS.items():
+        c[tuple(np.transpose(strings))] = factor * getattr(m, name)
+    # no Y string is in the table, so H is real
+    H = np.einsum("ijkl,iab,jcd,kef,lgh->acegbdfh", c, *[_PAULIS] * 4,
+                  optimize=True).real.reshape(16, 16)
     return OperatorMatrix(H, "ising_pc", (2, 2, 2, 2),
                           frame=AdaptedBasis(kron_all([_HAD] * 4),
                                              np.ones((16, 1, 1))))

@@ -11,18 +11,12 @@ of [S1, V_od], so its products are 16 x 624 by 624 x 624 on the 640-state
 circuit instead of dense 640 x 640 commutators.
 """
 
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
-from .hamiltonian import (OperatorMatrix, PAIRS, TRIPLES, bare_frame,
-                          coupler_eigenbasis, _I2, _X, _Z)
-
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_PAULIS = np.array([_I2, _X, _Y, _Z])   # in the order of the names "IXYZ"
+from .hamiltonian import (ISING_STRINGS, IsingModel, OperatorMatrix,
+                          bare_frame, coupler_eigenbasis, _PAULIS)
 
 
 @dataclass
@@ -37,42 +31,13 @@ class CouplingStrengths:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _bernoulli(n):
-    """Bernoulli number B_n as a Fraction (Akiyama-Tanigawa recurrence).
-
-    This gives the B_1 = +1/2 convention; only even indices are used by the
-    generator-series coefficients, where the conventions agree.
-    """
-    A = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        A[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            A[j - 1] = j * (A[j - 1] - A[j])
-    return A[0]
-
-
-@dataclass(frozen=True)
-class SwtCoefficients:
-    b1: float
-    b3: float
-    a2: float
-
-
-def swt_coefficients() -> SwtCoefficients:
-    """Generator-series constants from the Bernoulli-number formulas.
-
-    b_{2n-1} = 2 (2^{2n} - 1) B_{2n} / (2n)!   and   a_n = 2^n B_n / n!.
-    Evaluates to b1 = 1/2, a2 = 1/3, b3 = -1/24; asserted, not hard-coded.
-    """
-    def b_odd(n):
-        return 2 * (2 ** (2 * n) - 1) * _bernoulli(2 * n) / factorial(2 * n)
-
-    def a(n):
-        return 2 ** n * _bernoulli(n) / factorial(n)
-
-    b1, b3, a2 = b_odd(1), b_odd(2), a(2)
-    assert b1 == Fraction(1, 2) and a2 == Fraction(1, 3) and b3 == Fraction(-1, 24)
-    return SwtCoefficients(b1=float(b1), b3=float(b3), a2=float(a2))
+# Generator-series constants, from the Bernoulli numbers B_n:
+#   b_{2n-1} = 2 (2^{2n} - 1) B_{2n} / (2n)!   and   a_n = 2^n B_n / n!,
+# so b1 = 2 * 3 * (1/6) / 2 = 1/2, b3 = 2 * 15 * (-1/30) / 24 = -1/24 and
+# a2 = 4 * (1/6) / 2 = 1/3.
+B1 = 1.0 / 2.0
+B3 = -1.0 / 24.0
+A2 = 1.0 / 3.0
 
 
 @dataclass
@@ -190,7 +155,6 @@ def swt_effective_block(h0_diag, V, block0):
     |P| = 16 of 640 states the recursion costs about 0.1 Gflop, where dense
     640 x 640 commutators cost 8.4.
     """
-    coeffs = swt_coefficients()
     block0 = np.asarray(block0, dtype=bool)
     gaps = _cross_block_gaps(h0_diag, block0)
     index = {"P": np.flatnonzero(block0), "Q": np.flatnonzero(~block0)}
@@ -205,7 +169,7 @@ def swt_effective_block(h0_diag, V, block0):
     # [S1, [S1, V_od]], shared by S3 and the b3 term
     S1S1V = _block_commutator(S1, _block_commutator(S1, Vod, _DIAG), _OFF)
     T, U = L(_block_commutator(Vd, S2, _OFF)), L(S1S1V)
-    S3 = {b: -T[b] + coeffs.a2 * U[b] for b in _OFF}
+    S3 = {b: -T[b] + A2 * U[b] for b in _OFF}
     for S in (S1, S2, S3):
         # ||S + S^H||_F, whose PQ and QP blocks have equal norms
         skew = np.sqrt(2.0) * np.linalg.norm(S["PQ"] + S["QP"].conj().T)
@@ -214,8 +178,8 @@ def swt_effective_block(h0_diag, V, block0):
     # P V_od P vanishes by construction, so the first-order low block is V_PP
     S = {b: S1[b] + S2[b] + S3[b] for b in _OFF}
     block = np.diag(np.asarray(h0_diag)[block0]).astype(V.dtype) + Vd["PP"] \
-        + coeffs.b1 * _block_commutator(S, Vod, ("PP",))["PP"] \
-        + coeffs.b3 * _block_commutator(S1, S1S1V, ("PP",))["PP"]
+        + B1 * _block_commutator(S, Vod, ("PP",))["PP"] \
+        + B3 * _block_commutator(S1, S1S1V, ("PP",))["PP"]
     return (block + block.conj().T) / 2.0
 
 
@@ -255,22 +219,22 @@ def ising_couplings(h_eff: OperatorMatrix, provenance) -> CouplingStrengths:
     """
     model, residual = pauli_decompose(h_eff)
     return CouplingStrengths(
-        J1=float(np.mean(model["J1"])), J2=float(np.mean(model["J2"])),
-        J3=float(np.mean(model["J3"])), J4=float(model["J4"]),
-        shift=float(model["shift"]), provenance=provenance,
+        J1=float(np.mean(model.J1)), J2=float(np.mean(model.J2)),
+        J3=float(np.mean(model.J3)), J4=float(model.J4),
+        shift=float(model.shift), provenance=provenance,
         residual=residual,
-        diagnostics={"J1_spread": float(np.ptp(model["J1"])),
-                     "J2_spread": float(np.ptp(model["J2"])),
-                     "J3_spread": float(np.ptp(model["J3"])),
-                     "omega_eff": model["omega"]})
+        diagnostics={"J1_spread": float(np.ptp(model.J1)),
+                     "J2_spread": float(np.ptp(model.J2)),
+                     "J3_spread": float(np.ptp(model.J3)),
+                     "omega_eff": model.omega})
 
 
 def pauli_decompose(h_eff: OperatorMatrix):
     """Pauli-string reading of a 16x16 effective Hamiltonian (pc frame).
 
-    Returns per-string Z coefficients (J1 per qubit, J2 per pair, J3 per
-    triple, J4), the bare transverse fields (weight-1 X strings), the global
-    shift, and the norm of everything else as the non-Ising residual.
+    Returns (IsingModel, residual): each model field read from its
+    hamiltonian.ISING_STRINGS coefficients, and the norm of every string
+    outside that table as the non-Ising residual.
     """
     A = h_eff.data
     if A.shape != (16, 16):
@@ -279,28 +243,12 @@ def pauli_decompose(h_eff: OperatorMatrix):
     # A's row and column indices split into one bit per qubit
     c = np.einsum("iab,jcd,kef,lgh,acegbdfh->ijkl", *[_PAULIS.conj()] * 4,
                   A.reshape((2,) * 8), optimize=True) / 16.0
-    coeffs = {"".join(combo): complex(c[idx]) for idx, combo in zip(
-        np.ndindex(c.shape), itertools.product("IXYZ", repeat=4))}
-
-    def string_with(op, positions):
-        sym = ["I"] * 4
-        for p in positions:
-            sym[p] = op
-        return "".join(sym)
-
-    shift = coeffs["IIII"].real
-    J1 = np.array([coeffs[string_with("Z", (i,))].real for i in range(4)])
-    J2 = np.array([coeffs[string_with("Z", p)].real for p in PAIRS])
-    J3 = np.array([coeffs[string_with("Z", t)].real for t in TRIPLES])
-    J4 = coeffs["ZZZZ"].real
-    omega = 2.0 * np.array([coeffs[string_with("X", (i,))].real for i in range(4)])
-    ising_keys = {"IIII", "ZZZZ"}
-    ising_keys.update(string_with("Z", (i,)) for i in range(4))
-    ising_keys.update(string_with("Z", p) for p in PAIRS)
-    ising_keys.update(string_with("Z", t) for t in TRIPLES)
-    ising_keys.update(string_with("X", (i,)) for i in range(4))
-    residual = np.sqrt(16.0 * sum(abs(v) ** 2 for k, v in coeffs.items()
-                                  if k not in ising_keys))
-    model = {"shift": shift, "J1": J1, "J2": J2, "J3": J3, "J4": J4,
-             "omega": omega}
-    return model, float(residual)
+    fields, ising = {}, np.zeros(c.shape, dtype=bool)
+    for name, (strings, factor) in ISING_STRINGS.items():
+        index = tuple(np.transpose(strings))
+        fields[name] = c[index].real / factor
+        ising[index] = True
+    # a Python sum over the strings in C order, not numpy's pairwise one, so
+    # the residual keeps its last bit (the CSVs are byte-stable)
+    residual = np.sqrt(16.0 * sum(abs(complex(v)) ** 2 for v in c[~ising]))
+    return IsingModel(**fields), float(residual)

@@ -40,6 +40,16 @@ def test_with_flux_offsets_mapping():
     assert u.phi_jx[1] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_with_flux_offsets_validates_the_copy():
+    # a wrong number of qubit offsets is refused as CircuitParams refuses it
+    p = reference_circuit()
+    out = sweep_flux(p, [0.0], qubit_offsets=[1e-3, 0.0], trunc=FAST)
+    assert out.rows[0]["spectral_status"] == (
+        "error: Phi_jx must have shape (4,)")
+    with pytest.raises(ValueError, match="Phi_jx must have shape"):
+        with_flux_offsets(p, 0.0, [1e-3, 0.0])
+
+
 def test_sweep_beta_labels_the_manifold_at_strong_screening():
     # with the default truncations the 16 levels that the coupler dresses
     # stay identifiable up to beta_c = 0.60

@@ -99,6 +99,16 @@ def test_validation_errors():
                       L_c=p.L_c, C_c=p.C_c, I_cc=p.I_cc)
 
 
+@pytest.mark.parametrize("name,value", [("L_c", np.nan), ("C_c", np.inf),
+                                        ("I_cc", np.nan)])
+def test_non_finite_coupler_values_rejected(name, value):
+    p = reference_circuit()
+    values = dict(L_j=p.L_j, C_j=p.C_j, I_cj=p.I_cj, M_j=p.M_j, L_c=p.L_c,
+                  C_c=p.C_c, I_cc=p.I_cc)
+    with pytest.raises(ValueError, match="L_c, C_c, I_cc must be finite"):
+        CircuitParams(**{**values, name: value})
+
+
 def test_unphysical_network_rejected():
     p = reference_circuit()
     # mutuals individually legal but collectively eating all of L_c

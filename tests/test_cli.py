@@ -61,6 +61,8 @@ beta_c = 0.25  # inline
     ("[circuit]\nflux_capacitor = 1", "line 2: unknown key"),
     ("[truncation]\nn_keep = eight", "line 2: 'n_keep' must be an integer"),
     ("\n[sweep]\ngrid = 0.5:0.1:0.1", "line 3: malformed grid"),
+    ("[sweep]\ngrid = 0:1:1e-300", "line 2: malformed grid"),
+    ("[sweep]\ngrid = 0:1:1e-320", "line 2: malformed grid"),
     ("[sweep]\nqubit_offsets = 1,2,3", "line 2: qubit_offsets needs 4"),
     ("[extraction]\nbranches = magic", "line 2: unknown branch"),
     ("[extraction]\nfit_J3 = maybe", "line 2: unknown key 'fit_J3'"),
@@ -78,6 +80,16 @@ beta_c = 0.25  # inline
      "'beta_j' (I_cj entries must be strictly positive)"),
     ("[circuit]\nC_c = -4 fF\nbeta_c = -1",
      "line 2, line 3: no valid circuit from 'C_c', 'beta_c'"),
+    ("[circuit]\nbeta_c = nan", "line 2: number 'nan' is not finite"),
+    ("[circuit]\nL_j = 817 pH\nC_c = inf fF",
+     "line 3: number 'inf' is not finite"),
+    ("[sweep]\ngrid = 0.2, nan", "line 2: number 'nan' is not finite"),
+    ("[sweep]\nqubit_offsets = 0, 0, nan, 0",
+     "line 2: number 'nan' is not finite"),
+    ("[circuit]\nbeta_c = 0.3\nL_c = 170 pH\nI_cc = 1 uA",
+     "line 2, line 4: give 'I_cc' or 'beta_c', not both"),
+    ("[circuit]\nI_cj = 1 uA\nbeta_j = 1.2",
+     "line 2, line 3: give 'I_cj' or 'beta_j', not both"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ConfigError, match="line \\d+"):
@@ -237,6 +249,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "[circuit]\nbeta_c = -0.1\n")
     assert main(["gap-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error: line 2: no valid circuit from 'beta_c'" in (
+        capsys.readouterr().err)
+    cfg = _write(tmp_path, "[circuit]\nbeta_c = 0.3\nI_cc = 1 uA\n")
+    assert main(["sweep-flux", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: line 2, line 3: give 'I_cc' or 'beta_c'" in (
         capsys.readouterr().err)
 
 

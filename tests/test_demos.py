@@ -8,9 +8,9 @@ import pytest
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["01_spectrum_anatomy.py",
-                                  "04_swt_comparison.py"])
-def test_demo_runs(name, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out

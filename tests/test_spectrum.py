@@ -100,12 +100,12 @@ def test_spectral_couplings_are_the_bare_frame_projection(beta_c):
         _bare_frame_projection(spec), "ising_pc", (2, 2, 2, 2)))
     scale = abs(cs.J2)
     for name in ("J1", "J2", "J3"):
-        assert np.allclose(getattr(cs, name), np.mean(model[name]),
+        assert np.allclose(getattr(cs, name), np.mean(getattr(model, name)),
                            rtol=1e-9, atol=1e-9 * scale)
-    assert cs.J4 == pytest.approx(model["J4"], rel=1e-9, abs=1e-9 * scale)
-    assert cs.shift == pytest.approx(model["shift"], rel=1e-9)
+    assert cs.J4 == pytest.approx(model.J4, rel=1e-9, abs=1e-9 * scale)
+    assert cs.shift == pytest.approx(model.shift, rel=1e-9)
     assert cs.residual == pytest.approx(residual, rel=1e-9)
-    assert np.allclose(cs.diagnostics["omega_eff"], model["omega"], rtol=1e-9)
+    assert np.allclose(cs.diagnostics["omega_eff"], model.omega, rtol=1e-9)
     # the half-flux bias makes the odd-weight Z strings vanish
     assert abs(cs.J1) <= 1e-6 * scale
     assert abs(cs.J3) <= 1e-6 * scale

@@ -1,5 +1,6 @@
 import functools
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from fluxcoupler.hamiltonian import (IsingModel, assemble_full,
                                      build_qubit_bare, coupler_eigenbasis,
                                      qubit_phase, reduce_qubit)
 from fluxcoupler.oscillator import qubit_reduction
-from fluxcoupler.swt import (C1_CONSTANT, _bernoulli, analytic_couplings,
-                             numerical_swt, pauli_decompose, swt_coefficients,
-                             swt_prefactors, swt_effective_block)
+from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, analytic_couplings,
+                             numerical_swt, pauli_decompose, swt_prefactors,
+                             swt_effective_block)
 from toys import (add_interaction, delta_form_couplings,
                   dense_swt_effective_block, linear_coupler_toy, linear_map_L,
                   one_qubit_toy_error)
@@ -37,6 +38,20 @@ def _system(u, n_q=50, n_c=40):
 # ------------------------------------------------- coefficients
 
 
+def _bernoulli(n):
+    """Bernoulli number B_n as a Fraction (Akiyama-Tanigawa recurrence).
+
+    This gives the B_1 = +1/2 convention; only even indices are used by the
+    generator-series coefficients, where the conventions agree.
+    """
+    A = [Fraction(0)] * (n + 1)
+    for m in range(n + 1):
+        A[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            A[j - 1] = j * (A[j - 1] - A[j])
+    return A[0]
+
+
 def test_bernoulli_numbers():
     # Akiyama-Tanigawa recurrence: B_1 = +1/2 convention (even indices,
     # the only ones used downstream, are convention-independent)
@@ -48,10 +63,13 @@ def test_bernoulli_numbers():
 
 
 def test_generator_coefficients():
-    c = swt_coefficients()
-    assert c.b1 == 0.5
-    assert c.a2 == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert c.b3 == pytest.approx(-1.0 / 24.0, rel=1e-15)
+    # b_{2n-1} = 2 (2^{2n} - 1) B_{2n} / (2n)!  and  a_n = 2^n B_n / n!
+    def b_odd(n):
+        return 2 * (2 ** (2 * n) - 1) * _bernoulli(2 * n) / factorial(2 * n)
+
+    assert B1 == float(b_odd(1))
+    assert B3 == float(b_odd(2))
+    assert A2 == float(2 ** 2 * _bernoulli(2) / factorial(2))
 
 
 # ------------------------------------------------- L map and engine core
@@ -250,12 +268,12 @@ def test_static_limit_exact_solution():
     # two-local content J2 = -2 g^2 / delta and no four-local term at all
     g, delta = 2.8e9, 15.0e9
     model, residual = linear_coupler_toy(g, delta, omega=0.0)
-    assert np.allclose(model["J2"], -2.0 * g**2 / delta, rtol=1e-9)
-    assert abs(model["J4"]) < 1e-9 * g**2 / delta
-    assert np.allclose(model["J1"], 0.0, atol=1e-9 * g**2 / delta)
-    assert np.allclose(model["J3"], 0.0, atol=1e-9 * g**2 / delta)
+    assert np.allclose(model.J2, -2.0 * g**2 / delta, rtol=1e-9)
+    assert abs(model.J4) < 1e-9 * g**2 / delta
+    assert np.allclose(model.J1, 0.0, atol=1e-9 * g**2 / delta)
+    assert np.allclose(model.J3, 0.0, atol=1e-9 * g**2 / delta)
     assert residual < 1e-6 * g**2 / delta
-    assert model["shift"] == pytest.approx(-4.0 * g**2 / delta, rel=1e-9)
+    assert model.shift == pytest.approx(-4.0 * g**2 / delta, rel=1e-9)
 
 
 def test_four_local_channels_cancel():
@@ -268,7 +286,7 @@ def test_four_local_channels_cancel():
     assert naive > 4e8  # the claim would be a large, easily visible coupling
     for omega in (0.0, 2.9e9):
         model, _ = linear_coupler_toy(g, delta, omega=omega)
-        assert abs(model["J4"]) < 1e-6 * naive
+        assert abs(model.J4) < 1e-6 * naive
 
 
 # ------------------------------------------------- numerical branch
@@ -414,12 +432,12 @@ def test_pauli_decompose_round_trip():
                    J2=rng.normal(size=6), J3=rng.normal(size=4),
                    J4=rng.normal(), shift=rng.normal())
     model, residual = pauli_decompose(assemble_ising_model(m))
-    assert np.allclose(model["omega"], m.omega, atol=1e-12)
-    assert np.allclose(model["J1"], m.J1, atol=1e-12)
-    assert np.allclose(model["J2"], m.J2, atol=1e-12)
-    assert np.allclose(model["J3"], m.J3, atol=1e-12)
-    assert model["J4"] == pytest.approx(m.J4, abs=1e-12)
-    assert model["shift"] == pytest.approx(m.shift, abs=1e-12)
+    assert np.allclose(model.omega, m.omega, atol=1e-12)
+    assert np.allclose(model.J1, m.J1, atol=1e-12)
+    assert np.allclose(model.J2, m.J2, atol=1e-12)
+    assert np.allclose(model.J3, m.J3, atol=1e-12)
+    assert model.J4 == pytest.approx(m.J4, abs=1e-12)
+    assert model.shift == pytest.approx(m.shift, abs=1e-12)
     assert residual == pytest.approx(0.0, abs=1e-9)
 
 
@@ -442,16 +460,16 @@ def test_pauli_decompose_is_the_trace_projection():
     model, residual = pauli_decompose(OperatorMatrix(A, "ising_pc",
                                                      (2, 2, 2, 2)))
     tol = 1e-14 * np.linalg.norm(A)
-    assert model["shift"] == pytest.approx(c["IIII"].real, abs=tol)
-    assert model["J4"] == pytest.approx(c["ZZZZ"].real, abs=tol)
+    assert model.shift == pytest.approx(c["IIII"].real, abs=tol)
+    assert model.J4 == pytest.approx(c["ZZZZ"].real, abs=tol)
     for key, groups in (("J1", [(i,) for i in range(4)]),
                         ("J2", list(itertools.combinations(range(4), 2))),
                         ("J3", list(itertools.combinations(range(4), 3)))):
         want = [c[z_string(g)].real for g in groups]
-        np.testing.assert_allclose(model[key], want, rtol=0, atol=tol)
+        np.testing.assert_allclose(getattr(model, key), want, rtol=0, atol=tol)
     x_strings = ["".join("X" if k == i else "I" for k in range(4))
                  for i in range(4)]
-    np.testing.assert_allclose(model["omega"],
+    np.testing.assert_allclose(model.omega,
                                [2.0 * c[x].real for x in x_strings],
                                rtol=0, atol=tol)
     ising = {"IIII", "ZZZZ", *x_strings,

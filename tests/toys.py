@@ -8,8 +8,8 @@ from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (PAIRS, OperatorMatrix, build_coupler,
                                      build_qubit_bare, coupler_phase, kron_all,
                                      qubit_phase, reduce_qubit)
-from fluxcoupler.swt import (C1_CONSTANT, SwtPrefactors, _cross_block_gaps,
-                             pauli_decompose, swt_coefficients,
+from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, SwtPrefactors,
+                             _cross_block_gaps, pauli_decompose,
                              swt_effective_block)
 
 _I2 = np.eye(2)
@@ -70,7 +70,6 @@ def dense_swt_effective_block(h0_diag, V, block0):
     Effective low block:
       P (H0 + V) P + b1 P [S1+S2+S3, V_od] P + b3 P [S1,[S1,[S1,V_od]]] P.
     """
-    coeffs = swt_coefficients()
     block0 = np.asarray(block0, dtype=bool)
     Vd, Vod = _block_split(V, block0)
 
@@ -80,13 +79,13 @@ def dense_swt_effective_block(h0_diag, V, block0):
     S1 = linear_map_L(Vod, h0_diag, block0)
     S2 = -linear_map_L(comm(Vd, S1), h0_diag, block0)
     S3 = -linear_map_L(comm(Vd, S2), h0_diag, block0) \
-        + coeffs.a2 * linear_map_L(comm(S1, comm(S1, Vod)), h0_diag, block0)
+        + A2 * linear_map_L(comm(S1, comm(S1, Vod)), h0_diag, block0)
     for S in (S1, S2, S3):
         assert np.linalg.norm(S + S.conj().T) < 1e-12 * max(np.linalg.norm(S), 1.0)
     # P V_od P vanishes by construction, so the first-order low block is Vd
     Heff = np.diag(h0_diag).astype(V.dtype) + Vd \
-        + coeffs.b1 * comm(S1 + S2 + S3, Vod) \
-        + coeffs.b3 * comm(S1, comm(S1, comm(S1, Vod)))
+        + B1 * comm(S1 + S2 + S3, Vod) \
+        + B3 * comm(S1, comm(S1, comm(S1, Vod)))
     low = np.where(block0)[0]
     block = Heff[np.ix_(low, low)]
     return (block + block.conj().T) / 2.0
