@@ -7,9 +7,10 @@ Config format: line-oriented sections with `key = value` entries,
     beta_c = 0.43
 
 Physical quantities require a unit; dimensionless ones forbid it.  Unknown
-keys, malformed or non-finite numbers, malformed grids, out-of-range
-integers, a critical current given with its screening parameter and circuit
-values that CircuitParams rejects are parse errors that name the line.
+keys, a key given twice in one section, malformed or non-finite numbers,
+malformed grids, out-of-range integers, a critical current given with its
+screening parameter and circuit values that CircuitParams rejects are parse
+errors that name the line.
 
 Subcommands: spectrum, sweep-beta, sweep-flux, susceptibility, compare-swt,
 gap-scan.  Each picks its grid, calls one `analysis` function, which runs
@@ -157,6 +158,9 @@ def parse_config(text) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{section}]")
+        if key in sections[section]:
+            raise ConfigError(f"line {sections[section][key][1]}, line "
+                              f"{lineno}: {key!r} given twice in [{section}]")
         sections[section][key] = (value, lineno)
 
     given = sections["circuit"]
@@ -354,8 +358,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
     try:
+        os.makedirs(args.out, exist_ok=True)
         columns, res = _COMMANDS[args.subcommand](cfg)
         write_csv(os.path.join(args.out,
                                args.subcommand.replace("-", "_") + ".csv"),

@@ -58,7 +58,6 @@ class AdaptedBasis:
 class OperatorMatrix:
     data: np.ndarray
     basis: str            # 'oscillator', 'product' or 'ising_pc'
-    dims: tuple           # subsystem dimensions, product equals matrix size
     # the product space the operator is written in, which eigendecompose
     # reads; None for oscillator operators and effective Hamiltonians
     frame: AdaptedBasis = None
@@ -68,8 +67,6 @@ class OperatorMatrix:
         n = self.data.shape[0]
         if self.data.shape != (n, n):
             raise ValueError("operator must be square")
-        if int(np.prod(self.dims)) != n:
-            raise ValueError("basis dims inconsistent with matrix dimension")
         check_hermitian(self.data)
 
 
@@ -114,13 +111,13 @@ def build_coupler(u, n_trunc=40):
     h_harm, phi, r = _oscillator_ops(u.xi_c, 1.0, n_trunc)
     h = h_harm + u.beta_c * cosine_matrix(n_trunc, r) \
         - u.phi_cx * phi + 0.5 * u.phi_cx**2 * np.eye(n_trunc)
-    return OperatorMatrix(u.E_Ltilde_c * h, "oscillator", (n_trunc,))
+    return OperatorMatrix(u.E_Ltilde_c * h, "oscillator")
 
 
 def coupler_phase(u, n_trunc=40):
     """phi operator of the coupler in the same oscillator basis as build_coupler."""
     _, phi, _ = _oscillator_ops(u.xi_c, 1.0, n_trunc)
-    return OperatorMatrix(phi, "oscillator", (n_trunc,))
+    return OperatorMatrix(phi, "oscillator")
 
 
 def build_qubit_bare(u, j, n_trunc=50):
@@ -135,14 +132,14 @@ def build_qubit_bare(u, j, n_trunc=50):
     h_harm, phi, r = _oscillator_ops(xi, c, n_trunc)
     h = h_harm + beta * cosine_matrix(n_trunc, r) \
         - c * phi_x * phi + 0.5 * c * phi_x**2 * np.eye(n_trunc)
-    return OperatorMatrix(float(u.E_Lj[j]) * h, "oscillator", (n_trunc,))
+    return OperatorMatrix(float(u.E_Lj[j]) * h, "oscillator")
 
 
 def qubit_phase(u, j, n_trunc=50):
     """phi operator of qubit j, matching build_qubit_bare's basis."""
     c = 1.0 + float(u.alpha[j])**2
     _, phi, _ = _oscillator_ops(float(u.xi_j[j]), c, n_trunc)
-    return OperatorMatrix(phi, "oscillator", (n_trunc,))
+    return OperatorMatrix(phi, "oscillator")
 
 
 @dataclass
@@ -172,7 +169,7 @@ def coupler_eigenbasis(coupler: OperatorMatrix, u):
     """Coupler levels (Hz, relative to the ground level) and the coupler phase
     phi_c in the coupler eigenbasis."""
     ev, vec = np.linalg.eigh(coupler.data)
-    phi_c = vec.T @ coupler_phase(u, coupler.dims[0]).data @ vec
+    phi_c = vec.T @ coupler_phase(u, coupler.data.shape[0]).data @ vec
     return ev - ev[0], phi_c
 
 
@@ -255,7 +252,7 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep=8):
     """
     if len(qubits) != 4:
         raise ValueError("need exactly four reduced qubits")
-    n_c = coupler.dims[0]
+    n_c = coupler.data.shape[0]
     if n_keep < 1:
         raise ValueError("n_keep must be at least 1")
     if n_keep > n_c:
@@ -275,7 +272,6 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep=8):
     H[_FLIP_LO, :, _FLIP_HI, :] = hop
     H[_FLIP_HI, :, _FLIP_LO, :] = hop.transpose(0, 2, 1)
     return OperatorMatrix(H.reshape(16 * n_keep, 16 * n_keep), "product",
-                          (2, 2, 2, 2, n_keep),
                           frame=AdaptedBasis(R, chi))
 
 
@@ -336,6 +332,6 @@ def assemble_ising_model(m: IsingModel) -> OperatorMatrix:
     # no Y string is in the table, so H is real
     H = np.einsum("ijkl,iab,jcd,kef,lgh->acegbdfh", c, *[_PAULIS] * 4,
                   optimize=True).real.reshape(16, 16)
-    return OperatorMatrix(H, "ising_pc", (2, 2, 2, 2),
+    return OperatorMatrix(H, "ising_pc",
                           frame=AdaptedBasis(kron_all([_HAD] * 4),
                                              np.ones((16, 1, 1))))

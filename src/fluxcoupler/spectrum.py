@@ -21,8 +21,11 @@ class SpectrumResult:
     frame: AdaptedBasis              # the operator's OperatorMatrix.frame
 
     def manifold(self):
-        """Indices of the lowest 16 levels labeled coupler_ground."""
+        """Indices of the lowest 16 levels labeled coupler_ground; a spectrum
+        with fewer raises ValueError."""
         idx = np.flatnonzero(self.subspace_label)
+        if len(idx) < 16:
+            raise ValueError("fewer than 16 coupler-ground levels identified")
         return idx[np.argsort(self.eigenvalues[idx], kind="stable")[:16]]
 
     def coupler_ground_levels(self):
@@ -72,15 +75,12 @@ def extract_couplings(s: SpectrumResult, omega) -> CouplingStrengths:
     factor omega_eff / omega.
     """
     idx = s.manifold()
-    if len(idx) < 16:
-        raise ValueError("fewer than 16 coupler-ground levels identified")
     # <z, bare coupler ground | psi_k> = sum_n <0|chi_n(z)> psi_k(z, n)
     B = np.einsum("zn,znk->zk", s.frame.states[:, 0, :],
                   s.eigenvectors[:, idx].reshape(16, -1, 16))
     U, _, Wt = np.linalg.svd(B)
     T = U @ Wt
-    h_eff = OperatorMatrix((T * s.eigenvalues[idx]) @ T.T, "ising_pc",
-                           (2, 2, 2, 2))
+    h_eff = OperatorMatrix((T * s.eigenvalues[idx]) @ T.T, "ising_pc")
     cs = ising_couplings(h_eff, "spectral_fit")
     cs.diagnostics["kappa"] = cs.diagnostics["omega_eff"] / np.asarray(omega)
     return cs
@@ -144,8 +144,6 @@ def gap_diagnostics(s: SpectrumResult) -> GapDiagnostics:
     """Subspace separation: delta_gap vs delta_max of the coupler-ground manifold."""
     ground = s.coupler_ground_levels()
     excited = s.eigenvalues[~s.subspace_label]
-    if len(ground) < 2:
-        return GapDiagnostics(np.nan, np.nan, False)
     delta_max = float(np.max(np.diff(ground)))
     if len(excited) == 0:
         return GapDiagnostics(np.inf, delta_max, True)

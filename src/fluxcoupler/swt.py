@@ -5,10 +5,10 @@ the numerical 4th-order SWT in the exact coupler eigenbasis, and the
 Pauli-string decomposition of effective Hamiltonians that every numerical
 branch reads its couplings from (ising_couplings).
 
-The numerical SWT carries its generator recursion in block form: only the
-low-low, low-high and high-low blocks it needs, plus the one high-high block
-of [S1, V_od], so its products are 16 x 624 by 624 x 624 on the 640-state
-circuit instead of dense 640 x 640 commutators.
+The numerical SWT carries each operator of its generator recursion by its
+low-high (PQ) block alone, since every one is Hermitian or anti-Hermitian.
+Of its products only two, S1 V_QQ and S2 V_QQ, are 16 x 624 by 624 x 624 on
+the 640-state circuit; the rest are 16 x 16 or 16 x 624 by 624 x 16.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import (ISING_STRINGS, IsingModel, OperatorMatrix,
-                          bare_frame, coupler_eigenbasis, _PAULIS)
+                          bare_frame, check_hermitian, coupler_eigenbasis,
+                          _PAULIS)
 
 
 @dataclass
@@ -119,68 +120,47 @@ def _cross_block_gaps(energies, block0):
     return gaps
 
 
-# block names of block-off-diagonal and block-diagonal operators, with P the
-# low block and Q the rest
-_OFF = ("PQ", "QP")
-_DIAG = ("PP", "QQ")
-
-
-def _block_commutator(A, B, blocks):
-    """The named blocks of [A, B], for A and B given as {block name: array}
-    with the blocks they lack equal to zero."""
-    def product(X, Y, ik):
-        i, k = ik
-        return sum(X[i + j] @ Y[j + k] for j in "PQ"
-                   if i + j in X and j + k in Y)
-
-    return {ik: product(A, B, ik) - product(B, A, ik) for ik in blocks}
-
-
 def swt_effective_block(h0_diag, V, block0):
     """4th-order SWT effective Hamiltonian on the low block.
 
-    h0_diag: unperturbed diagonal energies; V: perturbation; block0: boolean
-    mask of the low-energy block P (Q is the rest).  Generator:
+    h0_diag: unperturbed diagonal energies; V: Hermitian perturbation;
+    block0: boolean mask of the low-energy block P (Q is the rest).
+    Generator:
       S1 = L(V_od)
       S2 = -L([V_d, S1])
       S3 = -L([V_d, S2]) + a2 L([S1, [S1, V_od]])
     Effective low block:
       P (H0 + V) P + b1 P [S1+S2+S3, V_od] P + b3 P [S1,[S1,[S1,V_od]]] P.
 
-    Every operator is carried in block form (Bravyi, DiVincenzo & Loss,
-    Ann. Phys. 326, 2793 (2011)): the block-off-diagonal ones (V_od, S1, S2,
-    S3 and the nested commutators) as their PQ and QP blocks, the
-    block-diagonal ones (V_d, [S1, V_od]) as their PP and QQ blocks.  So no
-    product is larger than |P| x |Q| by |Q| x |Q|, 2 |P| |Q|^2 flops; with
-    |P| = 16 of 640 states the recursion costs about 0.1 Gflop, where dense
-    640 x 640 commutators cost 8.4.
+    Every S is anti-Hermitian and X = [S1, [S1, V_od]] is Hermitian, so each
+    is carried by its PQ block alone, the QP block being -/+ its conjugate
+    transpose (Bravyi, DiVincenzo & Loss, Ann. Phys. 326, 2793 (2011)).  L
+    divides a PQ block by G = E_P - E_Q.  The block-diagonal [S1, V_od] is
+    never formed: X's PQ block is S1 W_QQ - W_PP S1, with S1 W_QQ written
+    through |P| x |P| products.  Only S1 V_QQ and S2 V_QQ are |P| x |Q| by
+    |Q| x |Q| products: 25 of the 29 Mflop of a call with |P| = 16 of 640
+    states.  A V that is not Hermitian is refused (ValueError).
     """
+    check_hermitian(V)
     block0 = np.asarray(block0, dtype=bool)
-    gaps = _cross_block_gaps(h0_diag, block0)
-    index = {"P": np.flatnonzero(block0), "Q": np.flatnonzero(~block0)}
-    Vd = {b: V[np.ix_(index[b[0]], index[b[1]])] for b in _DIAG}
-    Vod = {b: V[np.ix_(index[b[0]], index[b[1]])] for b in _OFF}
+    G = _cross_block_gaps(h0_diag, block0)
+    P, Q = np.flatnonzero(block0), np.flatnonzero(~block0)
+    Vpp, Vqq, Vpq = V[np.ix_(P, P)], V[np.ix_(Q, Q)], V[np.ix_(P, Q)]
 
-    def L(x):
-        return {"PQ": x["PQ"] / gaps, "QP": x["QP"] / -gaps.T}
+    def H(A):
+        return A.conj().T
 
-    S1 = L(Vod)
-    S2 = {b: -x for b, x in L(_block_commutator(Vd, S1, _OFF)).items()}
-    # [S1, [S1, V_od]], shared by S3 and the b3 term
-    S1S1V = _block_commutator(S1, _block_commutator(S1, Vod, _DIAG), _OFF)
-    T, U = L(_block_commutator(Vd, S2, _OFF)), L(S1S1V)
-    S3 = {b: -T[b] + A2 * U[b] for b in _OFF}
-    for S in (S1, S2, S3):
-        # ||S + S^H||_F, whose PQ and QP blocks have equal norms
-        skew = np.sqrt(2.0) * np.linalg.norm(S["PQ"] + S["QP"].conj().T)
-        size = np.hypot(np.linalg.norm(S["PQ"]), np.linalg.norm(S["QP"]))
-        assert skew < 1e-12 * max(size, 1.0)
+    S1 = Vpq / G
+    S2 = -(Vpp @ S1 - S1 @ Vqq) / G
+    # [S1, V_od] has the PP block W and the QQ block -S1^H Vpq - Vpq^H S1
+    W = S1 @ H(Vpq) + Vpq @ H(S1)
+    X = -(S1 @ H(S1)) @ Vpq - (S1 @ H(Vpq)) @ S1 - W @ S1
+    S3 = (-(Vpp @ S2 - S2 @ Vqq) + A2 * X) / G
+    S = S1 + S2 + S3
     # P V_od P vanishes by construction, so the first-order low block is V_PP
-    S = {b: S1[b] + S2[b] + S3[b] for b in _OFF}
-    block = np.diag(np.asarray(h0_diag)[block0]).astype(V.dtype) + Vd["PP"] \
-        + B1 * _block_commutator(S, Vod, ("PP",))["PP"] \
-        + B3 * _block_commutator(S1, S1S1V, ("PP",))["PP"]
-    return (block + block.conj().T) / 2.0
+    block = np.diag(np.asarray(h0_diag)[block0]).astype(V.dtype) + Vpp \
+        + B1 * (S @ H(Vpq) + Vpq @ H(S)) + B3 * (S1 @ H(X) + X @ H(S1))
+    return (block + H(block)) / 2.0
 
 
 def numerical_swt(u, qubits, coupler: OperatorMatrix):
@@ -205,7 +185,7 @@ def numerical_swt(u, qubits, coupler: OperatorMatrix):
     block0 = np.arange(h0.size) % e_c.size == 0
     block = swt_effective_block(h0, V, block0)
 
-    h_eff = OperatorMatrix(R.T @ block @ R, "ising_pc", (2, 2, 2, 2))
+    h_eff = OperatorMatrix(R.T @ block @ R, "ising_pc")
     return h_eff, ising_couplings(h_eff, "numerical_swt")
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import fluxcoupler.analysis as analysis
 from fluxcoupler.analysis import (Truncations, compare_swt, couplings_point,
-                                  find_special_point, spectral_point,
+                                  find_special_point, gap_scan, spectral_point,
                                   susceptibility, sweep_beta, sweep_flux,
                                   with_beta_c, with_flux_offsets)
 from fluxcoupler.circuit import derive_unitless, reference_circuit
@@ -56,6 +56,14 @@ def test_sweep_beta_labels_the_manifold_at_strong_screening():
     res = sweep_beta(reference_circuit(), [0.50, 0.56, 0.60], Truncations())
     assert [r["spectral_status"] for r in res.rows] == ["ok"] * 3
     assert np.all(np.isfinite(res.column("spectral_J2")))
+
+
+def test_gap_scan_refuses_an_incomplete_manifold():
+    # at beta_c 0.85 only 15 levels are labelled coupler-ground, so there is
+    # no manifold to measure a gap from: an error row, as the couplings give
+    res = gap_scan(reference_circuit(), [0.85], Truncations())
+    assert res.rows == [{"beta_c": 0.85, "status": "error: fewer than 16 "
+                         "coupler-ground levels identified"}]
 
 
 def test_spectral_point_reference():

@@ -90,6 +90,8 @@ beta_c = 0.25  # inline
      "line 2, line 4: give 'I_cc' or 'beta_c', not both"),
     ("[circuit]\nI_cj = 1 uA\nbeta_j = 1.2",
      "line 2, line 3: give 'I_cj' or 'beta_j', not both"),
+    ("[circuit]\nbeta_c = 0.3\nbeta_c = 0.5",
+     "line 2, line 3: 'beta_c' given twice in [circuit]"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ConfigError, match="line \\d+"):
@@ -254,6 +256,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["sweep-flux", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error: line 2, line 3: give 'I_cc' or 'beta_c'" in (
         capsys.readouterr().err)
+
+
+def test_unusable_out_is_an_error_line(tmp_path, capsys):
+    # --out names a file, not a directory: one error line and exit 1
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["gap-scan", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_non_positive_beta_c_is_an_error_row(tmp_path):

@@ -31,11 +31,11 @@ def test_one_hermiticity_rule(rel, rejected):
     H.data = H.data.copy()
     H.data[0, 1] += rel * np.linalg.norm(H.data)
     if not rejected:
-        OperatorMatrix(H.data, "ising_pc", (2, 2, 2, 2))
+        OperatorMatrix(H.data, "ising_pc")
         eigendecompose(H)
         return
     with pytest.raises(ValueError, match="not Hermitian"):
-        OperatorMatrix(H.data, "ising_pc", (2, 2, 2, 2))
+        OperatorMatrix(H.data, "ising_pc")
     with pytest.raises(ValueError, match="not Hermitian"):
         eigendecompose(H)
 
@@ -97,7 +97,7 @@ def test_spectral_couplings_are_the_bare_frame_projection(beta_c):
     spec = eigendecompose(assemble_full(qubits, build_coupler(u, 30), u, 8))
     cs = extract_couplings(spec, [q.omega for q in qubits])
     model, residual = pauli_decompose(OperatorMatrix(
-        _bare_frame_projection(spec), "ising_pc", (2, 2, 2, 2)))
+        _bare_frame_projection(spec), "ising_pc"))
     scale = abs(cs.J2)
     for name in ("J1", "J2", "J3"):
         assert np.allclose(getattr(cs, name), np.mean(getattr(model, name)),
@@ -129,7 +129,7 @@ def test_two_excitation_sector_in_the_adapted_basis():
     qubits = [reduce_qubit(build_qubit_bare(u, j, 40), qubit_phase(u, j, 40))
               for j in range(4)]
     coupler = build_coupler(u, 20)
-    n_c = coupler.dims[0]
+    n_c = coupler.data.shape[0]
     H = assemble_full(qubits, coupler, u, n_c)
     omega = np.full(4, np.mean([q.omega for q in qubits]))
     spec = eigendecompose(H)
@@ -137,7 +137,7 @@ def test_two_excitation_sector_in_the_adapted_basis():
     R = H.frame.rotation
     W = np.kron(R.T, np.eye(n_c)) @ H.frame.isometry()
     frame = AdaptedBasis(R, np.broadcast_to(np.eye(n_c), (16, n_c, n_c)))
-    bare = OperatorMatrix(W @ H.data @ W.T, "product", H.dims, frame=frame)
+    bare = OperatorMatrix(W @ H.data @ W.T, "product", frame=frame)
     bare_spec = eigendecompose(bare)
     want = two_excitation_splitting(bare_spec, omega)
     assert np.allclose(adapted["levels"], want["levels"], rtol=1e-9)

@@ -171,12 +171,11 @@ def test_degenerate_cross_block_pair_raises():
 
 
 def test_anti_hermiticity_check_is_live():
-    # a non-Hermitian perturbation gives a generator that is not
-    # anti-Hermitian, which the block recursion must notice from its two
-    # off-diagonal blocks
+    # every generator is carried by its PQ block on the promise that V is
+    # Hermitian, so a V that is not is refused at the input
     h0, V, block0 = _random_swt_case(0, 8, [1, 4], False)
     V[1, 5] += 0.01
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="not Hermitian"):
         swt_effective_block(h0, V, block0)
 
 
@@ -313,7 +312,7 @@ def test_numerical_swt_gap_collapse():
     from fluxcoupler.hamiltonian import OperatorMatrix
     u = _u(0.3)
     qubits, _ = _system(u)
-    shallow = OperatorMatrix(np.diag(np.arange(12) * 1.0e9), "oscillator", (12,))
+    shallow = OperatorMatrix(np.diag(np.arange(12) * 1.0e9), "oscillator")
     with pytest.raises(RuntimeError, match="gap collapse"):
         numerical_swt(u, qubits, shallow)
 
@@ -343,7 +342,7 @@ def test_numerical_swt_sees_the_spectral_hamiltonian(monkeypatch,
     monkeypatch.setattr(swt_module, "swt_effective_block", capture)
     numerical_swt(u, qubits, coupler)
     H = np.diag(seen["h0"]) + seen["V"]
-    n_c = coupler.dims[0]
+    n_c = coupler.data.shape[0]
     full = assemble_full(qubits, coupler, u, n_keep=n_c)
     W = full.frame.isometry()
     np.testing.assert_allclose(W.T @ W, np.eye(H.shape[0]), rtol=0, atol=1e-12)
@@ -382,20 +381,34 @@ def _captured_swt_inputs(monkeypatch, u):
     return seen["h0"], seen["V"], seen["block0"]
 
 
-@pytest.mark.parametrize("beta_c,qubit_offsets", [
-    (0.02, None), (0.43, None), (0.60, None),
-    (0.43, (1e-3, -2e-3, 1.5e-3, 5e-4))])
-def test_block_recursion_on_the_circuit(monkeypatch, beta_c, qubit_offsets):
+_OFFSETS = (1e-3, -2e-3, 1.5e-3, 5e-4)
+
+
+@pytest.mark.parametrize("beta_c,coupler_offset,qubit_offsets", [
+    pytest.param(0.02, 0.0, None, id="0.02-None"),
+    pytest.param(0.43, 0.0, None, id="0.43-None"),
+    pytest.param(0.60, 0.0, None, id="0.6-None"),
+    pytest.param(0.43, 0.0, _OFFSETS, id="0.43-qubit_offsets3"),
+    pytest.param(0.43, 2.75e-3, tuple(x + 2.75e-3 for x in _OFFSETS),
+                 id="0.43-common_mode")])
+def test_block_recursion_on_the_circuit(monkeypatch, beta_c, coupler_offset,
+                                        qubit_offsets):
     # the block recursion against the dense one on the circuit's own
     # 640-state H0 and V, at weak and strong screening and with qubit flux
-    # offsets (those of test_numerical_swt_sees_the_spectral_hamiltonian)
+    # offsets (those of test_numerical_swt_sees_the_spectral_hamiltonian);
+    # with the common-mode flux offset of the last case the top of P lies
+    # 4.3 GHz above the bottom of Q
     kw = {}
     if qubit_offsets is not None:
         kw["Phi_jx_offset"] = tuple(CONSTANTS.flux_quantum * x
                                     for x in qubit_offsets)
-    u = derive_unitless(reference_circuit(beta_c=beta_c, **kw))
+    u = derive_unitless(reference_circuit(
+        beta_c=beta_c, Phi_cx_offset=CONSTANTS.flux_quantum * coupler_offset,
+        **kw))
     h0, V, block0 = _captured_swt_inputs(monkeypatch, u)
     assert h0.size == 640 and block0.sum() == 16
+    if coupler_offset:
+        assert np.max(h0[block0]) - np.min(h0[~block0]) > 4e9
     got = swt_effective_block(h0, V, block0)
     want = dense_swt_effective_block(h0, V, block0)
     np.testing.assert_allclose(got, want, rtol=0,
@@ -457,8 +470,7 @@ def test_pauli_decompose_is_the_trace_projection():
     def z_string(qubits):
         return "".join("Z" if k in qubits else "I" for k in range(4))
 
-    model, residual = pauli_decompose(OperatorMatrix(A, "ising_pc",
-                                                     (2, 2, 2, 2)))
+    model, residual = pauli_decompose(OperatorMatrix(A, "ising_pc"))
     tol = 1e-14 * np.linalg.norm(A)
     assert model.shift == pytest.approx(c["IIII"].real, abs=tol)
     assert model.J4 == pytest.approx(c["ZZZZ"].real, abs=tol)
@@ -485,6 +497,6 @@ def test_pauli_decompose_residual_detects_non_ising():
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
     I = np.eye(2)
     H = 0.3 * kron_all([X, X, I, I])
-    _, residual = pauli_decompose(OperatorMatrix(H, "ising_pc", (2, 2, 2, 2)))
+    _, residual = pauli_decompose(OperatorMatrix(H, "ising_pc"))
     # Frobenius norm of the non-Ising content
     assert residual == pytest.approx(np.linalg.norm(H), rel=1e-12)

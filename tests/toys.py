@@ -191,7 +191,7 @@ def linear_coupler_toy(g, delta, omega=0.0, n_c=25):
     # rotate energy basis -> pc frame (Hadamard per qubit maps flip -> Z)
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     U = kron_all([had] * 4)
-    h_eff = OperatorMatrix(U.T @ block @ U, "ising_pc", (2, 2, 2, 2))
+    h_eff = OperatorMatrix(U.T @ block @ U, "ising_pc")
     return pauli_decompose(h_eff)
 
 
