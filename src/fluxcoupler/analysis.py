@@ -1,7 +1,8 @@
 """The one point runner, and the sweeps, scans, special-point search and
 fabrication-error susceptibilities built on it.  `run_point` records a point
 as its columns and `ok`, or `error: <message>`, in its status column;
-`BRANCHES` maps each extraction branch to its CSV prefix and point function;
+`BRANCHES` maps each extraction branch to its CSV prefix, point function
+and extra columns;
 `spectral_system` is the one spectral pipeline.
 """
 
@@ -90,10 +91,11 @@ def _numerical(u, trunc):
     return numerical_swt(u, qubits, coupler)[1], {}
 
 
-# extraction branches, in column order: CSV column prefix, point function
-BRANCHES = {"spectral_fit": ("spectral", _spectral),
-            "analytic_swt": ("analytic", _analytic),
-            "numerical_swt": ("numswt", _numerical)}
+# extraction branches, in column order: CSV column prefix, point function,
+# the names of the extra columns it returns
+BRANCHES = {"spectral_fit": ("spectral", _spectral, ("delta_gap", "delta_max")),
+            "analytic_swt": ("analytic", _analytic, ()),
+            "numerical_swt": ("numswt", _numerical, ())}
 
 
 def couplings_point(u, trunc=Truncations(), extraction="spectral_fit"):
@@ -138,7 +140,7 @@ def _row_for(u_of, trunc, branches):
     u_of runs inside each branch, so a circuit it cannot build fails the
     branches and keeps the row."""
     row = {}
-    for prefix, point in (BRANCHES[branch] for branch in branches):
+    for prefix, point, _ in (BRANCHES[branch] for branch in branches):
         run_point(row, f"{prefix}_status", _branch_columns, u_of, trunc,
                   prefix, point)
     return row

@@ -7,10 +7,10 @@ Config format: line-oriented sections with `key = value` entries,
     beta_c = 0.43
 
 Physical quantities require a unit; dimensionless ones forbid it.  Unknown
-keys, a key given twice in one section, malformed or non-finite numbers,
-malformed grids, out-of-range integers, a critical current given with its
-screening parameter and circuit values that CircuitParams rejects are parse
-errors that name the line.
+keys, a key given twice in one section, a branch named twice, malformed or
+non-finite numbers, malformed grids, out-of-range integers, a critical
+current given with its screening parameter and circuit values that
+CircuitParams rejects are parse errors that name the line.
 
 Subcommands: spectrum, sweep-beta, sweep-flux, susceptibility, compare-swt,
 gap-scan.  Each picks its grid, calls one `analysis` function, which runs
@@ -218,6 +218,10 @@ def parse_config(text) -> RunConfig:
         bad = set(branches) - set(BRANCHES)
         if bad:
             raise ConfigError(f"line {lineno}: unknown branch {sorted(bad)}")
+        for i, branch in enumerate(branches):
+            if branch in branches[:i]:
+                raise ConfigError(
+                    f"line {lineno}: branch {branch!r} given twice")
 
     precision = RunConfig.precision
     for key, (value, lineno) in sections["output"].items():
@@ -275,8 +279,10 @@ def write_csv(path, columns, rows, cfg: RunConfig, subcommand):
 
 
 def _coupling_columns(branches):
-    return [f"{BRANCHES[b][0]}_{name}" for b in branches
-            for name in ("J1", "J2", "J3", "J4", "residual", "status")]
+    """Each branch's six columns, then the branches' extra columns."""
+    return ([f"{BRANCHES[b][0]}_{name}" for b in branches
+             for name in ("J1", "J2", "J3", "J4", "residual", "status")]
+            + [col for b in branches for col in BRANCHES[b][2]])
 
 
 # default grids
@@ -292,8 +298,7 @@ _RATIO_GRID = 0.96 + 0.005 * np.arange(17)
 def cmd_sweep_beta(cfg):
     res = sweep_beta(cfg.circuit, cfg.sweep.get("grid", _BETA_GRID),
                      cfg.truncations, branches=cfg.branches)
-    return (["beta_c"] + _coupling_columns(cfg.branches)
-            + ["delta_gap", "delta_max"]), res
+    return ["beta_c"] + _coupling_columns(cfg.branches), res
 
 
 def cmd_sweep_flux(cfg):
@@ -301,8 +306,7 @@ def cmd_sweep_flux(cfg):
                      qubit_offsets=cfg.sweep.get("qubit_offsets"),
                      common_mode=cfg.sweep.get("common_mode", False),
                      trunc=cfg.truncations, branches=cfg.branches)
-    return (["flux_offset"] + _coupling_columns(cfg.branches)
-            + ["delta_gap", "delta_max"]), res
+    return ["flux_offset"] + _coupling_columns(cfg.branches), res
 
 
 def cmd_compare_swt(cfg):

@@ -1,15 +1,16 @@
 """Single-mode oscillator-basis mathematics.
 
-Ladder operators, the cosine matrix from the even-distance upper triangle
-with one generalized-Laguerre recurrence per distance, the double-well
-minimum by Brent's method, displaced-well overlaps, and the two-level qubit
-reduction factor s.
+Ladder operators; one displaced-oscillator element formula on scipy's
+vectorised generalized-Laguerre polynomial, which gives both the cosine
+matrix (its even-distance upper triangle in one call) and displaced-well
+overlaps; the double-well minimum by Brent's method; and the two-level
+qubit reduction factor s.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom, eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, gammaln
 
 
 def ladder(n):
@@ -20,18 +21,27 @@ def ladder(n):
     return a
 
 
+def _displaced_element(lo, hi, r):
+    """sqrt(lo!/hi!) r^k e^{-r^2/2} L_lo^k(r^2) with k = hi - lo >= 0, r > 0.
+
+    Elementwise over integer lo and hi, with log-factorial amplitudes
+    (overflow-safe well past level 60).  The degree goes to eval_genlaguerre
+    as C long, so scipy runs its three-term recurrence for integer degree.
+    """
+    k = hi - lo
+    amp = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
+                 + k * np.log(r) - r * r / 2.0)
+    return amp * eval_genlaguerre(np.asarray(lo, dtype="l"), k, r * r)
+
+
 def cosine_matrix(n_trunc, r):
     """Matrix of cos(r (a^dag + a)) on the truncated Fock space.
 
     Real and symmetric, and zero at odd distance k = hi - lo by parity.  An
     upper-triangle element at even k is the real part of the displacement
     closed form <lo|exp(i r (a^dag + a))|hi>:
-    (-1)^{k/2} sqrt(lo!/hi!) r^k e^{-r^2/2} L_lo^k(r^2).
-
-    L_lo^k comes from the three-term recurrence of scipy's eval_genlaguerre
-    for integer degree, with p = L_j^k / binom(j+k, j).  Its state after step
-    j depends on (j, k) only, so it runs once over the vector of even k, and
-    element (lo, k) reads the state after step lo - 1.
+    (-1)^{k/2} sqrt(lo!/hi!) r^k e^{-r^2/2} L_lo^k(r^2), all of the even-k
+    triangle in one vectorised eval_genlaguerre call.
     """
     if n_trunc < 2:
         raise ValueError("n_trunc must be >= 2")
@@ -39,29 +49,12 @@ def cosine_matrix(n_trunc, r):
         raise ValueError("r must be finite and non-negative")
     if r == 0.0:
         return np.eye(n_trunc)
-    x = r * r
-    k = np.arange(0, n_trunc, 2, dtype=float)
-    j = np.arange(1, n_trunc - 1)[:, None]
-    den = j + k + 1.0
-    d = -x / (k + 1.0)
-    p = d + 1.0
-    P = [p]
-    for a, b in zip(-x / den, j / den):
-        d = a * p + b * d
-        p = p + d
-        P.append(p)
-    P = np.array(P)
-
     lo, hi = np.triu_indices(n_trunc)
     even = (hi - lo) % 2 == 0
     lo, hi = lo[even], hi[even]
-    k = hi - lo
-    lag = np.select([lo == 0, lo == 1], [1.0, -x + k + 1.0],
-                    binom(hi, lo) * P[lo - 1, k // 2])
-    amp = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
-                 + k * np.log(r) - r * r / 2.0)
+    val = _displaced_element(lo, hi, r)
     # + 0.0 turns an underflowed -0.0 into +0.0: no element is ever -0.0
-    val = np.where(k % 4 == 0, amp, -amp) * lag + 0.0
+    val = np.where((hi - lo) % 4 == 0, val, -val) + 0.0
     C = np.zeros((n_trunc, n_trunc))
     C[lo, hi] = val
     C[hi, lo] = val
@@ -163,8 +156,7 @@ def displaced_overlap(M, N, d):
     """Overlap <M_-|N_+> of number states of two wells displaced by d.
 
     d is the displacement in natural oscillator units (both wells share mass
-    and frequency).  Uses the generalized-Laguerre closed form with
-    log-factorial amplitudes (overflow-safe well past M, N = 60).
+    and frequency).  The displaced-oscillator element with its sign.
     """
     if M < 0 or N < 0:
         raise ValueError("levels must be non-negative")
@@ -173,13 +165,10 @@ def displaced_overlap(M, N, d):
     if d == 0.0:
         return 1.0 if M == N else 0.0
     lo, hi = (M, N) if M <= N else (N, M)
-    k = hi - lo
     # |N_+> = D(d)|N> in the left well's frame, so the overlap is <M|D(d)|N>;
     # the Laguerre form carries (-d)^{N-M} when N > M
-    sign = 1.0 if M >= N else (-1.0) ** k
-    amp = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
-                 + k * np.log(d) - d * d / 2.0)
-    return sign * amp * eval_genlaguerre(lo, k, d * d)
+    sign = 1.0 if M >= N else (-1.0) ** (hi - lo)
+    return sign * _displaced_element(lo, hi, d)
 
 
 @dataclass

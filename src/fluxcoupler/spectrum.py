@@ -123,18 +123,12 @@ def two_excitation_splitting(s: SpectrumResult, omega, cluster_tol=1e-6):
     # level) from being split into singletons
     tol = max(cluster_tol * spread,
               1e-12 * float(np.max(np.abs(s.eigenvalues))), 1e-30)
-    degeneracies = []
-    current = 1
-    for a, b in zip(levels[:-1], levels[1:]):
-        if b - a <= tol:
-            current += 1
-        else:
-            degeneracies.append(current)
-            current = 1
-    degeneracies.append(current)
+    # a cluster ends wherever the next level lies more than tol above
+    ends = np.flatnonzero(np.diff(levels) > tol) + 1
+    degeneracies = np.diff(np.concatenate(([0], ends, [len(levels)])))
     return {
         "levels": levels,
-        "degeneracies": sorted(degeneracies),
+        "degeneracies": sorted(degeneracies.tolist()),
         "distance": float(spread),
         "sector_weights": weights[sel],
     }

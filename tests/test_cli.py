@@ -92,6 +92,8 @@ beta_c = 0.25  # inline
      "line 2, line 3: give 'I_cj' or 'beta_j', not both"),
     ("[circuit]\nbeta_c = 0.3\nbeta_c = 0.5",
      "line 2, line 3: 'beta_c' given twice in [circuit]"),
+    ("[extraction]\nbranches = analytic_swt, analytic_swt",
+     "line 2: branch 'analytic_swt' given twice"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ConfigError, match="line \\d+"):
@@ -323,6 +325,26 @@ grid = 0.3
     cols = [l for l in text.splitlines() if l.startswith("# columns:")][0]
     for prefix in ("spectral", "analytic", "numswt"):
         assert f"{prefix}_J4" in cols
+
+
+def test_extra_columns_follow_the_branches(tmp_path):
+    # delta_gap and delta_max are the spectral branch's columns: absent
+    # without it, present wherever it runs
+    cfg = _write(tmp_path, FAST_TRUNC + """
+[sweep]
+grid = 0.3
+[extraction]
+branches = numerical_swt
+""")
+    assert main(["sweep-beta", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, columns, _ = _read_csv(tmp_path / "sweep_beta.csv")
+    assert columns == ["beta_c", "numswt_J1", "numswt_J2", "numswt_J3",
+                       "numswt_J4", "numswt_residual", "numswt_status"]
+    cfg = _write(tmp_path, FAST_TRUNC + "[sweep]\ngrid = 0.3\n")
+    assert main(["compare-swt", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, columns, rows = _read_csv(tmp_path / "compare_swt.csv")
+    assert columns[-3:] == ["numswt_status", "delta_gap", "delta_max"]
+    assert all(np.isfinite(float(x)) for x in rows[0][-2:])
 
 
 def test_gap_scan_csv(tmp_path):

@@ -7,7 +7,7 @@ from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.oscillator import (cosine_matrix, displaced_overlap,
                                     find_well_minimum, ladder,
                                     qubit_reduction)
-from toys import brentq_well_minimum, displacement_matrix
+from toys import _genlaguerre_matrix, brentq_well_minimum, displacement_matrix
 
 
 # ---------------------------------------------------------------- oracles
@@ -34,6 +34,17 @@ def _overlap_quadrature(M, N, d):
     f = (_hermite_psi(M, x + shift) * _hermite_psi(N, x - shift)
          * np.exp(x * x))
     return float(np.sum(w * f))
+
+
+def _overlap_by_recurrence(M, N, d):
+    """<M_-|N_+> from the hand-run Laguerre recurrence of toys, with the
+    amplitude and sign of displaced_overlap."""
+    lo, hi = min(M, N), max(M, N)
+    k = hi - lo
+    amp = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
+                 + k * np.log(d) - d * d / 2.0)
+    sign = 1.0 if M >= N else (-1.0) ** k
+    return sign * (amp * _genlaguerre_matrix(np.array(lo), np.array(k), d * d))
 
 
 def _cosine_series(n, r, order=60):
@@ -104,8 +115,9 @@ def test_cosine_matrix_against_series(r):
     assert np.allclose(got, want, atol=1e-11)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 13, 40, 50, 60])
-@pytest.mark.parametrize("r", [0.0, 1e-40, 0.05, 0.2, 0.31, 0.55, 1.3])
+@pytest.mark.parametrize("n", [2, 3, 4, 13, 40, 50, 60, 80])
+@pytest.mark.parametrize("r", [0.0, 1e-40, 0.05, 0.2, 0.31, 0.55, 1.3, 3.3,
+                               7.5])
 def test_cosine_matrix_is_bit_identical_to_the_displacement_form(n, r):
     # r = 1e-40 underflows the far-diagonal amplitudes to zero, whose sign
     # the Hermitian average makes +0.0
@@ -192,6 +204,9 @@ def test_displaced_overlap_against_quadrature(M, N, d):
     got = displaced_overlap(M, N, d)
     want = _overlap_quadrature(M, N, d)
     assert got == pytest.approx(want, abs=1e-10)
+    # and bit for bit the element of the hand-run recurrence
+    want = np.float64(_overlap_by_recurrence(M, N, d))
+    assert np.float64(got).view(np.int64) == want.view(np.int64)
 
 
 def test_displaced_overlap_limits_and_errors():
