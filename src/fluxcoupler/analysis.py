@@ -2,11 +2,12 @@
 fabrication-error susceptibilities built on it.  `run_point` records a point
 as its columns and `ok`, or `error: <message>`, in its status column;
 `BRANCHES` maps each extraction branch to its CSV prefix, point function
-and extra columns;
-`spectral_system` is the one spectral pipeline.
+and extra columns; `spectral_system` is the one spectral pipeline.  Every
+table (`SweepResult`) declares its columns, swept value first, where its rows
+are written, and the CSV writer takes them from there.
 """
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class Truncations:
 
 @dataclass
 class SweepResult:
-    swept: str
+    columns: list
     rows: list = field(default_factory=list)
 
     def column(self, key):
@@ -117,22 +118,33 @@ def run_point(row, status, point, *args):
     return row
 
 
-def _sweep(swept, column, grid, row_of):
+def _sweep(columns, grid, row_of):
     """The one row loop: a row per grid value, in grid order, led by the
-    value under `column` and followed by the columns row_of(value) gives."""
-    return SweepResult(swept, [{column: x, **row_of(x)} for x in grid])
+    value under columns[0] and followed by the columns row_of(value) gives."""
+    return SweepResult(columns, [{columns[0]: x, **row_of(x)} for x in grid])
 
 
-def _scan(swept, grid, point):
-    """One point per grid value, with its status in the `status` column."""
-    return _sweep(swept, swept, grid,
+def _scan(columns, grid, point):
+    """One point per grid value, with its status in a last `status` column."""
+    return _sweep([*columns, "status"], grid,
                   lambda x: run_point({}, "status", point, x))
+
+
+_COUPLINGS = ("J1", "J2", "J3", "J4", "residual")
+
+
+def _coupling_columns(branches):
+    """Each branch's coupling and status columns, then the branches' extra
+    columns."""
+    return ([f"{BRANCHES[b][0]}_{name}" for b in branches
+             for name in (*_COUPLINGS, "status")]
+            + [col for b in branches for col in BRANCHES[b][2]])
 
 
 def _branch_columns(u_of, trunc, prefix, point):
     cs, extra = point(u_of(), trunc)
-    return {**{f"{prefix}_{name}": getattr(cs, name)
-               for name in ("J1", "J2", "J3", "J4", "residual")}, **extra}
+    return {**{f"{prefix}_{name}": getattr(cs, name) for name in _COUPLINGS},
+            **extra}
 
 
 def _row_for(u_of, trunc, branches):
@@ -170,7 +182,8 @@ def sweep_beta(p: CircuitParams, beta_grid, trunc=Truncations(),
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size == 0 or np.any(np.diff(beta_grid) <= 0):
         raise ValueError("beta grid must be non-empty and strictly increasing")
-    return _sweep("beta_c", "beta_c", [float(b) for b in beta_grid],
+    return _sweep(["beta_c", *_coupling_columns(branches)],
+                  [float(b) for b in beta_grid],
                   lambda b: _row_for(
                       lambda: derive_unitless(with_beta_c(p, b)), trunc,
                       branches))
@@ -194,7 +207,7 @@ def sweep_flux(p: CircuitParams, coupler_grid, qubit_offsets=None,
             lambda: derive_unitless(with_flux_offsets(p, off, qoff)), trunc,
             branches)
 
-    return _sweep("phi_cx_offset", "flux_offset",
+    return _sweep(["flux_offset", *_coupling_columns(branches)],
                   [float(off) for off in coupler_grid], row_of)
 
 
@@ -205,13 +218,14 @@ def compare_swt(p: CircuitParams, beta_grid, trunc=Truncations()) -> SweepResult
 
 def gap_scan(p: CircuitParams, beta_grid, trunc) -> SweepResult:
     """Gap diagnostics of the full spectrum versus beta_c."""
+    columns = ["beta_c", "delta_gap", "delta_max", "valid"]
+
     def point(b):
         spec, _ = spectral_system(derive_unitless(with_beta_c(p, b)), trunc)
         gd = gap_diagnostics(spec)
-        return {"delta_gap": gd.delta_gap, "delta_max": gd.delta_max,
-                "valid": gd.valid}
+        return {name: getattr(gd, name) for name in columns[1:]}
 
-    return _scan("beta_c", [float(b) for b in beta_grid], point)
+    return _scan(columns, [float(b) for b in beta_grid], point)
 
 
 def two_excitation_scan(p: CircuitParams, ratios, trunc) -> SweepResult:
@@ -221,15 +235,17 @@ def two_excitation_scan(p: CircuitParams, ratios, trunc) -> SweepResult:
     (through their inductive energy), and the six manifold levels are given
     relative to their mean.
     """
+    columns = ["omega_ratio", *(f"level_{k}" for k in range(6))]
+
     def point(r):
         u = derive_unitless(p)
         u.E_Lj = u.E_Lj * np.array([1.0, 1.0, r, r])
         spec, omega = spectral_system(u, trunc)
         levels = two_excitation_splitting(spec, np.full(4, omega.mean()))["levels"]
         levels = levels - levels.mean()
-        return {f"level_{k}": levels[k] for k in range(6)}
+        return {name: levels[k] for k, name in enumerate(columns[1:])}
 
-    return _scan("omega_ratio", [float(r) for r in ratios], point)
+    return _scan(columns, [float(r) for r in ratios], point)
 
 
 def find_special_point(p: CircuitParams, lo=0.05, hi=0.6, trunc=Truncations(),
@@ -348,5 +364,6 @@ def susceptibility(p: CircuitParams, parameter,
 
 def susceptibility_table(p: CircuitParams) -> SweepResult:
     """Every parameter's susceptibility, one row each."""
-    return _scan("parameter", SUSCEPTIBILITY_PARAMETERS,
+    return _scan([f.name for f in fields(Susceptibility)],
+                 SUSCEPTIBILITY_PARAMETERS,
                  lambda parameter: asdict(susceptibility(p, parameter)))

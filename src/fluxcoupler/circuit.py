@@ -196,26 +196,24 @@ REFERENCE = {"L_j": 817e-12, "C_j": 77e-15, "M_j": 40e-12, "L_c": 170e-12,
              "C_c": 407e-15, "beta_j": 1.1, "beta_c": 0.43}
 
 
-def reference_circuit(beta_c=REFERENCE["beta_c"], beta_j=REFERENCE["beta_j"],
-                      Phi_cx_offset=0.0,
-                      Phi_jx_offset=(0.0, 0.0, 0.0, 0.0)) -> CircuitParams:
+def circuit_from(values) -> CircuitParams:
+    """The circuit of REFERENCE-keyed values, each element value the same on
+    all four qubits, biased at the Phi_0/2 degeneracy point (flux offsets:
+    `analysis.with_flux_offsets`).  A critical current not given comes from
+    its screening parameter."""
+    L_j = np.full(4, values["L_j"])
+    M_j = np.full(4, values["M_j"])
+    I_cj = (np.full(4, values["I_cj"]) if "I_cj" in values else
+            critical_current_from_beta(np.full(4, values["beta_j"]), L_j))
+    I_cc = values["I_cc"] if "I_cc" in values else critical_current_from_beta(
+        values["beta_c"], rescaled_coupler_inductance(values["L_c"], M_j, L_j))
+    return CircuitParams(L_j=L_j, C_j=np.full(4, values["C_j"]), I_cj=I_cj,
+                         M_j=M_j, L_c=values["L_c"], C_c=values["C_c"],
+                         I_cc=I_cc)
+
+
+def reference_circuit(beta_c=REFERENCE["beta_c"],
+                      beta_j=REFERENCE["beta_j"]) -> CircuitParams:
     """The realizable parameter set used throughout (REFERENCE), with the
-    critical currents set from the requested screening parameters.  Flux
-    offsets are given relative to the Phi_0/2 degeneracy bias, in Wb.
-    """
-    L_j = np.full(4, REFERENCE["L_j"])
-    M_j = np.full(4, REFERENCE["M_j"])
-    L_c = REFERENCE["L_c"]
-    half = CONSTANTS.flux_quantum / 2.0
-    return CircuitParams(
-        L_j=L_j,
-        C_j=np.full(4, REFERENCE["C_j"]),
-        I_cj=critical_current_from_beta(np.full(4, beta_j), L_j),
-        M_j=M_j,
-        L_c=L_c,
-        C_c=REFERENCE["C_c"],
-        I_cc=critical_current_from_beta(
-            beta_c, rescaled_coupler_inductance(L_c, M_j, L_j)),
-        Phi_cx=half + Phi_cx_offset,
-        Phi_jx=half + np.asarray(Phi_jx_offset, dtype=float),
-    )
+    critical currents set from the requested screening parameters."""
+    return circuit_from({**REFERENCE, "beta_c": beta_c, "beta_j": beta_j})

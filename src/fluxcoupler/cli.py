@@ -1,4 +1,4 @@
-"""Config parsing, subcommand dispatch, and bit-stable CSV emission.
+"""Config parsing, the subcommand table, and bit-stable CSV emission.
 
 Config format: line-oriented sections with `key = value` entries,
 
@@ -10,13 +10,15 @@ Physical quantities require a unit; dimensionless ones forbid it.  Unknown
 keys, a key given twice in one section, a branch named twice, malformed or
 non-finite numbers, malformed grids, out-of-range integers, a critical
 current given with its screening parameter and circuit values that
-CircuitParams rejects are parse errors that name the line.
+CircuitParams rejects are parse errors that name the line.  The [circuit]
+values become a circuit through `circuit.circuit_from`.
 
 Subcommands: spectrum, sweep-beta, sweep-flux, susceptibility, compare-swt,
-gap-scan.  Each picks its grid, calls one `analysis` function, which runs
-and records every point, and writes one CSV with a `#` comment header (tool
-version plus the fully resolved config) and 12-significant-digit scientific
-rows with LF line endings, so identical configs give byte-identical files.
+gap-scan.  `_COMMANDS` gives each its `analysis` call and default grid; the
+call runs and records every point and returns a table that declares its own
+columns.  main writes it as one CSV with a `#` comment header (tool version
+plus the fully resolved config) and 12-significant-digit scientific rows
+with LF line endings, so identical configs give byte-identical files.
 A field holding a comma, a double quote or a line break is quoted (RFC 4180).
 """
 
@@ -28,8 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .circuit import (REFERENCE, CircuitParams, critical_current_from_beta,
-                      rescaled_coupler_inductance)
+from .circuit import REFERENCE, CircuitParams, circuit_from
 from .analysis import (BRANCHES, Truncations, sweep_beta, sweep_flux,
                        compare_swt, gap_scan, two_excitation_scan,
                        susceptibility_table)
@@ -92,9 +93,9 @@ def _parse_quantity(key, value, lineno):
         if unit not in _UNIT_SCALE:
             raise ConfigError(f"line {lineno}: unknown unit '{unit}' for '{key}'")
         return _number(num, lineno) * _UNIT_SCALE[unit]
-    if len(parts) != 1:
+    if len(parts) > 1:
         raise ConfigError(f"line {lineno}: '{key}' is dimensionless, no unit allowed")
-    return _number(parts[0], lineno)
+    return _number(value, lineno)
 
 
 def _parse_grid(text, lineno):
@@ -118,22 +119,9 @@ def _parse_grid(text, lineno):
     raise ConfigError(f"line {lineno}: malformed grid '{text}'")
 
 
-def _circuit_params(circ):
-    """The circuit of the resolved [circuit] values; a critical current not
-    given comes from its screening parameter."""
-    L_j = np.full(4, circ["L_j"])
-    M_j = np.full(4, circ["M_j"])
-    I_cj = (np.full(4, circ["I_cj"]) if "I_cj" in circ else
-            critical_current_from_beta(np.full(4, circ["beta_j"]), L_j))
-    I_cc = circ["I_cc"] if "I_cc" in circ else critical_current_from_beta(
-        circ["beta_c"], rescaled_coupler_inductance(circ["L_c"], M_j, L_j))
-    return CircuitParams(L_j=L_j, C_j=np.full(4, circ["C_j"]), I_cj=I_cj,
-                         M_j=M_j, L_c=circ["L_c"], C_c=circ["C_c"], I_cc=I_cc)
-
-
 def _builds(circ):
     try:
-        _circuit_params(circ)
+        circuit_from(circ)
     except ValueError:
         return False
     return True
@@ -175,7 +163,7 @@ def parse_config(text) -> RunConfig:
     for key, (value, lineno) in given.items():
         circ[key] = _parse_quantity(key, value, lineno)
     try:
-        params = _circuit_params(circ)
+        params = circuit_from(circ)
     except ValueError as exc:
         # name the given keys that fail on their own, with every other value
         # at its reference; if none does, it takes the given keys together
@@ -278,68 +266,31 @@ def write_csv(path, columns, rows, cfg: RunConfig, subcommand):
         fh.write(data)
 
 
-def _coupling_columns(branches):
-    """Each branch's six columns, then the branches' extra columns."""
-    return ([f"{BRANCHES[b][0]}_{name}" for b in branches
-             for name in ("J1", "J2", "J3", "J4", "residual", "status")]
-            + [col for b in branches for col in BRANCHES[b][2]])
-
-
-# default grids
 _BETA_GRID = 0.02 + 0.02 * np.arange(30)   # 0.02 .. 0.60
-_FLUX_GRID = -3e-3 + 2.5e-4 * np.arange(25)
-_GAP_GRID = 0.05 + 0.05 * np.arange(18)    # 0.05 .. 0.90
-_RATIO_GRID = 0.96 + 0.005 * np.arange(17)
 
-# Each subcommand picks its grid and calls analysis; it returns the CSV
-# columns and the SweepResult, which main writes.
-
-
-def cmd_sweep_beta(cfg):
-    res = sweep_beta(cfg.circuit, cfg.sweep.get("grid", _BETA_GRID),
-                     cfg.truncations, branches=cfg.branches)
-    return ["beta_c"] + _coupling_columns(cfg.branches), res
-
-
-def cmd_sweep_flux(cfg):
-    res = sweep_flux(cfg.circuit, cfg.sweep.get("grid", _FLUX_GRID),
-                     qubit_offsets=cfg.sweep.get("qubit_offsets"),
-                     common_mode=cfg.sweep.get("common_mode", False),
-                     trunc=cfg.truncations, branches=cfg.branches)
-    return ["flux_offset"] + _coupling_columns(cfg.branches), res
-
-
-def cmd_compare_swt(cfg):
-    res = compare_swt(cfg.circuit, cfg.sweep.get("grid", _BETA_GRID),
-                      cfg.truncations)
-    return ["beta_c"] + _coupling_columns(BRANCHES), res
-
-
-def cmd_gap_scan(cfg):
-    res = gap_scan(cfg.circuit, cfg.sweep.get("grid", _GAP_GRID),
-                   cfg.truncations)
-    return ["beta_c", "delta_gap", "delta_max", "valid", "status"], res
-
-
-def cmd_spectrum(cfg):
-    res = two_excitation_scan(cfg.circuit,
-                              cfg.sweep.get("ratio_grid", _RATIO_GRID),
-                              cfg.truncations)
-    return ["omega_ratio"] + [f"level_{k}" for k in range(6)] + ["status"], res
-
-
-def cmd_susceptibility(cfg):
-    return (["parameter", "chi_4J", "chi_2J", "normalization", "step",
-             "richardson_ok", "status"], susceptibility_table(cfg.circuit))
-
-
+# Each subcommand: its analysis call on the config and the grid, and the
+# [sweep] key and default of that grid.  main writes the SweepResult the
+# call returns under the columns it declares.
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "sweep-beta": cmd_sweep_beta,
-    "sweep-flux": cmd_sweep_flux,
-    "susceptibility": cmd_susceptibility,
-    "compare-swt": cmd_compare_swt,
-    "gap-scan": cmd_gap_scan,
+    "spectrum": (lambda cfg, ratios: two_excitation_scan(
+                     cfg.circuit, ratios, cfg.truncations),
+                 "ratio_grid", 0.96 + 0.005 * np.arange(17)),
+    "sweep-beta": (lambda cfg, grid: sweep_beta(
+                       cfg.circuit, grid, cfg.truncations, cfg.branches),
+                   "grid", _BETA_GRID),
+    "sweep-flux": (lambda cfg, grid: sweep_flux(
+                       cfg.circuit, grid, cfg.sweep.get("qubit_offsets"),
+                       cfg.sweep.get("common_mode", False), cfg.truncations,
+                       cfg.branches),
+                   "grid", -3e-3 + 2.5e-4 * np.arange(25)),
+    "susceptibility": (lambda cfg, _: susceptibility_table(cfg.circuit),
+                       None, None),
+    "compare-swt": (lambda cfg, grid: compare_swt(
+                        cfg.circuit, grid, cfg.truncations),
+                    "grid", _BETA_GRID),
+    "gap-scan": (lambda cfg, grid: gap_scan(
+                     cfg.circuit, grid, cfg.truncations),
+                 "grid", 0.05 + 0.05 * np.arange(18)),   # 0.05 .. 0.90
 }
 
 
@@ -364,10 +315,11 @@ def main(argv=None):
 
     try:
         os.makedirs(args.out, exist_ok=True)
-        columns, res = _COMMANDS[args.subcommand](cfg)
+        call, key, grid = _COMMANDS[args.subcommand]
+        res = call(cfg, cfg.sweep.get(key, grid))
         write_csv(os.path.join(args.out,
                                args.subcommand.replace("-", "_") + ".csv"),
-                  columns, res.rows, cfg, args.subcommand)
+                  res.columns, res.rows, cfg, args.subcommand)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

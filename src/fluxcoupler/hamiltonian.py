@@ -98,7 +98,7 @@ def _oscillator_ops(xi, stiffness, n_trunc):
     return h_harm, phi, r
 
 
-def build_coupler(u, n_trunc=40):
+def build_coupler(u, n_trunc):
     """Bare coupler H_c = E_Ltilde_c (4 xi_c^2 q^2/2 + (phi - phi_cx)^2/2 + beta_c cos phi).
 
     Expressed in the oscillator basis of the quadratic part.  Refuses
@@ -114,13 +114,13 @@ def build_coupler(u, n_trunc=40):
     return OperatorMatrix(u.E_Ltilde_c * h, "oscillator")
 
 
-def coupler_phase(u, n_trunc=40):
+def coupler_phase(u, n_trunc):
     """phi operator of the coupler in the same oscillator basis as build_coupler."""
     _, phi, _ = _oscillator_ops(u.xi_c, 1.0, n_trunc)
     return OperatorMatrix(phi, "oscillator")
 
 
-def build_qubit_bare(u, j, n_trunc=50):
+def build_qubit_bare(u, j, n_trunc):
     """Bare qubit H_j = E_Lj (4 xi^2 q^2/2 + (1+alpha^2)(phi - phi_jx)^2/2 + beta cos phi)."""
     xi = float(u.xi_j[j])
     alpha = float(u.alpha[j])
@@ -135,7 +135,7 @@ def build_qubit_bare(u, j, n_trunc=50):
     return OperatorMatrix(float(u.E_Lj[j]) * h, "oscillator")
 
 
-def qubit_phase(u, j, n_trunc=50):
+def qubit_phase(u, j, n_trunc):
     """phi operator of qubit j, matching build_qubit_bare's basis."""
     c = 1.0 + float(u.alpha[j])**2
     _, phi, _ = _oscillator_ops(float(u.xi_j[j]), c, n_trunc)
@@ -229,7 +229,7 @@ _FLIPS = [(z, z | 1 << (3 - j), j) for j in range(4) for z in range(16)
 _FLIP_LO, _FLIP_HI, _FLIP_QUBIT = (np.array(c) for c in zip(*_FLIPS))
 
 
-def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep=8):
+def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep):
     """Product-space Hamiltonian on 2^4 x n_keep dimensions.
 
     H = sum_j H_j + H_c

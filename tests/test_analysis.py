@@ -4,7 +4,8 @@ import pytest
 import fluxcoupler.analysis as analysis
 from fluxcoupler.analysis import (Truncations, compare_swt, couplings_point,
                                   find_special_point, gap_scan, spectral_point,
-                                  susceptibility, sweep_beta, sweep_flux,
+                                  susceptibility, susceptibility_table,
+                                  sweep_beta, sweep_flux, two_excitation_scan,
                                   with_beta_c, with_flux_offsets)
 from fluxcoupler.circuit import derive_unitless, reference_circuit
 
@@ -99,13 +100,36 @@ def test_sweep_beta_rows_and_determinism():
     grid = [0.2, 0.35]
     a = sweep_beta(p, grid, FAST)
     b = sweep_beta(p, grid, FAST)
-    assert a.swept == "beta_c"
+    assert a.columns[0] == "beta_c"
     assert [r["beta_c"] for r in a.rows] == grid
     for r in a.rows:
         assert r["spectral_status"] == "ok"
     # bit-identical repeat runs
     for key in ("spectral_J2", "spectral_J4", "delta_gap"):
         assert np.array_equal(a.column(key), b.column(key))
+
+
+def test_every_table_declares_its_columns():
+    # each subcommand's table, one grid point each: a row holds no column
+    # its table leaves out (the CSV writer would drop it), and a row whose
+    # every status is ok holds every declared column (none is always nan)
+    p = reference_circuit()
+    branches = tuple(analysis.BRANCHES)
+    tables = {
+        "sweep-beta": sweep_beta(p, [0.43], FAST, branches),
+        "sweep-flux": sweep_flux(p, [1e-3], trunc=FAST, branches=branches),
+        "compare-swt": compare_swt(p, [0.43], FAST),
+        "gap-scan": gap_scan(p, [0.43], FAST),
+        "spectrum": two_excitation_scan(p, [1.0], FAST),
+        "susceptibility": susceptibility_table(p),
+    }
+    for name, res in tables.items():
+        assert len(set(res.columns)) == len(res.columns), name
+        for row in res.rows:
+            assert set(row) <= set(res.columns), name
+            assert all(row[col] == "ok" for col in res.columns
+                       if col.endswith("status")), name
+            assert set(row) == set(res.columns), name
 
 
 def test_sweep_beta_error_rows_stay_in_band():

@@ -2,11 +2,13 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fluxcoupler.circuit import CircuitParams, reference_circuit
 from fluxcoupler.cli import (ConfigError, _format_value, _parse_grid, main,
                              parse_config)
 
@@ -15,8 +17,10 @@ from fluxcoupler.cli import (ConfigError, _format_value, _parse_grid, main,
 
 def test_parse_defaults_to_reference_circuit():
     cfg = parse_config("")
-    assert cfg.circuit.L_c == pytest.approx(170e-12)
-    assert np.allclose(cfg.circuit.L_j, 817e-12)
+    ref = reference_circuit()
+    for f in fields(CircuitParams):
+        assert np.array_equal(getattr(cfg.circuit, f.name),
+                              getattr(ref, f.name)), f.name
     assert cfg.truncations.qubit_states == 50
     assert cfg.truncations.coupler_states == 40
     assert cfg.truncations.n_keep == 8
@@ -55,6 +59,7 @@ beta_c = 0.25  # inline
     ("[circuit]\nL_j = 817 lightyears", "line 2: unknown unit"),
     ("[circuit]\nbeta_c = 0.3 pH", "line 2: 'beta_c' is dimensionless"),
     ("[circuit]\nbeta_c = abc", "line 2: malformed number"),
+    ("[circuit]\nbeta_c =", "line 2: malformed number ''"),
     ("[nonsense]\n", "line 1: unknown section"),
     ("beta_c = 0.3\n", "line 1: entry before any [section]"),
     ("[circuit]\nbeta_c 0.3", "line 2: expected 'key = value'"),

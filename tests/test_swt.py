@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fluxcoupler import swt as swt_module
-from fluxcoupler.circuit import CONSTANTS, derive_unitless, reference_circuit
+from fluxcoupler.analysis import with_flux_offsets
+from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (IsingModel, assemble_full,
                                      assemble_ising_model, build_coupler,
                                      build_qubit_bare, coupler_eigenbasis,
@@ -327,9 +328,8 @@ def test_numerical_swt_sees_the_spectral_hamiltonian(monkeypatch,
     # change of basis to the SWT's bare frame (qubit energy basis x coupler
     # eigenbasis).  The comparison is made in the bare frame, element by
     # element, so that a change to one element of V is not spread thin.
-    phi0 = CONSTANTS.flux_quantum
-    u = derive_unitless(reference_circuit(
-        beta_c=0.43, Phi_jx_offset=tuple(phi0 * x for x in qubit_offsets)))
+    u = derive_unitless(with_flux_offsets(reference_circuit(beta_c=0.43),
+                                          qubit_offsets=qubit_offsets))
     qubits, coupler = _system(u)
     if any(qubit_offsets):
         assert all(abs(q.phi2[0, 0]) > 1e-6 for q in qubits)
@@ -398,13 +398,8 @@ def test_block_recursion_on_the_circuit(monkeypatch, beta_c, coupler_offset,
     # offsets (those of test_numerical_swt_sees_the_spectral_hamiltonian);
     # with the common-mode flux offset of the last case the top of P lies
     # 4.3 GHz above the bottom of Q
-    kw = {}
-    if qubit_offsets is not None:
-        kw["Phi_jx_offset"] = tuple(CONSTANTS.flux_quantum * x
-                                    for x in qubit_offsets)
-    u = derive_unitless(reference_circuit(
-        beta_c=beta_c, Phi_cx_offset=CONSTANTS.flux_quantum * coupler_offset,
-        **kw))
+    u = derive_unitless(with_flux_offsets(reference_circuit(beta_c=beta_c),
+                                          coupler_offset, qubit_offsets))
     h0, V, block0 = _captured_swt_inputs(monkeypatch, u)
     assert h0.size == 640 and block0.sum() == 16
     if coupler_offset:
