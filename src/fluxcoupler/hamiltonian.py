@@ -12,7 +12,9 @@ frame: each qubit in its energy basis, the coupler in its own eigenbasis
 (coupler_eigenbasis, bare_frame).  The spectral path (assemble_full) reads it
 in a coupler basis adapted to each z: the displaced coupler states chi_n(z) of
 Irish, PRL 99, 173601 (2007), kept per configuration as a local basis
-reduction.
+reduction.  The bare frame carries the interaction by its Kronecker factors,
+16 x 16 on the qubits and n_c x n_c on the coupler, and never as a product-
+space matrix.
 
 All assembled operators carry units of Hz (energy/h).
 """
@@ -213,12 +215,13 @@ def bare_frame(qubits, u, e_c, phi_c):
     """The product-space Hamiltonian in the bare frame (each qubit in its
     energy basis, the coupler in its eigenbasis: levels e_c, phase phi_c),
     split into the diagonal h0 = sum_j H_j + H_c and the interaction
-        V = (R diag(direct) R^T) (x) 1 + (R diag(force) R^T) (x) phi_c
-    of qubit_configurations.  Returns (h0, V, R)."""
+        V = A (x) 1 + F (x) phi_c,
+        A = R diag(direct) R^T,  F = R diag(force) R^T
+    of qubit_configurations, carried by its factors and never formed.
+    Returns (h0, (A, F, phi_c), R)."""
     R, _, force, direct = qubit_configurations(qubits, u)
     h0 = np.add.outer(_configuration_sum([np.diag(q.h2) for q in qubits]), e_c)
-    V = np.kron(R @ (direct[:, None] * R.T), np.eye(e_c.size))
-    V += np.kron(R @ (force[:, None] * R.T), phi_c)
+    V = (R @ (direct[:, None] * R.T), R @ (force[:, None] * R.T), phi_c)
     return h0.ravel(), V, R
 
 

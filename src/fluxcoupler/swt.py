@@ -6,9 +6,10 @@ Pauli-string decomposition of effective Hamiltonians that every numerical
 branch reads its couplings from (ising_couplings).
 
 The numerical SWT carries each operator of its generator recursion by its
-low-high (PQ) block alone, since every one is Hermitian or anti-Hermitian.
-Of its products only two, S1 V_QQ and S2 V_QQ, are 16 x 624 by 624 x 624 on
-the 640-state circuit; the rest are 16 x 16 or 16 x 624 by 624 x 16.
+low-high (PQ) block alone, since every one is Hermitian or anti-Hermitian,
+and the interaction V by its Kronecker factors (hamiltonian.bare_frame), so
+no 640 x 640 matrix is formed: its largest operands are 16 x 624.  It
+refuses a point whose series has not converged (MAX_ORDER_RATIO).
 """
 
 from dataclasses import dataclass, field
@@ -120,11 +121,13 @@ def _cross_block_gaps(energies, block0):
     return gaps
 
 
-def swt_effective_block(h0_diag, V, block0):
+def swt_effective_block(h0_diag, A, F, phi_c):
     """4th-order SWT effective Hamiltonian on the low block.
 
-    h0_diag: unperturbed diagonal energies; V: Hermitian perturbation;
-    block0: boolean mask of the low-energy block P (Q is the rest).
+    h0_diag: unperturbed diagonal energies of the n_z x n_c product states
+    (z, n), configuration z slowest; the Hermitian perturbation is
+    V = A (x) 1 + F (x) phi_c, with A and F n_z x n_z and phi_c n_c x n_c, and
+    the low block P holds the states (z, 0), Q the rest.
     Generator:
       S1 = L(V_od)
       S2 = -L([V_d, S1])
@@ -137,30 +140,68 @@ def swt_effective_block(h0_diag, V, block0):
     transpose (Bravyi, DiVincenzo & Loss, Ann. Phys. 326, 2793 (2011)).  L
     divides a PQ block by G = E_P - E_Q.  The block-diagonal [S1, V_od] is
     never formed: X's PQ block is S1 W_QQ - W_PP S1, with S1 W_QQ written
-    through |P| x |P| products.  Only S1 V_QQ and S2 V_QQ are |P| x |Q| by
-    |Q| x |Q| products: 25 of the 29 Mflop of a call with |P| = 16 of 640
-    states.  A V that is not Hermitian is refused (ValueError).
+    through |P| x |P| products.  V itself is never formed either: V_PP =
+    A + phi_c[0, 0] F, V_PQ = F (x) phi_c[0, 1:], and a PQ block Y, read as
+    (z, z', n), meets V_QQ as Y A + (Y F) phi_c[1:, 1:], A and F acting on
+    its index z' and phi_c[1:, 1:] on n.  On the circuit (n_z = 16,
+    n_c = 40) no operand is larger than 16 x 624.  A factor that is not
+    Hermitian is refused (ValueError), and so is a series that has not
+    converged (RuntimeError, see MAX_ORDER_RATIO).
     """
-    check_hermitian(V)
-    block0 = np.asarray(block0, dtype=bool)
+    for factor in (A, F, phi_c):
+        check_hermitian(factor)
+    n_z, n_c = len(A), len(phi_c)
+    block0 = np.arange(len(h0_diag)) % n_c == 0
     G = _cross_block_gaps(h0_diag, block0)
-    P, Q = np.flatnonzero(block0), np.flatnonzero(~block0)
-    Vpp, Vqq, Vpq = V[np.ix_(P, P)], V[np.ix_(Q, Q)], V[np.ix_(P, Q)]
+    phi_qq = phi_c[1:, 1:]
+    Vpp = A + phi_c[0, 0] * F
+    Vpq = (F[:, :, None] * phi_c[0, 1:]).reshape(n_z, -1)
 
-    def H(A):
-        return A.conj().T
+    def H(Y):
+        return Y.conj().T
+
+    def times_Vqq(Y):
+        # Y V_QQ for a PQ block Y read as (z, z', n): A and F act on z',
+        # phi_qq on n
+        Y = Y.reshape(n_z, n_z, n_c - 1)
+        return (A.T @ Y + (F.T @ Y) @ phi_qq).reshape(n_z, -1)
 
     S1 = Vpq / G
-    S2 = -(Vpp @ S1 - S1 @ Vqq) / G
+    S2 = -(Vpp @ S1 - times_Vqq(S1)) / G
     # [S1, V_od] has the PP block W and the QQ block -S1^H Vpq - Vpq^H S1
     W = S1 @ H(Vpq) + Vpq @ H(S1)
     X = -(S1 @ H(S1)) @ Vpq - (S1 @ H(Vpq)) @ S1 - W @ S1
-    S3 = (-(Vpp @ S2 - S2 @ Vqq) + A2 * X) / G
+    S3 = (-(Vpp @ S2 - times_Vqq(S2)) + A2 * X) / G
     S = S1 + S2 + S3
+    triple = B3 * (S1 @ H(X) + X @ H(S1))
+    # the 2nd-order low block is b1 W, the 4th-order one b1 [S3, V_od] + triple
+    _check_convergence(B1 * W, B1 * (S3 @ H(Vpq) + Vpq @ H(S3)) + triple)
     # P V_od P vanishes by construction, so the first-order low block is V_PP
-    block = np.diag(np.asarray(h0_diag)[block0]).astype(V.dtype) + Vpp \
-        + B1 * (S @ H(Vpq) + Vpq @ H(S)) + B3 * (S1 @ H(X) + X @ H(S1))
+    block = np.diag(np.asarray(h0_diag)[block0]).astype(Vpq.dtype) + Vpp \
+        + B1 * (S @ H(Vpq) + Vpq @ H(S)) + triple
     return (block + H(block)) / 2.0
+
+
+# The series runs in powers of (V/gap)^2, and ||H4|| / ||H2|| estimates that
+# ratio.  Above 1/4 the omitted 6th order, about the ratio times H4, is no
+# longer small against the 4th order that carries J4, so the point is
+# refused.  The default beta_c grid peaks at 0.14.  A ratio below the
+# threshold does not make J4 right: at beta_c 0.43 it is 0.07, and the
+# 4th-order J4 has the wrong sign there (README).
+MAX_ORDER_RATIO = 0.25
+
+
+def _check_convergence(h2, h4):
+    """Refuse a low block whose trace-free 4th-order part h4 exceeds
+    MAX_ORDER_RATIO of its trace-free 2nd-order part h2 (spectral norms)."""
+    def norm(h):
+        return np.linalg.norm(h - np.trace(h) / len(h) * np.eye(len(h)), 2)
+
+    n2, n4 = norm(h2), norm(h4)
+    if n4 > MAX_ORDER_RATIO * n2:
+        raise RuntimeError(
+            f"SWT series not converged: ||H4||/||H2|| = {n4 / n2:.3g} "
+            f"> {MAX_ORDER_RATIO}")
 
 
 def numerical_swt(u, qubits, coupler: OperatorMatrix):
@@ -168,11 +209,11 @@ def numerical_swt(u, qubits, coupler: OperatorMatrix):
 
     Takes the product space in the bare frame from hamiltonian.bare_frame:
     the diagonal h0 (qubit splittings + exact coupler levels) and the
-    interaction V (direct pair term + qubit-coupler term), written from the
-    same qubit configurations that assemble_full reads.  Partitions it on
-    coupler ground vs rest, runs the generator recursion, rotates the 16x16
-    low block with the configurations' R into the persistent-current frame
-    and Pauli-decomposes it.
+    interaction V (direct pair term + qubit-coupler term) by its Kronecker
+    factors, written from the same qubit configurations that assemble_full
+    reads.  Partitions it on coupler ground vs rest, runs the generator
+    recursion, rotates the 16x16 low block with the configurations' R into
+    the persistent-current frame and Pauli-decomposes it.
     """
     e_c, phi_c = coupler_eigenbasis(coupler, u)
 
@@ -182,8 +223,7 @@ def numerical_swt(u, qubits, coupler: OperatorMatrix):
                            "SWT convergence lost")
 
     h0, V, R = bare_frame(qubits, u, e_c, phi_c)
-    block0 = np.arange(h0.size) % e_c.size == 0
-    block = swt_effective_block(h0, V, block0)
+    block = swt_effective_block(h0, *V)
 
     h_eff = OperatorMatrix(R.T @ block @ R, "ising_pc")
     return h_eff, ising_couplings(h_eff, "numerical_swt")

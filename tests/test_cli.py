@@ -216,13 +216,14 @@ def test_failed_points_keep_their_rows(tmp_path, subcommand):
 
 
 def test_error_status_with_a_comma_stays_in_its_field(tmp_path):
-    # at ten times the coupler capacitance the numerical SWT loses its gap
-    # at beta_c = 0.9, and its message holds a comma
+    # at 3.7 times the coupler capacitance the numerical SWT converges at
+    # beta_c = 0.02 and loses its gap at beta_c = 0.95, and that message
+    # holds a comma
     cfg = _write(tmp_path, FAST_TRUNC + """
 [circuit]
-C_c = 4070 fF
+C_c = 1500 fF
 [sweep]
-grid = 0.43, 0.9
+grid = 0.02, 0.95
 [extraction]
 branches = numerical_swt
 """)
@@ -330,6 +331,27 @@ grid = 0.3
     cols = [l for l in text.splitlines() if l.startswith("# columns:")][0]
     for prefix in ("spectral", "analytic", "numswt"):
         assert f"{prefix}_J4" in cols
+
+
+def test_compare_swt_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the default compare-swt, run with one and with two OpenBLAS threads,
+    # must write the same bytes; every default point stays within the
+    # numerical SWT's convergence threshold
+    src = Path(__file__).resolve().parents[1] / "src"
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / threads
+        out.mkdir()
+        subprocess.run([sys.executable, "-m", "fluxcoupler.cli", "compare-swt",
+                        "--out", str(out)], env=env, check=True,
+                       capture_output=True, timeout=300)
+    one, two = ((tmp_path / t / "compare_swt.csv").read_bytes()
+                for t in ("1", "2"))
+    assert one == two
+    _, columns, rows = _read_csv(tmp_path / "1" / "compare_swt.csv")
+    status = [r[columns.index("numswt_status")] for r in rows]
+    assert status == ["ok"] * 30
 
 
 def test_extra_columns_follow_the_branches(tmp_path):

@@ -96,38 +96,56 @@ def test_linear_map_L_degenerate_raises():
 
 
 def test_engine_two_level_oracle():
-    # H0 = diag(0, D), V = g X: low block = -g^2/D + g^4/D^3 at 4th order
+    # H0 = diag(0, D), V = g X: low block = -g^2/D + g^4/D^3 at 4th order;
+    # one configuration, so V = [[g]] (x) X
     D, g = 1.0, 0.05
-    V = np.array([[0.0, g], [g, 0.0]])
-    got = swt_effective_block(np.array([0.0, D]), V,
-                              np.array([True, False]))[0, 0]
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    got = swt_effective_block(np.array([0.0, D]), np.zeros((1, 1)),
+                              np.array([[g]]), X)[0, 0]
     assert got == pytest.approx(-g**2 / D + g**4 / D**3, abs=1e-12)
     # and within O(g^6/D^5) of the exact eigenvalue
     exact = D / 2.0 - np.sqrt(D**2 / 4.0 + g**2)
     assert got == pytest.approx(exact, abs=5 * g**6 / D**5)
 
 
-def test_engine_generic_small_matrix():
-    # random Hermitian perturbation: 4th-order engine error is O(eps^5)
-    rng = np.random.default_rng(0)
-    n, nlow = 8, 3
-    h0 = np.sort(rng.uniform(0, 1, n))
-    h0[nlow:] += 3.0
-    block0 = np.array([True] * nlow + [False] * (n - nlow))
+def _hermitian(rng, n, complex_v=False):
     A = rng.normal(size=(n, n))
-    V0 = (A + A.T) / 2.0
+    if complex_v:
+        A = A + 1j * rng.normal(size=(n, n))
+    return (A + A.conj().T) / 2.0
+
+
+def _random_swt_case(seed, n_z, n_c, complex_v):
+    """Coupler ground states near 0, the others near 3, and the Hermitian
+    factors A, F and phi of V = A (x) 1 + F (x) phi."""
+    rng = np.random.default_rng(seed)
+    h0 = rng.uniform(0, 1, (n_z, n_c))
+    h0[:, 1:] += 3.0
+    A, F = (0.1 * _hermitian(rng, n_z, complex_v) for _ in range(2))
+    return h0.ravel(), A, F, _hermitian(rng, n_c, complex_v)
+
+
+def _dense_v(A, F, phi):
+    return np.kron(A, np.eye(len(phi))) + np.kron(F, phi)
+
+
+def test_engine_generic_small_matrix():
+    # random Hermitian factors: 4th-order engine error is O(eps^5)
+    h0, A, F, phi = _random_swt_case(0, 3, 4, False)
+    block0 = np.arange(h0.size) % 4 == 0
+    V0 = _dense_v(A, F, phi)
 
     def err(eps):
-        h_eff = swt_effective_block(h0, eps * V0, block0)
+        h_eff = swt_effective_block(h0, eps * A, eps * F, phi)
         ev, vec = np.linalg.eigh(np.diag(h0) + eps * V0)
         w = np.sum(vec[block0, :] ** 2, axis=0)
-        idx = np.argsort(w)[::-1][:nlow]
+        idx = np.argsort(w)[::-1][:3]
         W = vec[:, idx][block0, :]
         gw, gv = np.linalg.eigh(W.T @ W)
         X = W @ gv @ np.diag(gw ** -0.5) @ gv.T
         return np.linalg.norm(h_eff - X @ np.diag(ev[idx]) @ X.T)
 
-    eps = np.geomspace(3e-3, 1e-2, 5)
+    eps = np.geomspace(3e-2, 1e-1, 5)
     errs = np.array([err(e) for e in eps])
     slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
     assert slope == pytest.approx(5.0, abs=0.2)
@@ -140,44 +158,63 @@ def test_one_qubit_toy_halving():
     assert e1 / e2 >= 16.0
 
 
-def _random_swt_case(seed, n, low, complex_v):
-    """Low states `low` near 0, the others near 3, and a Hermitian V."""
-    rng = np.random.default_rng(seed)
-    block0 = np.zeros(n, dtype=bool)
-    block0[low] = True
-    h0 = rng.uniform(0, 1, n) + 3.0 * ~block0
-    A = rng.normal(size=(n, n))
-    if complex_v:
-        A = A + 1j * rng.normal(size=(n, n))
-    return h0, 0.1 * (A + A.conj().T) / 2.0, block0
-
-
 @pytest.mark.parametrize("complex_v", [False, True])
 @pytest.mark.parametrize("low", [[0, 1, 2], [1, 4, 6], [7, 2], [0, 3, 5, 9]])
 def test_block_recursion_matches_the_dense_one(low, complex_v):
-    # contiguous and scattered low blocks, real and complex perturbations
-    h0, V, block0 = _random_swt_case(len(low), 10, low, complex_v)
-    got = swt_effective_block(h0, V, block0)
-    want = dense_swt_effective_block(h0, V, block0)
+    # random real and complex Hermitian factors, one configuration per entry
+    # of `low`, against the dense recursion on the Kronecker-built V.  The
+    # dense basis is permuted so that the coupler ground state of
+    # configuration z sits at position low[z]: contiguous, scattered and
+    # out-of-order low blocks
+    n_c = 4
+    h0, A, F, phi = _random_swt_case(len(low), len(low), n_c, complex_v)
+    got = swt_effective_block(h0, A, F, phi)
+    n = h0.size
+    ground = np.arange(n) % n_c == 0
+    block0 = np.isin(np.arange(n), low)
+    order = np.empty(n, dtype=int)
+    order[low] = np.flatnonzero(ground)
+    order[~block0] = np.flatnonzero(~ground)
+    want = dense_swt_effective_block(h0[order],
+                                     _dense_v(A, F, phi)[np.ix_(order, order)],
+                                     block0)
+    rank = np.argsort(np.argsort(low))
+    want = want[np.ix_(rank, rank)]
     assert got.dtype == want.dtype
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-14 * np.linalg.norm(want, 2))
 
 
 def test_degenerate_cross_block_pair_raises():
-    h0, V, block0 = _random_swt_case(0, 8, [1, 4], False)
+    h0, A, F, phi = _random_swt_case(0, 2, 4, False)
     h0[6] = h0[4] * (1.0 + 1e-15)
     with pytest.raises(ZeroDivisionError, match="degenerate cross-block"):
-        swt_effective_block(h0, V, block0)
+        swt_effective_block(h0, A, F, phi)
 
 
 def test_anti_hermiticity_check_is_live():
     # every generator is carried by its PQ block on the promise that V is
-    # Hermitian, so a V that is not is refused at the input
-    h0, V, block0 = _random_swt_case(0, 8, [1, 4], False)
-    V[1, 5] += 0.01
-    with pytest.raises(ValueError, match="not Hermitian"):
-        swt_effective_block(h0, V, block0)
+    # Hermitian, so a factor that is not is refused at the input
+    h0, *factors = _random_swt_case(0, 2, 4, False)
+    for k in range(3):
+        bad = [x.copy() for x in factors]
+        bad[k][0, 1] += 0.01
+        with pytest.raises(ValueError, match="not Hermitian"):
+            swt_effective_block(h0, *bad)
+
+
+def test_series_that_has_not_converged_is_refused():
+    # the two-level oracle on configuration 0 of two, V = diag(g, 0) (x) X:
+    # the trace-free low block has ||H2|| = g^2/(2D) and ||H4|| = g^4/(2D^3),
+    # so the ratio is (g/D)^2, 0.36 at g/D = 0.6 and 0.16 at 0.4
+    D = 1.0
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    h0 = np.array([0.0, D, 0.0, D])
+    with pytest.raises(RuntimeError,
+                       match=r"not converged: .* = 0\.36 > 0\.25"):
+        swt_effective_block(h0, np.zeros((2, 2)), np.diag([0.6, 0.0]), X)
+    got = swt_effective_block(h0, np.zeros((2, 2)), np.diag([0.4, 0.0]), X)
+    assert got[0, 0] == pytest.approx(-0.4**2 / D + 0.4**4 / D**3, rel=1e-12)
 
 
 # ------------------------------------------------- prefactors and closed forms
@@ -322,8 +359,9 @@ def test_numerical_swt_gap_collapse():
                                            (1e-3, -2e-3, 1.5e-3, 5e-4)])
 def test_numerical_swt_sees_the_spectral_hamiltonian(monkeypatch,
                                                      qubit_offsets):
-    # the SWT's H0 + V must be the product-space operator that assemble_full
-    # gives the spectral path.  assemble_full writes it in per-configuration
+    # the SWT's H0 + V, with V rebuilt from the factors the engine is given,
+    # must be the product-space operator that assemble_full gives the
+    # spectral path.  assemble_full writes it in per-configuration
     # coupler states; at n_keep = coupler_states its frame is a unitary
     # change of basis to the SWT's bare frame (qubit energy basis x coupler
     # eigenbasis).  The comparison is made in the bare frame, element by
@@ -335,13 +373,13 @@ def test_numerical_swt_sees_the_spectral_hamiltonian(monkeypatch,
         assert all(abs(q.phi2[0, 0]) > 1e-6 for q in qubits)
     seen = {}
 
-    def capture(h0_diag, V, block0):
-        seen.update(h0=h0_diag, V=V, block0=block0)
-        return swt_effective_block(h0_diag, V, block0)
+    def capture(h0_diag, *factors):
+        seen.update(h0=h0_diag, factors=factors)
+        return swt_effective_block(h0_diag, *factors)
 
     monkeypatch.setattr(swt_module, "swt_effective_block", capture)
     numerical_swt(u, qubits, coupler)
-    H = np.diag(seen["h0"]) + seen["V"]
+    H = np.diag(seen["h0"]) + _dense_v(*seen["factors"])
     n_c = coupler.data.shape[0]
     full = assemble_full(qubits, coupler, u, n_keep=n_c)
     W = full.frame.isometry()
@@ -354,8 +392,7 @@ def test_numerical_swt_sees_the_spectral_hamiltonian(monkeypatch,
     np.testing.assert_allclose(carried, H, rtol=0, atol=tol)
     np.testing.assert_allclose(W.T @ H @ W, full.data, rtol=0, atol=tol)
     # the SWT's low block is H0 + V's bare coupler-ground block
-    low = np.flatnonzero(seen["block0"])
-    np.testing.assert_array_equal(low, np.arange(0, H.shape[0], n_c))
+    low = np.arange(0, H.shape[0], n_c)
     np.testing.assert_allclose(carried[np.ix_(low, low)], H[np.ix_(low, low)],
                                rtol=0, atol=tol)
     # both paths read one description of the interaction, so it is checked
@@ -368,17 +405,18 @@ def test_numerical_swt_sees_the_spectral_hamiltonian(monkeypatch,
 
 
 def _captured_swt_inputs(monkeypatch, u):
-    """The (h0, V, block0) that numerical_swt hands to swt_effective_block."""
-    seen = {}
+    """The (h0, A, F, phi_c) that numerical_swt hands to
+    swt_effective_block."""
+    seen = []
 
-    def capture(h0_diag, V, block0):
-        seen.update(h0=h0_diag, V=V, block0=block0)
-        return swt_effective_block(h0_diag, V, block0)
+    def capture(*args):
+        seen.extend(args)
+        return swt_effective_block(*args)
 
     with monkeypatch.context() as m:
         m.setattr(swt_module, "swt_effective_block", capture)
         numerical_swt(u, *_system(u))
-    return seen["h0"], seen["V"], seen["block0"]
+    return seen
 
 
 _OFFSETS = (1e-3, -2e-3, 1.5e-3, 5e-4)
@@ -394,20 +432,36 @@ _OFFSETS = (1e-3, -2e-3, 1.5e-3, 5e-4)
 def test_block_recursion_on_the_circuit(monkeypatch, beta_c, coupler_offset,
                                         qubit_offsets):
     # the block recursion against the dense one on the circuit's own
-    # 640-state H0 and V, at weak and strong screening and with qubit flux
-    # offsets (those of test_numerical_swt_sees_the_spectral_hamiltonian);
+    # 640-state H0 and the V built from its factors, at weak and strong
+    # screening and with qubit flux offsets (those of
+    # test_numerical_swt_sees_the_spectral_hamiltonian);
     # with the common-mode flux offset of the last case the top of P lies
     # 4.3 GHz above the bottom of Q
     u = derive_unitless(with_flux_offsets(reference_circuit(beta_c=beta_c),
                                           coupler_offset, qubit_offsets))
-    h0, V, block0 = _captured_swt_inputs(monkeypatch, u)
+    h0, A, F, phi = _captured_swt_inputs(monkeypatch, u)
+    block0 = np.arange(h0.size) % len(phi) == 0
     assert h0.size == 640 and block0.sum() == 16
     if coupler_offset:
         assert np.max(h0[block0]) - np.min(h0[~block0]) > 4e9
-    got = swt_effective_block(h0, V, block0)
-    want = dense_swt_effective_block(h0, V, block0)
+    got = swt_effective_block(h0, A, F, phi)
+    want = dense_swt_effective_block(h0, _dense_v(A, F, phi), block0)
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-14 * np.linalg.norm(want, 2))
+
+
+def test_unconverged_flux_point_is_an_error_row():
+    # common-mode flux offsets drive the 4th-order series out of its range:
+    # ||H4|| / ||H2|| is 0.15 at +2.5 mPhi0, kept, and 0.55 at +3 mPhi0,
+    # where the series gave J4 = -214 MHz against the spectral -37 MHz
+    from fluxcoupler.analysis import sweep_flux
+    out = sweep_flux(reference_circuit(), [2.5e-3, 3e-3],
+                     qubit_offsets=_OFFSETS, common_mode=True,
+                     branches=("numerical_swt",))
+    kept, refused = out.column("numswt_status")
+    assert kept == "ok"
+    assert refused == ("error: SWT series not converged: "
+                       "||H4||/||H2|| = 0.55 > 0.25")
 
 
 # ------------------------------------------------- Pauli decomposition

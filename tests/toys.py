@@ -60,10 +60,12 @@ def _block_split(x, block0):
 
 
 def dense_swt_effective_block(h0_diag, V, block0):
-    """The 4th-order SWT recursion with full-size dense commutators.
+    """The 4th-order SWT recursion with full-size dense commutators, on a
+    dense V and any low block (boolean mask block0).
 
     The reference for swt.swt_effective_block, which carries the same
-    recursion in block form:
+    recursion in block form, with V = A (x) 1 + F (x) phi_c by its factors
+    and the low block the coupler ground state of each configuration:
       S1 = L(V_od)
       S2 = -L([V_d, S1])
       S3 = -L([V_d, S2]) + a2 L([S1, [S1, V_od]])
@@ -110,11 +112,11 @@ def one_qubit_toy_error(alpha_eff, phi_cx=0.05, phi_jx=0.005, beta_c=0.2,
     e_c = ev_c - ev_c[0]
     phi_c = vec_c.T @ coupler_phase(u, n_c).data @ vec_c
     h0 = np.concatenate([np.diag(q.h2)[0] + e_c, np.diag(q.h2)[1] + e_c])
-    V = np.kron(q.phi2, phi_c) * u.E_Ltilde_c * alpha_eff
-    block0 = np.array([(i % n_c) == 0 for i in range(2 * n_c)])
-    h_eff = swt_effective_block(h0, V, block0)
+    F = q.phi2 * u.E_Ltilde_c * alpha_eff
+    h_eff = swt_effective_block(h0, np.zeros((2, 2)), F, phi_c)
 
-    H = np.diag(h0) + V
+    H = np.diag(h0) + np.kron(F, phi_c)
+    block0 = np.arange(2 * n_c) % n_c == 0
     ev, vec = np.linalg.eigh(H)
     w = np.sum(vec[block0, :] ** 2, axis=0)
     idx = np.argsort(w)[::-1][:2]
@@ -176,18 +178,13 @@ def linear_coupler_toy(g, delta, omega=0.0, n_c=25):
     k = np.arange(1, n_c)
     a[k - 1, k] = np.sqrt(k)
     x = a + a.T
-    ops0 = [_I2] * 4 + [np.eye(n_c)]
 
-    # pc-frame Z_j is the flip operator in the qubit energy basis
+    # pc-frame Z_j is the flip operator in the qubit energy basis, so
+    # V = (g sum_j flip_j) (x) (a + a^dag)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    V = np.zeros((dims, dims))
-    for j in range(4):
-        ops = list(ops0)
-        ops[j] = flip
-        ops[4] = g * x
-        V += kron_all(ops)
-    block0 = np.array([(i % n_c) == 0 for i in range(dims)])
-    block = swt_effective_block(h0, V, block0)
+    F = g * sum(kron_all([flip if i == j else _I2 for i in range(4)])
+                for j in range(4))
+    block = swt_effective_block(h0, np.zeros((16, 16)), F, x)
     # rotate energy basis -> pc frame (Hadamard per qubit maps flip -> Z)
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     U = kron_all([had] * 4)
