@@ -12,20 +12,24 @@ strings.
 
 import numpy as np
 
-from fluxcoupler.analysis import Truncations, spectral_point
-from fluxcoupler.circuit import derive_unitless, reference_circuit, validate_regime
+from fluxcoupler.analysis import Truncations, build_system, spectral_point
+from fluxcoupler.circuit import derive_unitless, reference_circuit
+from fluxcoupler.hamiltonian import coupler_eigenbasis
 from fluxcoupler.spectrum import GAP_THRESHOLD
 
 u = derive_unitless(reference_circuit(beta_c=0.43))
-report = validate_regime(u)
+# the hierarchy the numerical SWT checks: the coupler's first excitation
+# above every bare qubit splitting
+qubits, coupler = build_system(u, Truncations())
+e_c, _ = coupler_eigenbasis(coupler, u)
 print("unitless parameters at the reference point")
 print(f"  alpha        = {np.mean(u.alpha):.5f}")
 print(f"  xi_c         = {u.xi_c:.6f}")
 print(f"  beta_c       = {u.beta_c:.3f}")
 print(f"  E_Ltilde_c   = {u.E_Ltilde_c / 1e12:.4f} THz")
-print(f"  regime flags : double well {report.qubit_double_well}, "
-      f"single well {report.coupler_single_well}, "
-      f"hierarchy {report.hierarchy}")
+print(f"  hierarchy    : qubit splitting "
+      f"{max(q.omega for q in qubits) / 1e9:.3f} GHz < coupler first "
+      f"excitation {e_c[1] / 1e9:.2f} GHz")
 print()
 
 cs, gaps, spec, omega = spectral_point(u, Truncations())

@@ -12,8 +12,7 @@ Library layout:
 """
 
 from .circuit import (CircuitParams, PhysicalConstants, UnitlessParams,
-                      CONSTANTS, derive_unitless, validate_regime,
-                      reference_circuit)
+                      CONSTANTS, derive_unitless, reference_circuit)
 from .oscillator import (cosine_matrix, displaced_overlap, find_well_minimum,
                          qubit_reduction, WellSolution)
 from .hamiltonian import (OperatorMatrix, IsingModel, build_coupler,

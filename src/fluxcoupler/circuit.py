@@ -6,14 +6,15 @@ dimensionless parameters (alpha, xi, beta, phase offsets) plus two energy
 scales (the coupler and qubit inductive energies).  This module is the only
 place where Joules, Henries and Farads appear; energies are stored as
 frequencies (energy/h, in Hz) from here on.
+
+Regimes are decided on exact levels where the loops are built
+(hamiltonian.build_qubit_bare, hamiltonian.build_coupler, swt.numerical_swt).
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .oscillator import qubit_reduction
 
 TWO_PI = 2.0 * np.pi
 
@@ -155,40 +156,6 @@ def derive_unitless(p: CircuitParams) -> UnitlessParams:
         phi_cx=float(shifted_phase(p.Phi_cx)),
         phi_jx=shifted_phase(p.Phi_jx),
     )
-
-
-@dataclass
-class RegimeReport:
-    qubit_double_well: bool
-    coupler_single_well: bool
-    hierarchy: bool
-    coupler_gap_estimate: float   # Hz
-    qubit_splitting_estimate: float  # Hz
-
-    @property
-    def all_ok(self):
-        return self.qubit_double_well and self.coupler_single_well and self.hierarchy
-
-
-def validate_regime(u: UnitlessParams) -> RegimeReport:
-    """Diagnostic flags for the parameter regime the model assumes.
-
-    Never raises.  The coupler gap estimate is the harmonic value
-    2 E_Ltilde_c xi_c sqrt(1 - beta_c); the qubit splitting estimate uses the
-    two-level reduction from the oscillator module.
-    """
-    double_well = bool(np.all(u.beta_j > 1))
-    single_well = bool(u.beta_c < 1)
-    gap = 2.0 * u.E_Ltilde_c * u.xi_c * np.sqrt(max(1.0 - u.beta_c, 0.0))
-    splitting = 0.0
-    if double_well:
-        # tunnel splitting estimate omega ~ E_L * omega_eff * exp-factor;
-        # use the shifted-well closed form via the reduction factor machinery
-        w = qubit_reduction(float(u.xi_j[0]), float(u.beta_j[0]), float(u.alpha[0]))
-        # two-level splitting ~ omega_eff * overlap00 in E_L units
-        splitting = float(u.E_Lj[0]) * w.omega_eff * w.overlap00
-    hierarchy = single_well and gap > splitting
-    return RegimeReport(double_well, single_well, hierarchy, gap, splitting)
 
 
 # element values (SI) and screening parameters of the reference circuit

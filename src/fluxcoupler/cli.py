@@ -14,11 +14,12 @@ CircuitParams rejects are parse errors that name the line.  The [circuit]
 values become a circuit through `circuit.circuit_from`.
 
 Subcommands: spectrum, sweep-beta, sweep-flux, susceptibility, compare-swt,
-gap-scan.  `_COMMANDS` gives each its `analysis` call and default grid; the
-call runs and records every point and returns a table that declares its own
-columns.  main writes it as one CSV with a `#` comment header (tool version
-plus the fully resolved config) and 12-significant-digit scientific rows
-with LF line endings, so identical configs give byte-identical files.
+gap-scan.  `_COMMANDS` gives each its `analysis` call, default grid and
+other [sweep] keys read; the call runs and records every point and returns
+a table that declares its own columns.  main writes it as one CSV with a `#`
+comment header (tool version plus the resolved config the run read) and
+12-significant-digit scientific rows with LF line endings, so identical
+configs give byte-identical files.
 A field holding a comma, a double quote or a line break is quoted (RFC 4180).
 """
 
@@ -250,11 +251,11 @@ def write_csv(path, columns, rows, cfg: RunConfig, subcommand):
                  % (c.L_j[0], c.C_j[0], c.I_cj[0], c.M_j[0]))
     lines.append("#            L_c=%.6e H, C_c=%.6e F, I_cc=%.6e A"
                  % (c.L_c, c.C_c, c.I_cc))
-    # the [sweep] keys that were set, apart from the grids the rows carry
+    # the [sweep] keys that were set and that the subcommand reads
+    reads = _COMMANDS[subcommand][3] if subcommand in _COMMANDS else ()
     sweep = [f"{k}={str(v).lower()}" if isinstance(v, bool)
              else f"{k}=" + ",".join(f"{x:.11e}" for x in v)
-             for k, v in sorted(cfg.sweep.items())
-             if k not in ("grid", "ratio_grid")]
+             for k, v in sorted(cfg.sweep.items()) if k in reads]
     if sweep:
         lines.append("#   sweep: " + " ".join(sweep))
     lines.append("# columns: " + ",".join(columns))
@@ -268,29 +269,30 @@ def write_csv(path, columns, rows, cfg: RunConfig, subcommand):
 
 _BETA_GRID = 0.02 + 0.02 * np.arange(30)   # 0.02 .. 0.60
 
-# Each subcommand: its analysis call on the config and the grid, and the
-# [sweep] key and default of that grid.  main writes the SweepResult the
-# call returns under the columns it declares.
+# Each subcommand: its analysis call on the config and the grid, the
+# [sweep] key and default of that grid, and the other [sweep] keys the call
+# reads.  main writes the SweepResult it returns under its own columns.
 _COMMANDS = {
     "spectrum": (lambda cfg, ratios: two_excitation_scan(
                      cfg.circuit, ratios, cfg.truncations),
-                 "ratio_grid", 0.96 + 0.005 * np.arange(17)),
+                 "ratio_grid", 0.96 + 0.005 * np.arange(17), ()),
     "sweep-beta": (lambda cfg, grid: sweep_beta(
                        cfg.circuit, grid, cfg.truncations, cfg.branches),
-                   "grid", _BETA_GRID),
+                   "grid", _BETA_GRID, ()),
     "sweep-flux": (lambda cfg, grid: sweep_flux(
                        cfg.circuit, grid, cfg.sweep.get("qubit_offsets"),
                        cfg.sweep.get("common_mode", False), cfg.truncations,
                        cfg.branches),
-                   "grid", -3e-3 + 2.5e-4 * np.arange(25)),
+                   "grid", -3e-3 + 2.5e-4 * np.arange(25),
+                   ("common_mode", "qubit_offsets")),
     "susceptibility": (lambda cfg, _: susceptibility_table(cfg.circuit),
-                       None, None),
+                       None, None, ()),
     "compare-swt": (lambda cfg, grid: compare_swt(
                         cfg.circuit, grid, cfg.truncations),
-                    "grid", _BETA_GRID),
+                    "grid", _BETA_GRID, ()),
     "gap-scan": (lambda cfg, grid: gap_scan(
                      cfg.circuit, grid, cfg.truncations),
-                 "grid", 0.05 + 0.05 * np.arange(18)),   # 0.05 .. 0.90
+                 "grid", 0.05 + 0.05 * np.arange(18), ()),   # 0.05 .. 0.90
 }
 
 
@@ -315,7 +317,7 @@ def main(argv=None):
 
     try:
         os.makedirs(args.out, exist_ok=True)
-        call, key, grid = _COMMANDS[args.subcommand]
+        call, key, grid, _ = _COMMANDS[args.subcommand]
         res = call(cfg, cfg.sweep.get(key, grid))
         write_csv(os.path.join(args.out,
                                args.subcommand.replace("-", "_") + ".csv"),

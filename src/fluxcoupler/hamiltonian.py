@@ -1,8 +1,9 @@
 """Operator assembly.
 
-Bare coupler and qubit Hamiltonians in truncated oscillator bases, the
-two-level qubit reduction, the 4-qubit (x) coupler product-space Hamiltonian,
-and the generalized Ising model (known 16-level spectra).
+Bare coupler and qubit Hamiltonians, each the one rf-SQUID loop of _rf_squid
+(c = 1 for the coupler, c = 1 + alpha_j^2 for a qubit), the two-level qubit
+reduction, the 4-qubit (x) coupler product-space Hamiltonian, and the
+generalized Ising model (known 16-level spectra).
 
 The product space is laid out qubits first (qubit 0 slowest) and coupler
 index fastest.  This module is the only one that builds operators on it, and
@@ -85,63 +86,57 @@ def kron_all(ops):
     return out
 
 
-def _oscillator_ops(xi, stiffness, n_trunc):
-    """Quadratic-part oscillator basis for H/E_L = 4 xi^2 q^2/2 + stiffness phi^2/2.
-
-    Returns (number operator contribution as the diagonal harmonic part, phi).
-    The harmonic frequency is 2 xi sqrt(stiffness) and the phi matrix scale is
-    r = sqrt(xi / sqrt(stiffness)).
-    """
-    w0 = 2.0 * xi * np.sqrt(stiffness)
-    r = np.sqrt(xi / np.sqrt(stiffness))
+def _phase(xi, c, n_trunc):
+    """phi = r (a + a^dag), r = sqrt(xi / sqrt(c)), in the oscillator basis
+    of the quadratic part 4 xi^2 q^2/2 + c phi^2/2.  Returns (phi, r)."""
+    r = np.sqrt(xi / np.sqrt(c))
     a = ladder(n_trunc)
-    phi = r * (a + a.T)
-    h_harm = w0 * np.diag(np.arange(n_trunc) + 0.5)
-    return h_harm, phi, r
+    return r * (a + a.T), r
+
+
+def _rf_squid(E_L, xi, c, beta, phi_x, n_trunc):
+    """H = E_L (4 xi^2 q^2/2 + c (phi - phi_x)^2/2 + beta cos phi) in the
+    oscillator basis of its quadratic part, harmonic frequency 2 xi sqrt(c)."""
+    phi, r = _phase(xi, c, n_trunc)
+    h = 2.0 * xi * np.sqrt(c) * np.diag(np.arange(n_trunc) + 0.5) \
+        + beta * cosine_matrix(n_trunc, r) \
+        - c * phi_x * phi + 0.5 * c * phi_x**2 * np.eye(n_trunc)
+    return OperatorMatrix(E_L * h, "oscillator")
 
 
 def build_coupler(u, n_trunc):
     """Bare coupler H_c = E_Ltilde_c (4 xi_c^2 q^2/2 + (phi - phi_cx)^2/2 + beta_c cos phi).
 
-    Expressed in the oscillator basis of the quadratic part.  Refuses
-    beta_c >= 1 (the harmonic expansion frame is invalid there).
+    The rf-SQUID loop with c = 1.  Refuses beta_c >= 1 (the harmonic
+    expansion frame is invalid there).
     """
     if u.beta_c >= 1:
         raise ValueError("beta_c >= 1: coupler harmonic frame invalid")
     if n_trunc < 10:
         raise ValueError("n_trunc >= 10 required for the coupler")
-    h_harm, phi, r = _oscillator_ops(u.xi_c, 1.0, n_trunc)
-    h = h_harm + u.beta_c * cosine_matrix(n_trunc, r) \
-        - u.phi_cx * phi + 0.5 * u.phi_cx**2 * np.eye(n_trunc)
-    return OperatorMatrix(u.E_Ltilde_c * h, "oscillator")
+    return _rf_squid(u.E_Ltilde_c, u.xi_c, 1.0, u.beta_c, u.phi_cx, n_trunc)
 
 
 def coupler_phase(u, n_trunc):
     """phi operator of the coupler in the same oscillator basis as build_coupler."""
-    _, phi, _ = _oscillator_ops(u.xi_c, 1.0, n_trunc)
-    return OperatorMatrix(phi, "oscillator")
+    return OperatorMatrix(_phase(u.xi_c, 1.0, n_trunc)[0], "oscillator")
 
 
 def build_qubit_bare(u, j, n_trunc):
-    """Bare qubit H_j = E_Lj (4 xi^2 q^2/2 + (1+alpha^2)(phi - phi_jx)^2/2 + beta cos phi)."""
-    xi = float(u.xi_j[j])
-    alpha = float(u.alpha[j])
+    """Bare qubit H_j = E_Lj (4 xi^2 q^2/2 + c (phi - phi_jx)^2/2 + beta cos phi),
+    the rf-SQUID loop with c = 1 + alpha^2; refuses beta <= c (one well)."""
+    c = 1.0 + float(u.alpha[j])**2
     beta = float(u.beta_j[j])
-    phi_x = float(u.phi_jx[j])
-    if beta <= 1:
-        raise ValueError("beta_j <= 1: no double well, qubit regime violated")
-    c = 1.0 + alpha**2
-    h_harm, phi, r = _oscillator_ops(xi, c, n_trunc)
-    h = h_harm + beta * cosine_matrix(n_trunc, r) \
-        - c * phi_x * phi + 0.5 * c * phi_x**2 * np.eye(n_trunc)
-    return OperatorMatrix(float(u.E_Lj[j]) * h, "oscillator")
+    if beta <= c:
+        raise ValueError("beta_j <= 1 + alpha_j^2: no double well")
+    return _rf_squid(float(u.E_Lj[j]), float(u.xi_j[j]), c, beta,
+                     float(u.phi_jx[j]), n_trunc)
 
 
 def qubit_phase(u, j, n_trunc):
     """phi operator of qubit j, matching build_qubit_bare's basis."""
     c = 1.0 + float(u.alpha[j])**2
-    _, phi, _ = _oscillator_ops(float(u.xi_j[j]), c, n_trunc)
-    return OperatorMatrix(phi, "oscillator")
+    return OperatorMatrix(_phase(float(u.xi_j[j]), c, n_trunc)[0], "oscillator")
 
 
 @dataclass

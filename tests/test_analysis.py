@@ -178,6 +178,16 @@ def test_compare_swt_has_all_branches():
         assert np.isfinite(row[f"{prefix}_J2"])
 
 
+def test_every_branch_refuses_a_single_well_qubit():
+    # beta_j = 1.001 < 1 + alpha_j^2 = 1.0024: the qubit loop has one well
+    out = compare_swt(reference_circuit(beta_j=1.001), [0.43], FAST)
+    row = out.rows[0]
+    for prefix in ("spectral", "analytic", "numswt"):
+        assert row[f"{prefix}_status"].startswith("error: ")
+        assert "no double well" in row[f"{prefix}_status"]
+        assert np.isnan(out.column(f"{prefix}_J4")[0])
+
+
 def test_find_special_point_bisection(monkeypatch):
     # synthetic couplings with a known J4 = -2 J2 crossing at beta = 0.37
     class FakeCS:

@@ -5,7 +5,7 @@ from fluxcoupler.circuit import (CONSTANTS, CircuitParams, PhysicalConstants,
                                  capacitance_from_xi, critical_current_from_beta,
                                  derive_unitless, impedance_parameter,
                                  inductive_energy, reference_circuit,
-                                 screening_parameter, validate_regime)
+                                 screening_parameter)
 
 
 def test_constants_invariants():
@@ -123,15 +123,3 @@ def test_beta_c_above_one_warns():
     p = reference_circuit(beta_c=1.2)
     with pytest.warns(RuntimeWarning):
         derive_unitless(p)
-
-
-def test_regime_flags():
-    ok = validate_regime(derive_unitless(reference_circuit(beta_c=0.43)))
-    assert ok.all_ok
-
-    bad_qubit = validate_regime(derive_unitless(reference_circuit(beta_j=0.9)))
-    assert not bad_qubit.qubit_double_well
-
-    # beta_c -> 1 closes the coupler gap below the qubit splitting
-    shallow = validate_regime(derive_unitless(reference_circuit(beta_c=0.999)))
-    assert not shallow.hierarchy

@@ -251,6 +251,21 @@ def test_header_carries_the_sweep_settings(tmp_path):
     assert headers["offsets"] != headers["common"]
 
 
+def test_header_names_only_the_sweep_settings_the_run_reads(tmp_path):
+    # sweep-beta reads neither common_mode nor qubit_offsets, so setting
+    # them changes nothing in its file, header included
+    files = {}
+    for name, setting in (("plain", ""),
+                          ("unread", "common_mode = true\n"
+                                     "qubit_offsets = 0.001, 0, 0, 0\n")):
+        cfg = _write(tmp_path, FAST_TRUNC + "[sweep]\ngrid = 0.3\n" + setting)
+        out = tmp_path / name
+        assert main(["sweep-beta", "--config", cfg, "--out", str(out)]) == 0
+        files[name] = (out / "sweep_beta.csv").read_bytes()
+    assert b"#   sweep:" not in files["unread"]
+    assert files["unread"] == files["plain"]
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "[circuit]\nL_j = 817\n")
     assert main(["sweep-beta", "--config", cfg]) == 2

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from fluxcoupler.analysis import with_flux_offsets
 from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (IsingModel, OperatorMatrix, PAIRS,
                                      TRIPLES, assemble_full,
                                      assemble_ising_model, build_coupler,
-                                     build_qubit_bare, kron_all, qubit_phase,
-                                     reduce_qubit)
+                                     build_qubit_bare, coupler_phase,
+                                     kron_all, qubit_phase, reduce_qubit)
 from fluxcoupler.oscillator import qubit_reduction
+from toys import written_out_coupler, written_out_qubit
 
 
 def _u(beta_c=0.43, **kw):
@@ -99,15 +101,38 @@ def test_builder_input_validation():
         build_coupler(bad, 40)
     with pytest.raises(ValueError):
         build_coupler(u, 8)
-    shallow = _u()
-    shallow.beta_j = np.full(4, 0.8)
-    with pytest.raises(ValueError):
-        build_qubit_bare(shallow, 0, 50)
+    # beta_j = 1.001 is below 1 + alpha_j^2 = 1.0024: a single well
+    for beta_j in (0.8, 1.001):
+        shallow = _u()
+        shallow.beta_j = np.full(4, beta_j)
+        with pytest.raises(ValueError, match="no double well"):
+            build_qubit_bare(shallow, 0, 50)
     qubits = [reduce_qubit(build_qubit_bare(u, j, 20), qubit_phase(u, j, 20))
               for j in range(4)]
     for n_keep, message in ((0, "at least 1"), (11, "exceeds")):
         with pytest.raises(ValueError, match=message):
             assemble_full(qubits, build_coupler(u, 10), u, n_keep)
+
+
+@pytest.mark.parametrize("n", [20, 50])
+@pytest.mark.parametrize("offsets", [False, True])
+@pytest.mark.parametrize("beta_c", [0.1, 0.43, 0.6])
+def test_element_builders_match_the_written_out_formulas(beta_c, offsets, n):
+    p = reference_circuit(beta_c=beta_c)
+    if offsets:
+        p = with_flux_offsets(p, 0.002, (0.001, -0.002, 0.0015, 0.0005))
+    u = derive_unitless(p)
+
+    def same_bits(op, want):
+        assert np.array_equal(op.data.view(np.int64), want.view(np.int64))
+
+    h, phi = written_out_coupler(u, n)
+    same_bits(build_coupler(u, n), h)
+    same_bits(coupler_phase(u, n), phi)
+    for j in range(4):
+        h, phi = written_out_qubit(u, j, n)
+        same_bits(build_qubit_bare(u, j, n), h)
+        same_bits(qubit_phase(u, j, n), phi)
 
 
 def test_operator_matrix_validation():

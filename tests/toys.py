@@ -8,12 +8,48 @@ from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (PAIRS, OperatorMatrix, build_coupler,
                                      build_qubit_bare, coupler_phase, kron_all,
                                      qubit_phase, reduce_qubit)
+from fluxcoupler.oscillator import cosine_matrix, ladder
 from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, SwtPrefactors,
                              _cross_block_gaps, pauli_decompose,
                              swt_effective_block)
 
 _I2 = np.eye(2)
 _Z = np.diag([1.0, -1.0])
+
+
+# The coupler and the qubit each written out as its own formula: the
+# reference for hamiltonian._rf_squid, through which build_coupler,
+# coupler_phase, build_qubit_bare and qubit_phase give the same bits.
+def _oscillator_ops(xi, stiffness, n_trunc):
+    """Harmonic part, phi and its scale r of the oscillator basis of
+    4 xi^2 q^2/2 + stiffness phi^2/2."""
+    w0 = 2.0 * xi * np.sqrt(stiffness)
+    r = np.sqrt(xi / np.sqrt(stiffness))
+    a = ladder(n_trunc)
+    phi = r * (a + a.T)
+    h_harm = w0 * np.diag(np.arange(n_trunc) + 0.5)
+    return h_harm, phi, r
+
+
+def written_out_coupler(u, n_trunc):
+    """(H_c, phi_c): E_Ltilde_c (4 xi_c^2 q^2/2 + (phi - phi_cx)^2/2
+    + beta_c cos phi) and its phase, in the oscillator basis."""
+    h_harm, phi, r = _oscillator_ops(u.xi_c, 1.0, n_trunc)
+    h = h_harm + u.beta_c * cosine_matrix(n_trunc, r) \
+        - u.phi_cx * phi + 0.5 * u.phi_cx**2 * np.eye(n_trunc)
+    return u.E_Ltilde_c * h, phi
+
+
+def written_out_qubit(u, j, n_trunc):
+    """(H_j, phi_j): E_Lj (4 xi^2 q^2/2 + (1+alpha^2)(phi - phi_jx)^2/2
+    + beta cos phi) and its phase, in the oscillator basis."""
+    alpha = float(u.alpha[j])
+    phi_x = float(u.phi_jx[j])
+    c = 1.0 + alpha**2
+    h_harm, phi, r = _oscillator_ops(float(u.xi_j[j]), c, n_trunc)
+    h = h_harm + float(u.beta_j[j]) * cosine_matrix(n_trunc, r) \
+        - c * phi_x * phi + 0.5 * c * phi_x**2 * np.eye(n_trunc)
+    return float(u.E_Lj[j]) * h, phi
 
 
 def delta_form_couplings(p: SwtPrefactors):
