@@ -45,12 +45,20 @@ class SweepResult:
 
 
 def build_system(u, trunc=Truncations()):
-    """Reduced qubits + bare coupler for a unitless parameter set."""
-    qubits = []
+    """Reduced qubits + bare coupler for a unitless parameter set.
+
+    Identical qubits are built once: the key is the bits of E_Lj, xi_j,
+    alpha, beta_j and phi_jx at j, all that build_qubit_bare and qubit_phase
+    read, and the qubits that share a key share one ReducedQubit.
+    """
+    n, reduced, qubits = trunc.qubit_states, {}, []
     for j in range(4):
-        h = build_qubit_bare(u, j, trunc.qubit_states)
-        phi = qubit_phase(u, j, trunc.qubit_states)
-        qubits.append(reduce_qubit(h, phi))
+        key = np.array([u.E_Lj[j], u.xi_j[j], u.alpha[j], u.beta_j[j],
+                        u.phi_jx[j]], dtype=float).tobytes()
+        if key not in reduced:
+            reduced[key] = reduce_qubit(build_qubit_bare(u, j, n),
+                                        qubit_phase(u, j, n))
+        qubits.append(reduced[key])
     coupler = build_coupler(u, trunc.coupler_states)
     return qubits, coupler
 

@@ -128,7 +128,7 @@ def build_qubit_bare(u, j, n_trunc):
     c = 1.0 + float(u.alpha[j])**2
     beta = float(u.beta_j[j])
     if beta <= c:
-        raise ValueError("beta_j <= 1 + alpha_j^2: no double well")
+        raise ValueError("no double well: beta <= 1 + alpha^2")
     return _rf_squid(float(u.E_Lj[j]), float(u.xi_j[j]), c, beta,
                      float(u.phi_jx[j]), n_trunc)
 

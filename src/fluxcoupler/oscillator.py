@@ -189,7 +189,7 @@ def qubit_reduction(xi, beta, alpha=0.0):
     """
     phi_p = find_well_minimum(beta, alpha)
     if phi_p == 0.0:
-        raise ValueError("no double well: qubit regime violated (beta <= 1+alpha^2)")
+        raise ValueError("no double well: beta <= 1 + alpha^2")
     m_eff = 1.0 / (4.0 * xi**2)
     omega_eff = 2.0 * xi * np.sqrt(1.0 + alpha**2 - beta * np.cos(phi_p))
     d = np.sqrt(2.0 * m_eff * omega_eff) * phi_p

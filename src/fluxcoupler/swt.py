@@ -249,6 +249,14 @@ def ising_couplings(h_eff: OperatorMatrix, provenance) -> CouplingStrengths:
                      "omega_eff": model.omega})
 
 
+# tr(P^H A) / 16 for every string P = s_0 (x) s_1 (x) s_2 (x) s_3, with
+# A's row and column indices split into one bit per qubit; the contraction
+# path is searched once here, as optimize=True would on every call
+_PAULI_SUBSCRIPTS = "iab,jcd,kef,lgh,acegbdfh->ijkl"
+_PAULI_PATH = np.einsum_path(_PAULI_SUBSCRIPTS, *[_PAULIS.conj()] * 4,
+                             np.zeros((2,) * 8), optimize=True)[0]
+
+
 def pauli_decompose(h_eff: OperatorMatrix):
     """Pauli-string reading of a 16x16 effective Hamiltonian (pc frame).
 
@@ -259,10 +267,8 @@ def pauli_decompose(h_eff: OperatorMatrix):
     A = h_eff.data
     if A.shape != (16, 16):
         raise ValueError("need a 16x16 effective Hamiltonian")
-    # tr(P^H A) / 16 for every string P = s_0 (x) s_1 (x) s_2 (x) s_3, with
-    # A's row and column indices split into one bit per qubit
-    c = np.einsum("iab,jcd,kef,lgh,acegbdfh->ijkl", *[_PAULIS.conj()] * 4,
-                  A.reshape((2,) * 8), optimize=True) / 16.0
+    c = np.einsum(_PAULI_SUBSCRIPTS, *[_PAULIS.conj()] * 4,
+                  A.reshape((2,) * 8), optimize=_PAULI_PATH) / 16.0
     fields, ising = {}, np.zeros(c.shape, dtype=bool)
     for name, (strings, factor) in ISING_STRINGS.items():
         index = tuple(np.transpose(strings))

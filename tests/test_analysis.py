@@ -1,3 +1,6 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from fluxcoupler.analysis import (Truncations, compare_swt, couplings_point,
                                   sweep_beta, sweep_flux, two_excitation_scan,
                                   with_beta_c, with_flux_offsets)
 from fluxcoupler.circuit import derive_unitless, reference_circuit
+from fluxcoupler.hamiltonian import build_qubit_bare, qubit_phase, reduce_qubit
 
 FAST = Truncations(qubit_states=40, coupler_states=30, n_keep=8)
 
@@ -186,6 +190,63 @@ def test_every_branch_refuses_a_single_well_qubit():
         assert row[f"{prefix}_status"].startswith("error: ")
         assert "no double well" in row[f"{prefix}_status"]
         assert np.isnan(out.column(f"{prefix}_J4")[0])
+    # one refusal, one wording, whichever builder decides it
+    assert row["spectral_status"] == row["analytic_status"] \
+        == row["numswt_status"]
+
+
+QUBIT_KEY = ("E_Lj", "xi_j", "alpha", "beta_j", "phi_jx")
+
+
+def _assert_builds(monkeypatch, u, owners):
+    # build_system(u, FAST) builds qubit j only where owners[j] == j and hands
+    # qubit owners[j]'s ReducedQubit to j, each with a separate build's bits
+    calls = []
+
+    def counted(u, j, n, build=analysis.build_qubit_bare):
+        calls.append(j)
+        return build(u, j, n)
+
+    monkeypatch.setattr(analysis, "build_qubit_bare", counted)
+    qubits = analysis.build_system(u, FAST)[0]
+    assert calls == sorted(set(owners))
+    assert all(q is qubits[k] for q, k in zip(qubits, owners))
+    n = FAST.qubit_states
+    for j, q in enumerate(qubits):
+        ref = reduce_qubit(build_qubit_bare(u, j, n), qubit_phase(u, j, n))
+        assert q.h2.tobytes() == ref.h2.tobytes()
+        assert q.phi2.tobytes() == ref.phi2.tobytes()
+        assert np.float64(q.omega).tobytes() == np.float64(ref.omega).tobytes()
+
+
+@pytest.mark.parametrize("offsets, owners", [
+    (None, [0, 0, 0, 0]),
+    ((0.001, 0.001, -0.002, 0.0), [0, 0, 2, 3])])
+def test_build_system_builds_each_distinct_qubit_once(offsets, owners,
+                                                      monkeypatch):
+    p = with_flux_offsets(reference_circuit(), 0.0, offsets)
+    _assert_builds(monkeypatch, derive_unitless(p), owners)
+
+
+@pytest.mark.parametrize("name", QUBIT_KEY)
+def test_build_system_keys_on_every_qubit_field(name, monkeypatch):
+    # one ulp on qubit 2 is enough to give it its own build
+    u = derive_unitless(reference_circuit())
+    values = np.array(getattr(u, name), dtype=float)
+    values[2] = np.nextafter(values[2], np.inf)
+    _assert_builds(monkeypatch, replace(u, **{name: values}), [0, 0, 2, 0])
+
+
+def test_qubit_builders_read_only_the_key():
+    p = with_flux_offsets(reference_circuit(), 0.0,
+                          (0.001, 0.001, -0.002, 0.0))
+    u = derive_unitless(p)
+    key_only = SimpleNamespace(**{name: getattr(u, name) for name in QUBIT_KEY})
+    n = FAST.qubit_states
+    for j in range(4):
+        for builder in (build_qubit_bare, qubit_phase):
+            assert builder(key_only, j, n).data.tobytes() == \
+                builder(u, j, n).data.tobytes()
 
 
 def test_find_special_point_bisection(monkeypatch):

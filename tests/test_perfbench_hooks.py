@@ -40,6 +40,7 @@ def test_traced_workloads_keep_their_contract(tmp_path, monkeypatch):
     try:
         chips = child.run_chips(child.fab.make_batch(3, 2), 3, tmp_path,
                                 tracer)
+        chip_calls = dict(tracer.calls)
         sweep = child.run_sweep(child.build_inputs("swt-sweep", 3), tmp_path,
                                 [0.43])
     finally:
@@ -51,6 +52,13 @@ def test_traced_workloads_keep_their_contract(tmp_path, monkeypatch):
     assert chips["point_ok"] == [True, True]
     assert sweep["point_ok"] == [True]
     assert tracer.summary()["counts"]["manifold_ok_ratio"] == 1.0
+    # build_system builds each distinct qubit once: the sweep point's four
+    # identical qubits are one build, and no fab chip has two equal qubits
+    layers = ("hamiltonian.build_qubit_bare", "hamiltonian.reduce_qubit",
+              "oscillator.cosine_matrix")
+    assert [chip_calls[name] for name in layers] == [8, 8, 10]
+    assert [tracer.calls[name] - chip_calls[name] for name in layers] \
+        == [1, 1, 2]
 
 
 @pytest.mark.parametrize("workload", ["fab-spread", "swt-sweep"])
