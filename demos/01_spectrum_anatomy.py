@@ -34,7 +34,7 @@ print()
 
 cs, gaps, spec, omega = spectral_point(u, Truncations())
 lv = spec.eigenvalues - spec.eigenvalues[0]
-ground = spec.coupler_ground_levels()
+ground = spec.eigenvalues[spec.manifold()]
 
 print(f"bare qubit splitting   : {omega[0] / 1e9:.4f} GHz")
 print(f"coupler-ground manifold ({len(ground)} levels, GHz above ground):")

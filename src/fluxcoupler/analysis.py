@@ -18,7 +18,7 @@ from .oscillator import qubit_reduction
 from .hamiltonian import (build_coupler, build_qubit_bare, qubit_phase,
                           reduce_qubit, assemble_full)
 from .spectrum import (eigendecompose, extract_couplings, gap_diagnostics,
-                       two_excitation_splitting)
+                       _two_excitation_levels)
 from .swt import analytic_couplings, numerical_swt
 
 
@@ -248,8 +248,7 @@ def two_excitation_scan(p: CircuitParams, ratios, trunc) -> SweepResult:
     def point(r):
         u = derive_unitless(p)
         u.E_Lj = u.E_Lj * np.array([1.0, 1.0, r, r])
-        spec, omega = spectral_system(u, trunc)
-        levels = two_excitation_splitting(spec, np.full(4, omega.mean()))["levels"]
+        levels = _two_excitation_levels(spectral_system(u, trunc)[0])[0]
         levels = levels - levels.mean()
         return {name: levels[k] for k, name in enumerate(columns[1:])}
 

@@ -8,10 +8,11 @@ place where Joules, Henries and Farads appear; energies are stored as
 frequencies (energy/h, in Hz) from here on.
 
 Regimes are decided on exact levels where the loops are built
-(hamiltonian.build_qubit_bare, hamiltonian.build_coupler, swt.numerical_swt).
+(hamiltonian.build_qubit_bare, hamiltonian.build_coupler, swt.numerical_swt),
+and only there: derive_unitless converts any circuit that CircuitParams
+accepts, beta_c >= 1 included.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,14 +95,8 @@ class UnitlessParams:
 
 
 def impedance_parameter(L, C):
-    """xi = 4 pi sqrt(L/C) / R_Q; asserted equal to (2 pi e / Phi_0) sqrt(L/C)."""
-    z = np.sqrt(L / C)
-    xi_a = 4.0 * np.pi * z / CONSTANTS.resistance_quantum
-    xi_b = TWO_PI * CONSTANTS.electron_charge / CONSTANTS.flux_quantum * z
-    # the two textbook forms are algebraically identical; keep both to catch
-    # constant-handling bugs
-    assert np.allclose(xi_a, xi_b, rtol=1e-12)
-    return xi_a
+    """xi = 4 pi sqrt(L/C) / R_Q."""
+    return 4.0 * np.pi * np.sqrt(L / C) / CONSTANTS.resistance_quantum
 
 
 def inductive_energy(L):
@@ -139,11 +134,6 @@ def derive_unitless(p: CircuitParams) -> UnitlessParams:
     L_tilde_c = rescaled_coupler_inductance(p.L_c, p.M_j, p.L_j)
     if L_tilde_c <= 0:
         raise ValueError("unphysical mutual inductance network: L_tilde_c <= 0")
-    beta_c = screening_parameter(p.I_cc, L_tilde_c)
-    if beta_c >= 1:
-        warnings.warn(
-            "beta_c >= 1: coupler is no longer a single-well high-frequency "
-            "mode; perturbative treatment invalid", RuntimeWarning)
     return UnitlessParams(
         alpha=p.M_j / p.L_j,
         L_tilde_c=L_tilde_c,
@@ -151,7 +141,7 @@ def derive_unitless(p: CircuitParams) -> UnitlessParams:
         E_Lj=inductive_energy(p.L_j),
         xi_c=impedance_parameter(L_tilde_c, p.C_c),
         xi_j=impedance_parameter(p.L_j, p.C_j),
-        beta_c=beta_c,
+        beta_c=screening_parameter(p.I_cc, L_tilde_c),
         beta_j=screening_parameter(p.I_cj, p.L_j),
         phi_cx=float(shifted_phase(p.Phi_cx)),
         phi_jx=shifted_phase(p.Phi_jx),

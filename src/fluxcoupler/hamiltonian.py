@@ -124,13 +124,16 @@ def coupler_phase(u, n_trunc):
 
 def build_qubit_bare(u, j, n_trunc):
     """Bare qubit H_j = E_Lj (4 xi^2 q^2/2 + c (phi - phi_jx)^2/2 + beta cos phi),
-    the rf-SQUID loop with c = 1 + alpha^2; refuses beta <= c (one well)."""
+    the rf-SQUID loop with c = 1 + alpha^2; refuses E_Lj <= 0 and beta <= c
+    (one well)."""
     c = 1.0 + float(u.alpha[j])**2
-    beta = float(u.beta_j[j])
+    E_L, beta = float(u.E_Lj[j]), float(u.beta_j[j])
+    if not E_L > 0:
+        raise ValueError("E_Lj must be strictly positive")
     if beta <= c:
         raise ValueError("no double well: beta <= 1 + alpha^2")
-    return _rf_squid(float(u.E_Lj[j]), float(u.xi_j[j]), c, beta,
-                     float(u.phi_jx[j]), n_trunc)
+    return _rf_squid(E_L, float(u.xi_j[j]), c, beta, float(u.phi_jx[j]),
+                     n_trunc)
 
 
 def qubit_phase(u, j, n_trunc):
@@ -301,19 +304,24 @@ def _on(pauli, support):
 
 
 # The generalized Ising model's Pauli strings: for each IsingModel field, the
-# index tuples of its entries' strings (one tuple for a scalar field) and the
-# factor each entry carries in H.  Both directions read it:
+# index of its entries' strings into a (4, 4, 4, 4) array of string
+# coefficients (one index array per qubit; scalars for a scalar field) and
+# the factor each entry carries in H.  Both directions index with it:
 # assemble_ising_model writes H from a model, swt.pauli_decompose reads a
-# model back, indexing a (4, 4, 4, 4) array of string coefficients with
-# tuple(np.transpose(strings)).
-ISING_STRINGS = {
-    "omega": ([_on(1, (q,)) for q in range(4)], 0.5),
-    "J1": ([_on(3, (q,)) for q in range(4)], 1.0),
-    "J2": ([_on(3, pair) for pair in PAIRS], 1.0),
-    "J3": ([_on(3, triple) for triple in TRIPLES], 1.0),
-    "J4": (_on(3, range(4)), 1.0),
-    "shift": (_on(0, ()), 1.0),
-}
+# model back.
+ISING_STRINGS = {name: (tuple(np.transpose(strings)), factor)
+                 for name, strings, factor in (
+    ("omega", [_on(1, (q,)) for q in range(4)], 0.5),
+    ("J1", [_on(3, (q,)) for q in range(4)], 1.0),
+    ("J2", [_on(3, pair) for pair in PAIRS], 1.0),
+    ("J3", [_on(3, triple) for triple in TRIPLES], 1.0),
+    ("J4", _on(3, range(4)), 1.0),
+    ("shift", _on(0, ()), 1.0),
+)}
+# the strings outside the table, whose norm is pauli_decompose's residual
+NON_ISING = np.ones((4,) * 4, dtype=bool)
+for index, _ in ISING_STRINGS.values():
+    NON_ISING[index] = False
 
 
 def assemble_ising_model(m: IsingModel) -> OperatorMatrix:
@@ -325,8 +333,8 @@ def assemble_ising_model(m: IsingModel) -> OperatorMatrix:
     level is coupler-ground.
     """
     c = np.zeros((4,) * 4)
-    for name, (strings, factor) in ISING_STRINGS.items():
-        c[tuple(np.transpose(strings))] = factor * getattr(m, name)
+    for name, (index, factor) in ISING_STRINGS.items():
+        c[index] = factor * getattr(m, name)
     # no Y string is in the table, so H is real
     H = np.einsum("ijkl,iab,jcd,kef,lgh->acegbdfh", c, *[_PAULIS] * 4,
                   optimize=True).real.reshape(16, 16)

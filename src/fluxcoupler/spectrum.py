@@ -1,4 +1,10 @@
-"""Diagonalization, subspace classification, coupling extraction, gap diagnostics."""
+"""Diagonalization, subspace classification, coupling extraction, gap diagnostics.
+
+One rule picks the 16-level coupler-ground manifold that every reading here
+starts from: SpectrumResult.manifold(), the lowest 16 levels labeled
+coupler-ground.  The couplings, the two-excitation levels and the gap
+diagnostics all read it, and no other library code reads the labels.
+"""
 
 from dataclasses import dataclass
 
@@ -21,21 +27,19 @@ class SpectrumResult:
     frame: AdaptedBasis              # the operator's OperatorMatrix.frame
 
     def manifold(self):
-        """Indices of the lowest 16 levels labeled coupler_ground; a spectrum
+        """Indices of the lowest 16 levels labeled coupler_ground, in
+        ascending energy: the manifold every reading takes.  A spectrum
         with fewer raises ValueError."""
         idx = np.flatnonzero(self.subspace_label)
         if len(idx) < 16:
             raise ValueError("fewer than 16 coupler-ground levels identified")
         return idx[np.argsort(self.eigenvalues[idx], kind="stable")[:16]]
 
-    def coupler_ground_levels(self):
-        return self.eigenvalues[self.manifold()]
-
 
 @dataclass
 class GapDiagnostics:
-    delta_gap: float     # lowest coupler-excited minus highest of 16 ground levels
-    delta_max: float     # largest spacing between adjacent coupler-ground levels
+    delta_gap: float     # lowest level outside the manifold minus its highest
+    delta_max: float     # largest spacing between adjacent manifold levels
     valid: bool
 
 
@@ -46,8 +50,9 @@ def eigendecompose(h: OperatorMatrix) -> SpectrumResult:
     configurations z times the coupler states kept per z.  The occupation is
     the eigenvector weight on coupler state 0 of each z, the coupler-ground
     state that the qubits dress (chi_0(z) of assemble_full); levels with
-    occupation above 0.5 are labeled coupler_ground.  With one coupler state
-    (the Ising model) every level is coupler-ground.
+    occupation above 0.5 are labeled coupler_ground, and manifold() takes
+    the lowest 16 of them.  With one coupler state (the Ising model) every
+    level is coupler-ground.
     """
     if h.frame is None:
         raise ValueError("eigendecompose needs an operator with a frame")
@@ -81,43 +86,41 @@ def extract_couplings(s: SpectrumResult, omega) -> CouplingStrengths:
     U, _, Wt = np.linalg.svd(B)
     T = U @ Wt
     h_eff = OperatorMatrix((T * s.eigenvalues[idx]) @ T.T, "ising_pc")
-    cs = ising_couplings(h_eff, "spectral_fit")
+    cs = ising_couplings(h_eff)
     cs.diagnostics["kappa"] = cs.diagnostics["omega_eff"] / np.asarray(omega)
     return cs
 
 
-def _two_excitation_projector_weights(s: SpectrumResult):
-    """Weight of each eigenvector on the two-excitation qubit sector."""
-    popcount = np.array([bin(i).count("1") for i in range(16)])
-    sector = popcount == 2
-    # the sector is defined in the qubit energy basis: carry the eigenvectors
-    # to the bare frame first
-    vec = s.frame.isometry() @ s.eigenvectors
-    w = vec.reshape(16, -1, vec.shape[1])
-    return np.sum(np.abs(w[sector, :, :]) ** 2, axis=(0, 1))
+def _two_excitation_levels(s: SpectrumResult):
+    """The six manifold levels of the two-excitation qubit sector, sorted,
+    and their weights on it: the six manifold eigenvectors of largest
+    weight, refused when a weight falls below 0.5."""
+    idx = s.manifold()
+    sector = np.array([bin(z).count("1") == 2 for z in range(16)])
+    # the sector is defined in the qubit energy basis: carry the manifold
+    # eigenvectors to the bare frame first
+    vec = (s.frame.isometry() @ s.eigenvectors[:, idx]).reshape(16, -1, 16)
+    weights = np.sum(np.abs(vec[sector]) ** 2, axis=(0, 1))
+    top = np.argsort(weights)[::-1][:6]
+    if np.min(weights[top]) < 0.5:
+        raise RuntimeError(
+            "two-excitation manifold not identifiable: strong mixing "
+            f"(min sector weight {np.min(weights[top]):.3f})")
+    return np.sort(s.eigenvalues[idx[top]]), weights[top]
 
 
 def two_excitation_splitting(s: SpectrumResult, omega, cluster_tol=1e-6):
     """Degeneracy structure of the six-state two-excitation manifold.
 
-    Identifies the manifold by eigenvector weight on the two-excitation qubit
-    sector (restricted to coupler-ground states for product-space spectra),
-    refuses it when a weight falls below 0.5, clusters its energies with
-    tolerance cluster_tol * spread, and reports the degeneracy multiset and
-    the top-bottom distance.
+    Takes the six levels of _two_excitation_levels, clusters their energies
+    with tolerance cluster_tol * spread, and reports the degeneracy multiset
+    and the top-bottom distance.  The multiset is defined for equal qubit
+    frequencies omega only.
     """
     omega = np.asarray(omega, dtype=float)
     if np.ptp(omega) > 1e-6 * np.mean(omega):
         raise ValueError("degeneracy analysis requires equal qubit frequencies")
-    weights = _two_excitation_projector_weights(s)
-    cand = np.where(s.subspace_label)[0]
-    order = cand[np.argsort(weights[cand])[::-1]]
-    sel = order[:6]
-    if np.min(weights[sel]) < 0.5:
-        raise RuntimeError(
-            "two-excitation manifold not identifiable: strong mixing "
-            f"(min sector weight {np.min(weights[sel]):.3f})")
-    levels = np.sort(s.eigenvalues[sel])
+    levels, weights = _two_excitation_levels(s)
     spread = levels[-1] - levels[0]
     # absolute floor keeps exactly-degenerate manifolds (spread at rounding
     # level) from being split into singletons
@@ -130,17 +133,19 @@ def two_excitation_splitting(s: SpectrumResult, omega, cluster_tol=1e-6):
         "levels": levels,
         "degeneracies": sorted(degeneracies.tolist()),
         "distance": float(spread),
-        "sector_weights": weights[sel],
+        "sector_weights": weights,
     }
 
 
 def gap_diagnostics(s: SpectrumResult) -> GapDiagnostics:
-    """Subspace separation: delta_gap vs delta_max of the coupler-ground manifold."""
-    ground = s.coupler_ground_levels()
-    excited = s.eigenvalues[~s.subspace_label]
+    """Subspace separation: delta_gap of the manifold from every level
+    outside it, against its largest internal spacing delta_max."""
+    idx = s.manifold()
+    ground = s.eigenvalues[idx]
+    others = np.delete(s.eigenvalues, idx)
     delta_max = float(np.max(np.diff(ground)))
-    if len(excited) == 0:
+    if len(others) == 0:
         return GapDiagnostics(np.inf, delta_max, True)
-    delta_gap = float(np.min(excited) - np.max(ground))
+    delta_gap = float(np.min(others) - np.max(ground))
     return GapDiagnostics(delta_gap, delta_max,
                           bool(delta_gap > GAP_THRESHOLD * delta_max))

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import (ISING_STRINGS, IsingModel, OperatorMatrix,
-                          bare_frame, check_hermitian, coupler_eigenbasis,
-                          _PAULIS)
+from .hamiltonian import (ISING_STRINGS, NON_ISING, IsingModel,
+                          OperatorMatrix, bare_frame, check_hermitian,
+                          coupler_eigenbasis, _PAULIS)
 
 
 @dataclass
@@ -28,7 +28,6 @@ class CouplingStrengths:
     J3: float
     J4: float
     shift: float
-    provenance: str           # 'spectral_fit' | 'analytic_swt' | 'numerical_swt'
     residual: float = 0.0     # non-Ising norm (numerical branches)
     diagnostics: dict = field(default_factory=dict)
 
@@ -103,8 +102,7 @@ def analytic_couplings(u, well):
     if eps >= 1:
         raise ValueError("epsilon = alpha*s >= 1: series has no small parameter")
     return CouplingStrengths(J1=float(J1), J2=float(J2), J3=float(J3),
-                             J4=float(J4), shift=0.0, provenance="analytic_swt",
-                             diagnostics=diag)
+                             J4=float(J4), shift=0.0, diagnostics=diag)
 
 
 def _cross_block_gaps(energies, block0):
@@ -226,10 +224,10 @@ def numerical_swt(u, qubits, coupler: OperatorMatrix):
     block = swt_effective_block(h0, *V)
 
     h_eff = OperatorMatrix(R.T @ block @ R, "ising_pc")
-    return h_eff, ising_couplings(h_eff, "numerical_swt")
+    return h_eff, ising_couplings(h_eff)
 
 
-def ising_couplings(h_eff: OperatorMatrix, provenance) -> CouplingStrengths:
+def ising_couplings(h_eff: OperatorMatrix) -> CouplingStrengths:
     """Coupling strengths of a 16x16 effective Hamiltonian (pc frame).
 
     J1, J2 and J3 are the means over qubits, pairs and triples of the
@@ -241,8 +239,7 @@ def ising_couplings(h_eff: OperatorMatrix, provenance) -> CouplingStrengths:
     return CouplingStrengths(
         J1=float(np.mean(model.J1)), J2=float(np.mean(model.J2)),
         J3=float(np.mean(model.J3)), J4=float(model.J4),
-        shift=float(model.shift), provenance=provenance,
-        residual=residual,
+        shift=float(model.shift), residual=residual,
         diagnostics={"J1_spread": float(np.ptp(model.J1)),
                      "J2_spread": float(np.ptp(model.J2)),
                      "J3_spread": float(np.ptp(model.J3)),
@@ -262,19 +259,16 @@ def pauli_decompose(h_eff: OperatorMatrix):
 
     Returns (IsingModel, residual): each model field read from its
     hamiltonian.ISING_STRINGS coefficients, and the norm of every string
-    outside that table as the non-Ising residual.
+    outside that table (hamiltonian.NON_ISING) as the non-Ising residual.
     """
     A = h_eff.data
     if A.shape != (16, 16):
         raise ValueError("need a 16x16 effective Hamiltonian")
     c = np.einsum(_PAULI_SUBSCRIPTS, *[_PAULIS.conj()] * 4,
                   A.reshape((2,) * 8), optimize=_PAULI_PATH) / 16.0
-    fields, ising = {}, np.zeros(c.shape, dtype=bool)
-    for name, (strings, factor) in ISING_STRINGS.items():
-        index = tuple(np.transpose(strings))
-        fields[name] = c[index].real / factor
-        ising[index] = True
+    fields = {name: c[index].real / factor
+              for name, (index, factor) in ISING_STRINGS.items()}
     # a Python sum over the strings in C order, not numpy's pairwise one, so
     # the residual keeps its last bit (the CSVs are byte-stable)
-    residual = np.sqrt(16.0 * sum(abs(complex(v)) ** 2 for v in c[~ising]))
+    residual = np.sqrt(16.0 * sum(abs(complex(v)) ** 2 for v in c[NON_ISING]))
     return IsingModel(**fields), float(residual)

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 import fluxcoupler.analysis as analysis
-from fluxcoupler.analysis import (Truncations, compare_swt, couplings_point,
-                                  find_special_point, gap_scan, spectral_point,
-                                  susceptibility, susceptibility_table,
-                                  sweep_beta, sweep_flux, two_excitation_scan,
-                                  with_beta_c, with_flux_offsets)
+from fluxcoupler.analysis import (Truncations, build_system, compare_swt,
+                                  couplings_point, find_special_point,
+                                  gap_scan, spectral_point, susceptibility,
+                                  susceptibility_table, sweep_beta, sweep_flux,
+                                  two_excitation_scan, with_beta_c,
+                                  with_flux_offsets)
 from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import build_qubit_bare, qubit_phase, reduce_qubit
+from fluxcoupler.oscillator import qubit_reduction
+from fluxcoupler.swt import analytic_couplings, numerical_swt
 
 FAST = Truncations(qubit_states=40, coupler_states=30, n_keep=8)
 
@@ -74,7 +77,6 @@ def test_gap_scan_refuses_an_incomplete_manifold():
 def test_spectral_point_reference():
     cs, gd, spec, omega = spectral_point(
         derive_unitless(reference_circuit(beta_c=0.43)), FAST)
-    assert cs.provenance == "spectral_fit"
     assert np.allclose(omega, 2.9e9, rtol=1e-2)
     assert cs.J2 < 0
     assert np.isfinite(gd.delta_gap)
@@ -82,11 +84,20 @@ def test_spectral_point_reference():
 
 
 def test_couplings_point_branches():
+    # each branch name runs its own pipeline: the same values as the direct
+    # call, and three different values
     u = derive_unitless(reference_circuit(beta_c=0.3))
-    for branch in ("spectral_fit", "analytic_swt", "numerical_swt"):
+    w = qubit_reduction(float(np.mean(u.xi_j)), float(np.mean(u.beta_j)),
+                        float(np.mean(u.alpha)))
+    direct = {"spectral_fit": spectral_point(u, FAST)[0],
+              "analytic_swt": analytic_couplings(u, w),
+              "numerical_swt": numerical_swt(u, *build_system(u, FAST))[1]}
+    for branch, want in direct.items():
         cs = couplings_point(u, FAST, branch)
-        assert cs.provenance == branch
+        for name in ("J1", "J2", "J3", "J4", "shift", "residual"):
+            assert getattr(cs, name) == getattr(want, name), (branch, name)
         assert np.isfinite(cs.J4)
+    assert len({cs.J4 for cs in direct.values()}) == 3
     with pytest.raises(ValueError):
         couplings_point(u, FAST, "nonsense")
 
@@ -140,11 +151,20 @@ def test_sweep_beta_error_rows_stay_in_band():
     # a grid point in the forbidden regime shows up as an error row, without
     # taking down the rest of the sweep
     p = reference_circuit()
-    with pytest.warns(RuntimeWarning, match="beta_c >= 1"):
-        out = sweep_beta(p, [0.3, 1.05], FAST)
+    out = sweep_beta(p, [0.3, 1.05], FAST)
     assert out.rows[0]["spectral_status"] == "ok"
     assert out.rows[1]["spectral_status"].startswith("error")
     assert np.isnan(out.column("spectral_J4")[1])
+
+
+def test_coupler_regime_is_decided_by_the_builders():
+    # beta_c >= 1 converts without complaint; every branch refuses it where
+    # its coupler is built, each with its builder's message
+    res = compare_swt(reference_circuit(), [1.05], FAST)
+    assert {k: v for k, v in res.rows[0].items() if k.endswith("status")} == {
+        "spectral_status": "error: beta_c >= 1: coupler harmonic frame invalid",
+        "analytic_status": "error: beta_c >= 1: analytic couplings diverge",
+        "numswt_status": "error: beta_c >= 1: coupler harmonic frame invalid"}
 
 
 def test_sweep_flux_coupler_even_symmetry():

@@ -17,7 +17,8 @@ def test_constants_invariants():
 
 
 def test_both_xi_definitions_agree():
-    # 4 pi Z / R_Q versus (2 pi e / Phi_0) sqrt(L/C): asserted inside
+    # 4 pi Z / R_Q against the second textbook form, computed here:
+    # (2 pi e / Phi_0) sqrt(L/C)
     xi = impedance_parameter(817e-12, 77e-15)
     z = np.sqrt(817e-12 / 77e-15)
     assert xi == pytest.approx(
@@ -118,8 +119,3 @@ def test_unphysical_network_rejected():
     with pytest.raises(ValueError, match="unphysical mutual inductance network"):
         derive_unitless(p)
 
-
-def test_beta_c_above_one_warns():
-    p = reference_circuit(beta_c=1.2)
-    with pytest.warns(RuntimeWarning):
-        derive_unitless(p)

@@ -187,6 +187,31 @@ grid = 0.2, 0.4
     assert first[0] == "2.00000000000e-01"
 
 
+# each subcommand at a short grid, gap-scan's ending in an error row
+BYTE_CONFIGS = {
+    "spectrum": ("[sweep]\nratio_grid = 0.98, 1.0\n", 0),
+    "sweep-beta": ("[sweep]\ngrid = 0.2, 0.43\n", 0),
+    "sweep-flux": ("[sweep]\ngrid = -0.001, 0.0005\n", 0),
+    "susceptibility": ("", 0),
+    "compare-swt": ("[sweep]\ngrid = 0.2, 0.43\n", 0),
+    "gap-scan": ("[sweep]\ngrid = 0.43, 0.9\n", 1),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(BYTE_CONFIGS))
+def test_every_table_is_byte_stable(tmp_path, subcommand):
+    # the same config, run twice in one process, writes the same bytes
+    config, code = BYTE_CONFIGS[subcommand]
+    cfg = _write(tmp_path, FAST_TRUNC + config)
+    name = subcommand.replace("-", "_") + ".csv"
+    files = []
+    for out in ("a", "b"):
+        assert main([subcommand, "--config", cfg,
+                     "--out", str(tmp_path / out)]) == code
+        files.append((tmp_path / out / name).read_bytes())
+    assert files[0] == files[1]
+
+
 FAILING_CONFIGS = {  # subcommand: (config, rows)
     "spectrum": ("[circuit]\nbeta_c = 1.05\n[sweep]\nratio_grid = 0.98, 1.0\n",
                  2),
@@ -203,9 +228,7 @@ def test_failed_points_keep_their_rows(tmp_path, subcommand):
     # every subcommand records a failed point in its row and exits 1
     config, n_rows = FAILING_CONFIGS[subcommand]
     cfg = _write(tmp_path, FAST_TRUNC + config)
-    with pytest.warns(RuntimeWarning, match="beta_c >= 1"):
-        code = main([subcommand, "--config", cfg, "--out", str(tmp_path)])
-    assert code == 1
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 1
     _, columns, rows = _read_csv(tmp_path / (subcommand.replace("-", "_")
                                              + ".csv"))
     assert len(rows) == n_rows
@@ -300,6 +323,19 @@ def test_non_positive_beta_c_is_an_error_row(tmp_path):
     cfg = _write(tmp_path, FAST_TRUNC + "[sweep]\ngrid = 0.2\n")
     assert main(["gap-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert rows[1] == _read_csv(tmp_path / "gap_scan.csv")[2][0]
+
+
+def test_non_positive_frequency_ratio_is_an_error_row(tmp_path):
+    # the ratio scales E_Lj of qubits 3 and 4; a ratio that makes it zero or
+    # negative is refused where those qubits are built
+    cfg = _write(tmp_path, "[truncation]\nqubit_states = 30\n"
+                 "coupler_states = 20\n[sweep]\nratio_grid = -1, 0, 0.5, 1\n")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
+    _, columns, rows = _read_csv(tmp_path / "spectrum.csv")
+    status = {row[0]: row[columns.index("status")] for row in rows}
+    for ratio in ("-1.00000000000e+00", "0.00000000000e+00"):
+        assert status[ratio] == "error: E_Lj must be strictly positive"
+    assert status["1.00000000000e+00"] == "ok"
 
 
 def test_start_up_imports_no_scipy_optimize():

@@ -45,7 +45,7 @@ def test_eigendecompose_sorted_and_labeled():
     assert np.all(np.diff(s.eigenvalues) >= 0)
     # pure qubit-space spectrum: everything is coupler-ground
     assert np.all(s.subspace_label)
-    assert len(s.coupler_ground_levels()) == 16
+    assert np.array_equal(s.manifold(), np.arange(16))
 
 
 @pytest.mark.parametrize("J1,J2,J3,J4", [
@@ -57,7 +57,6 @@ def test_fit_round_trip(J1, J2, J3, J4):
     omega = np.full(4, 2.9)
     m = IsingModel.symmetric(2.9, J1=J1, J2=J2, J3=J3, J4=J4, shift=0.7)
     cs = extract_couplings(_spec_of(m), omega)
-    assert cs.provenance == "spectral_fit"
     assert cs.residual < 1e-7
     for name, want in [("J1", J1), ("J2", J2), ("J3", J3), ("J4", J4)]:
         assert getattr(cs, name) == pytest.approx(want, abs=1e-6)
@@ -79,7 +78,7 @@ def _bare_frame_projection(spec):
     through the bare frame: the 16 manifold eigenvectors carried there, their
     coupler-ground row rotated to the persistent-current frame and
     orthogonalized symmetrically by B (B^T B)^(-1/2)."""
-    sel = np.where(spec.subspace_label)[0][:16]
+    sel = spec.manifold()
     W = spec.frame.isometry()
     n_c = spec.frame.states.shape[1]
     bare = (W @ spec.eigenvectors[:, sel]).reshape(16, n_c, 16)[:, 0, :]
@@ -198,6 +197,53 @@ def test_two_excitation_mixing_refusal():
     m = IsingModel.symmetric(1.0, J2=0.8, J4=0.9, J1=0.5)
     with pytest.raises(RuntimeError, match="not identifiable"):
         two_excitation_splitting(_spec_of(m), np.full(4, 1.0))
+
+
+def _planted_spectrum():
+    """A product space with two coupler states per configuration, frame
+    = identity (z is the qubit energy basis), whose spectrum has 17 levels
+    labelled coupler-ground: two n = 0 states of the two-excitation sector,
+    (3, 0) and (5, 0), share three eigenvectors with the n = 1 state (0, 1)
+    outside it, each of them weighing at least 0.55 on n = 0.  Two of them
+    lie inside the manifold; the third, of sector weight 0.9, is planted at
+    5.0, above the manifold's top level (4.15) and below the coupler-excited
+    levels (10 and up).  Returns (spectrum, planted energy)."""
+    planted = 5.0
+    energy = {(z, 0): bin(z).count("1") + 0.01 * z for z in range(16)}
+    energy.update({(z, 1): 10.0 + z for z in range(16)})
+    mixed = [(0, 1), (3, 0), (5, 0)]
+    # a reflection whose first row, the weights on (0, 1), is
+    # (0.1, 0.45, 0.45)^(1/2): the eigenvectors' n = 1 weights
+    r = np.sqrt([0.1, 0.45, 0.45])
+    w = r - np.eye(3)[0]
+    Q = np.eye(3) - 2.0 * np.outer(w, w) / (w @ w)
+    V, E = np.eye(32), np.array([energy[z, n] for z in range(16)
+                                 for n in range(2)])
+    cols = [2 * z + n for z, n in mixed]
+    V[np.ix_(cols, cols)] = Q
+    E[cols] = [planted, 2.5, 2.6]
+    H = (V * E) @ V.T
+    frame = AdaptedBasis(np.eye(16), np.broadcast_to(np.eye(2), (16, 2, 2)))
+    spec = eigendecompose(OperatorMatrix((H + H.T) / 2, "product",
+                                         frame=frame))
+    return spec, planted
+
+
+def test_manifold_leaves_out_a_seventeenth_labelled_level():
+    # gap_diagnostics measures the manifold against every level outside it,
+    # the planted one included, and the two-excitation levels are read from
+    # the manifold alone
+    spec, planted = _planted_spectrum()
+    assert np.sum(spec.subspace_label) == 17
+    idx = spec.manifold()
+    top = np.max(spec.eigenvalues[idx])
+    assert top == pytest.approx(4.15) and planted not in spec.eigenvalues[idx]
+    gd = gap_diagnostics(spec)
+    assert gd.delta_gap == pytest.approx(planted - top)
+    out = two_excitation_splitting(spec, np.full(4, 1.0))
+    assert not np.any(np.isclose(out["levels"], planted))
+    assert np.allclose(out["levels"], [2.06, 2.09, 2.1, 2.12, 2.5, 2.6])
+    assert np.allclose(np.sort(out["sector_weights"]), [0.55] * 2 + [1.0] * 4)
 
 
 def test_gap_diagnostics_pure_qubit_space():

@@ -333,7 +333,6 @@ def test_numerical_swt_runs_and_reports():
     u = _u(0.3)
     qubits, coupler = _system(u)
     h_eff, cs = numerical_swt(u, qubits, coupler)
-    assert cs.provenance == "numerical_swt"
     assert h_eff.data.shape == (16, 16)
     assert cs.J2 < 0
     assert cs.residual >= 0
