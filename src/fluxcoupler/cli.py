@@ -111,7 +111,7 @@ def _parse_grid(text, lineno):
             n = np.floor((stop - start) / step * (1.0 + 1e-9)) + 1
             try:
                 return start + step * np.arange(int(n))
-            except (OverflowError, ValueError):  # more points than numpy holds
+            except (OverflowError, ValueError, MemoryError):  # too many
                 pass
     else:
         vals = np.array([_number(x, lineno) for x in text.split(",")])

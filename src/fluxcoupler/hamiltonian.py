@@ -5,17 +5,16 @@ Bare coupler and qubit Hamiltonians, each the one rf-SQUID loop of _rf_squid
 reduction, the 4-qubit (x) coupler product-space Hamiltonian, and the
 generalized Ising model (known 16-level spectra).
 
-The product space is laid out qubits first (qubit 0 slowest) and coupler
-index fastest.  This module is the only one that builds operators on it, and
-it writes the interaction once, on the 16 persistent-current configurations z
-of the qubits (qubit_configurations).  The numerical SWT reads it in the bare
-frame: each qubit in its energy basis, the coupler in its own eigenbasis
-(coupler_eigenbasis, bare_frame).  The spectral path (assemble_full) reads it
-in a coupler basis adapted to each z: the displaced coupler states chi_n(z) of
-Irish, PRL 99, 173601 (2007), kept per configuration as a local basis
-reduction.  The bare frame carries the interaction by its Kronecker factors,
-16 x 16 on the qubits and n_c x n_c on the coupler, and never as a product-
-space matrix.
+The product space is laid out qubits first (qubit 0 slowest, as its
+Kronecker products write it) and coupler index fastest.  This module is the
+only one that builds operators on it, and it writes the qubits' side once, on
+their 16 persistent-current configurations z (qubit_configurations): their
+own Hamiltonian and the interaction.  The numerical SWT reads it in the bare
+frame, by Kronecker factors: each qubit in its energy basis, the coupler in
+its own eigenbasis (coupler_eigenbasis, bare_frame).  The spectral path
+(assemble_full) reads it in a coupler basis adapted to each z: the displaced
+coupler states chi_n(z) of Irish, PRL 99, 173601 (2007), kept per
+configuration as a local basis reduction.
 
 All assembled operators carry units of Hz (energy/h).
 """
@@ -60,9 +59,8 @@ class AdaptedBasis:
 @dataclass
 class OperatorMatrix:
     data: np.ndarray
-    basis: str            # 'oscillator', 'product' or 'ising_pc'
     # the product space the operator is written in, which eigendecompose
-    # reads; None for oscillator operators and effective Hamiltonians
+    # reads; None for oscillator operators
     frame: AdaptedBasis = None
 
     def __post_init__(self):
@@ -86,6 +84,16 @@ def kron_all(ops):
     return out
 
 
+def _kron_sum(ops):
+    """sum_j 1 (x) ... (x) ops[j] (x) ... (x) 1, ops[0] slowest."""
+    out = ops[0]
+    for op in ops[1:]:
+        n, m = len(out), len(op)
+        out = (np.multiply.outer(out, np.eye(m)) + np.multiply.outer(
+            np.eye(n), op)).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    return out
+
+
 def _phase(xi, c, n_trunc):
     """phi = r (a + a^dag), r = sqrt(xi / sqrt(c)), in the oscillator basis
     of the quadratic part 4 xi^2 q^2/2 + c phi^2/2.  Returns (phi, r)."""
@@ -101,7 +109,7 @@ def _rf_squid(E_L, xi, c, beta, phi_x, n_trunc):
     h = 2.0 * xi * np.sqrt(c) * np.diag(np.arange(n_trunc) + 0.5) \
         + beta * cosine_matrix(n_trunc, r) \
         - c * phi_x * phi + 0.5 * c * phi_x**2 * np.eye(n_trunc)
-    return OperatorMatrix(E_L * h, "oscillator")
+    return OperatorMatrix(E_L * h)
 
 
 def build_coupler(u, n_trunc):
@@ -119,7 +127,7 @@ def build_coupler(u, n_trunc):
 
 def coupler_phase(u, n_trunc):
     """phi operator of the coupler in the same oscillator basis as build_coupler."""
-    return OperatorMatrix(_phase(u.xi_c, 1.0, n_trunc)[0], "oscillator")
+    return OperatorMatrix(_phase(u.xi_c, 1.0, n_trunc)[0])
 
 
 def build_qubit_bare(u, j, n_trunc):
@@ -139,7 +147,7 @@ def build_qubit_bare(u, j, n_trunc):
 def qubit_phase(u, j, n_trunc):
     """phi operator of qubit j, matching build_qubit_bare's basis."""
     c = 1.0 + float(u.alpha[j])**2
-    return OperatorMatrix(_phase(float(u.xi_j[j]), c, n_trunc)[0], "oscillator")
+    return OperatorMatrix(_phase(float(u.xi_j[j]), c, n_trunc)[0])
 
 
 @dataclass
@@ -187,13 +195,13 @@ def qubit_configurations(qubits, u):
     + sum_j alpha_j phi_j phi_c] on the 16 persistent-current configurations
     z (qubit 0 slowest), on which every phi_j is diagonal.
 
-    Returns (R, h_pc, force, direct): R = R_0 (x) ... (x) R_3, whose column z
-    is configuration z in the qubit energy basis; h_pc (4, 2, 2), each
-    qubit's h2 in its pc basis; force, the coupler force lambda(z) =
-    E_Ltilde_c sum_j alpha_j phi_j(z_j); direct, the pair energy of z with
-    each unordered pair once.  The columns of R_j are the eigenvectors of
-    phi2 (descending eigenvalue: right-well state first), gauge-fixed to
-    positive largest components.
+    Returns (R, h_q, force, direct): R = R_0 (x) ... (x) R_3, whose column z
+    is configuration z in the qubit energy basis; h_q, the Kronecker sum of
+    each qubit's h2 in its pc basis (the qubits' own Hamiltonian); force,
+    the coupler force lambda(z) = E_Ltilde_c sum_j alpha_j phi_j(z_j);
+    direct, the pair energy of z with each unordered pair once.  The columns
+    of R_j are the eigenvectors of phi2 (descending eigenvalue: right-well
+    state first), gauge-fixed to positive largest components.
     """
     R = []
     for q in qubits:
@@ -201,12 +209,12 @@ def qubit_configurations(qubits, u):
         R.append(v * np.sign(v[np.abs(v).argmax(axis=0), [0, 1]]))
     a_phi = np.asarray(u.alpha, dtype=float)[:, None] * np.array(
         [np.diag(r.T @ q.phi2 @ r) for r, q in zip(R, qubits)])
-    h_pc = np.array([r.T @ q.h2 @ r for r, q in zip(R, qubits)])
+    h_q = _kron_sum([r.T @ q.h2 @ r for r, q in zip(R, qubits)])
     x = _configuration_sum(a_phi)
     E = u.E_Ltilde_c
     # sum_{i<j} x_i x_j = ((sum_j x_j)^2 - sum_j x_j^2) / 2
     direct = 0.5 * E * (x**2 - _configuration_sum(a_phi**2))
-    return kron_all(R), h_pc, E * x, direct
+    return kron_all(R), h_q, E * x, direct
 
 
 def bare_frame(qubits, u, e_c, phi_c):
@@ -223,13 +231,6 @@ def bare_frame(qubits, u, e_c, phi_c):
     return h0.ravel(), V, R
 
 
-# the 32 configuration pairs (z, z') that differ in qubit j only, z_j = 0,
-# and that qubit's index j
-_FLIPS = [(z, z | 1 << (3 - j), j) for j in range(4) for z in range(16)
-          if not z >> (3 - j) & 1]
-_FLIP_LO, _FLIP_HI, _FLIP_QUBIT = (np.array(c) for c in zip(*_FLIPS))
-
-
 def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep):
     """Product-space Hamiltonian on 2^4 x n_keep dimensions.
 
@@ -244,8 +245,8 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep):
     in the full coupler eigenbasis, and its lowest n_keep states chi_n(z)
     are kept.  The block of z carries their energies (relative to the bare
     coupler ground level), the direct pair term and the qubits' diagonal
-    terms; blocks z, z' that differ in qubit j only are coupled by that
-    qubit's transverse term times the overlaps <chi_n(z)|chi_m(z')>.
+    h_q[z, z]; blocks z, z' with h_q[z, z'] != 0 (those that differ in one
+    qubit) are coupled by it times the overlaps <chi_n(z)|chi_m(z')>.
 
     The returned operator carries the persistent-current rotations and the
     chi_n(z) as .frame, its change of basis to the bare frame (qubit energy
@@ -259,20 +260,20 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep):
     if n_keep > n_c:
         raise ValueError("n_keep exceeds coupler truncation")
     e_c, phi_c = coupler_eigenbasis(coupler, u)
-    R, h_pc, force, direct = qubit_configurations(qubits, u)
-    shift = direct + _configuration_sum(np.diagonal(h_pc, axis1=1, axis2=2))
+    R, h_q, force, direct = qubit_configurations(qubits, u)
 
     eps, chi = np.linalg.eigh(np.diag(e_c) + force[:, None, None] * phi_c)
     eps, chi = eps[:, :n_keep], chi[:, :, :n_keep]
 
     z = np.arange(16)
     H = np.zeros((16, n_keep, 16, n_keep))
-    H[z, :, z, :] = np.eye(n_keep) * (eps + shift[:, None])[:, None, :]
-    hop = h_pc[_FLIP_QUBIT, 0, 1][:, None, None] * (
-        chi[_FLIP_LO].transpose(0, 2, 1) @ chi[_FLIP_HI])
-    H[_FLIP_LO, :, _FLIP_HI, :] = hop
-    H[_FLIP_HI, :, _FLIP_LO, :] = hop.transpose(0, 2, 1)
-    return OperatorMatrix(H.reshape(16 * n_keep, 16 * n_keep), "product",
+    H[z, :, z, :] = np.eye(n_keep) * (
+        eps + (direct + np.diag(h_q))[:, None])[:, None, :]
+    lo, hi = np.nonzero(np.triu(h_q, 1))
+    hop = h_q[lo, hi][:, None, None] * (chi[lo].transpose(0, 2, 1) @ chi[hi])
+    H[lo, :, hi, :] = hop
+    H[hi, :, lo, :] = hop.transpose(0, 2, 1)
+    return OperatorMatrix(H.reshape(16 * n_keep, 16 * n_keep),
                           frame=AdaptedBasis(R, chi))
 
 
@@ -338,6 +339,5 @@ def assemble_ising_model(m: IsingModel) -> OperatorMatrix:
     # no Y string is in the table, so H is real
     H = np.einsum("ijkl,iab,jcd,kef,lgh->acegbdfh", c, *[_PAULIS] * 4,
                   optimize=True).real.reshape(16, 16)
-    return OperatorMatrix(H, "ising_pc",
-                          frame=AdaptedBasis(kron_all([_HAD] * 4),
-                                             np.ones((16, 1, 1))))
+    return OperatorMatrix(H, frame=AdaptedBasis(kron_all([_HAD] * 4),
+                                                np.ones((16, 1, 1))))

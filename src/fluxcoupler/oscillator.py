@@ -126,12 +126,12 @@ def find_well_minimum(beta, alpha=0.0):
     Solves (1 + alpha^2) phi = beta sin(phi) on (0, pi).  Returns 0.0 when
     beta/(1+alpha^2) <= 1 (single well).  The linear coefficient is
     (1+alpha^2) and the screening parameter is the qubit's own beta, as the
-    potential dictates.
+    potential dictates; alpha enters squared, so either sign is allowed.
     """
     if not beta > 0:
         raise ValueError("beta must be positive")
-    if not alpha >= 0:
-        raise ValueError("alpha must be non-negative")
+    if np.isnan(alpha):
+        raise ValueError("alpha must not be NaN")
     c = 1.0 + alpha**2
     if beta / c <= 1.0:
         return 0.0

@@ -58,11 +58,9 @@ def swt_prefactors(u, well) -> SwtPrefactors:
     g = E alpha s / sqrt(2 m_c omega_c), K = E beta_c / (96 m_c^2 omega_c^2).
     """
     E = u.E_Ltilde_c
-    alpha = float(np.mean(u.alpha))
-    s = well.s
     m_c = 1.0 / (4.0 * E * u.xi_c**2)
     omega_c = 2.0 * E * u.xi_c * np.sqrt(1.0 - u.beta_c)
-    eps = alpha * s
+    eps = float(np.mean(u.alpha)) * well.s
     g = E * eps / np.sqrt(2.0 * m_c * omega_c)
     K = E * u.beta_c / (96.0 * m_c**2 * omega_c**2)
     return SwtPrefactors(g_qb_c=g, g_qb_qb=E * eps**2, K_corr=K, m_c=m_c,
@@ -74,7 +72,8 @@ C1_CONSTANT = (1689.0 + 1060.0 * np.sqrt(2.0) - 82.0 * np.sqrt(6.0)
 
 
 def analytic_couplings(u, well):
-    """Closed-form 4th-order coupling strengths (identical qubits).
+    """Closed-form 4th-order couplings, which describe four identical qubits
+    at the degeneracy point only: any other point is refused.
 
     J4 = 3 E (alpha s)^4 / (xi_c (1-beta_c)^{5/2})
     J3 = -E (alpha s)^3 beta_c sqrt(xi_c) / (32 (1-beta_c)^3)
@@ -85,22 +84,23 @@ def analytic_couplings(u, well):
     """
     if u.beta_c >= 1:
         raise ValueError("beta_c >= 1: analytic couplings diverge")
-    E = u.E_Ltilde_c
-    b = u.beta_c
-    xi = u.xi_c
-    eps = float(np.mean(u.alpha)) * well.s
+    if u.phi_cx != 0 or np.any(u.phi_jx != 0) or any(
+            np.ptp(getattr(u, k)) != 0 for k in ("alpha", "xi_j", "beta_j")):
+        raise ValueError("analytic couplings need four identical qubits at "
+                         "the degeneracy point")
+    p = swt_prefactors(u, well)
+    E, b, xi, eps = u.E_Ltilde_c, u.beta_c, u.xi_c, p.epsilon
+    if abs(eps) >= 1:
+        raise ValueError("epsilon = alpha*s >= 1: series has no small parameter")
     omb = 1.0 - b
     J4 = 3.0 * E * eps**4 / (xi * omb**2.5)
     J3 = -E * eps**3 * b * np.sqrt(xi) / (32.0 * omb**3)
     J2 = E * eps**2 * (1.0 - 1.0 / omb + 0.5 * b * xi / omb**2.5
                        + C1_CONSTANT * b**2 * xi**2 / omb**4
                        + 5.0 * eps**2 / (xi * omb**2.5))
-    p = swt_prefactors(u, well)
     g, K, d = p.g_qb_c, p.K_corr, p.omega_c
     J1 = -(628.0 + 24.0 * np.sqrt(3.0)) * K**3 * g / d**3 - 12.0 * K * g**3 / d**3
-    diag = {"epsilon": eps, "gap_ratio": p.omega_c / max(E * eps, 1e-300)}
-    if eps >= 1:
-        raise ValueError("epsilon = alpha*s >= 1: series has no small parameter")
+    diag = {"epsilon": eps, "gap_ratio": d / max(E * abs(eps), 1e-300)}
     return CouplingStrengths(J1=float(J1), J2=float(J2), J3=float(J3),
                              J4=float(J4), shift=0.0, diagnostics=diag)
 
@@ -211,23 +211,20 @@ def numerical_swt(u, qubits, coupler: OperatorMatrix):
     factors, written from the same qubit configurations that assemble_full
     reads.  Partitions it on coupler ground vs rest, runs the generator
     recursion, rotates the 16x16 low block with the configurations' R into
-    the persistent-current frame and Pauli-decomposes it.
+    the persistent-current frame and Pauli-decomposes it: (h_eff, couplings).
     """
     e_c, phi_c = coupler_eigenbasis(coupler, u)
 
-    omega = np.array([q.omega for q in qubits])
-    if np.min(e_c[1:]) <= np.max(omega):
+    if np.min(e_c[1:]) <= max(q.omega for q in qubits):
         raise RuntimeError("gap collapse: coupler gap below qubit splitting, "
                            "SWT convergence lost")
 
     h0, V, R = bare_frame(qubits, u, e_c, phi_c)
-    block = swt_effective_block(h0, *V)
-
-    h_eff = OperatorMatrix(R.T @ block @ R, "ising_pc")
+    h_eff = R.T @ swt_effective_block(h0, *V) @ R
     return h_eff, ising_couplings(h_eff)
 
 
-def ising_couplings(h_eff: OperatorMatrix) -> CouplingStrengths:
+def ising_couplings(h_eff) -> CouplingStrengths:
     """Coupling strengths of a 16x16 effective Hamiltonian (pc frame).
 
     J1, J2 and J3 are the means over qubits, pairs and triples of the
@@ -254,16 +251,18 @@ _PAULI_PATH = np.einsum_path(_PAULI_SUBSCRIPTS, *[_PAULIS.conj()] * 4,
                              np.zeros((2,) * 8), optimize=True)[0]
 
 
-def pauli_decompose(h_eff: OperatorMatrix):
-    """Pauli-string reading of a 16x16 effective Hamiltonian (pc frame).
+def pauli_decompose(h_eff):
+    """Pauli-string reading of a 16x16 Hermitian array, an effective
+    Hamiltonian in the pc frame (anything else is refused).
 
     Returns (IsingModel, residual): each model field read from its
     hamiltonian.ISING_STRINGS coefficients, and the norm of every string
     outside that table (hamiltonian.NON_ISING) as the non-Ising residual.
     """
-    A = h_eff.data
+    A = np.asarray(h_eff)
     if A.shape != (16, 16):
         raise ValueError("need a 16x16 effective Hamiltonian")
+    check_hermitian(A)
     c = np.einsum(_PAULI_SUBSCRIPTS, *[_PAULIS.conj()] * 4,
                   A.reshape((2,) * 8), optimize=_PAULI_PATH) / 16.0
     fields = {name: c[index].real / factor

@@ -11,7 +11,8 @@ from fluxcoupler.analysis import (Truncations, build_system, compare_swt,
                                   susceptibility_table, sweep_beta, sweep_flux,
                                   two_excitation_scan, with_beta_c,
                                   with_flux_offsets)
-from fluxcoupler.circuit import derive_unitless, reference_circuit
+from fluxcoupler.circuit import (REFERENCE, circuit_from, derive_unitless,
+                                 reference_circuit)
 from fluxcoupler.hamiltonian import build_qubit_bare, qubit_phase, reduce_qubit
 from fluxcoupler.oscillator import qubit_reduction
 from fluxcoupler.swt import analytic_couplings, numerical_swt
@@ -132,7 +133,7 @@ def test_every_table_declares_its_columns():
     branches = tuple(analysis.BRANCHES)
     tables = {
         "sweep-beta": sweep_beta(p, [0.43], FAST, branches),
-        "sweep-flux": sweep_flux(p, [1e-3], trunc=FAST, branches=branches),
+        "sweep-flux": sweep_flux(p, [0.0], trunc=FAST, branches=branches),
         "compare-swt": compare_swt(p, [0.43], FAST),
         "gap-scan": gap_scan(p, [0.43], FAST),
         "spectrum": two_excitation_scan(p, [1.0], FAST),
@@ -145,6 +146,33 @@ def test_every_table_declares_its_columns():
             assert all(row[col] == "ok" for col in res.columns
                        if col.endswith("status")), name
             assert set(row) == set(res.columns), name
+
+
+def test_negative_mutual_inductance_flips_the_odd_couplings():
+    # the double well reads alpha^2 alone, so M_j -> -M_j leaves J2 and J4
+    # and negates J1 and J3; the analytic branch used to refuse alpha < 0
+    plus, minus = (compare_swt(circuit_from({**REFERENCE, "M_j": M}),
+                               [0.2, 0.43], FAST) for M in (40e-12, -40e-12))
+    for a, b in zip(plus.rows, minus.rows):
+        assert a["analytic_status"] == b["analytic_status"] == "ok"
+        for name in ("J2", "J4"):
+            assert b[f"analytic_{name}"] == a[f"analytic_{name}"]
+            assert b[f"spectral_{name}"] == pytest.approx(
+                a[f"spectral_{name}"], rel=1e-9)
+        for name in ("J1", "J3"):
+            assert b[f"analytic_{name}"] == -a[f"analytic_{name}"]
+
+
+def test_analytic_branch_refuses_flux_offsets():
+    # off the degeneracy point the closed forms do not apply: every row of
+    # a flux sweep with qubit offsets is an error row, none an ok one
+    res = sweep_flux(reference_circuit(), [-0.003, 0.0, 0.003],
+                     qubit_offsets=[0.001, -0.002, 0.0015, 0.0005],
+                     trunc=FAST, branches=("analytic_swt",))
+    assert [r["analytic_status"] for r in res.rows] == [
+        "error: analytic couplings need four identical qubits at the "
+        "degeneracy point"] * 3
+    assert np.all(np.isnan(res.column("analytic_J4")))
 
 
 def test_sweep_beta_error_rows_stay_in_band():

@@ -68,6 +68,8 @@ beta_c = 0.25  # inline
     ("\n[sweep]\ngrid = 0.5:0.1:0.1", "line 3: malformed grid"),
     ("[sweep]\ngrid = 0:1:1e-300", "line 2: malformed grid"),
     ("[sweep]\ngrid = 0:1:1e-320", "line 2: malformed grid"),
+    # 1e17 points, 711 PiB: more than any 64-bit address space maps
+    ("[sweep]\ngrid = 0:1:1e-17", "line 2: malformed grid"),
     ("[sweep]\nqubit_offsets = 1,2,3", "line 2: qubit_offsets needs 4"),
     ("[extraction]\nbranches = magic", "line 2: unknown branch"),
     ("[extraction]\nfit_J3 = maybe", "line 2: unknown key 'fit_J3'"),

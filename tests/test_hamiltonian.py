@@ -10,7 +10,8 @@ from fluxcoupler.hamiltonian import (IsingModel, OperatorMatrix, PAIRS,
                                      TRIPLES, assemble_full,
                                      assemble_ising_model, build_coupler,
                                      build_qubit_bare, coupler_phase,
-                                     kron_all, qubit_phase, reduce_qubit)
+                                     kron_all, qubit_phase, reduce_qubit,
+                                     _kron_sum)
 from fluxcoupler.oscillator import qubit_reduction
 from toys import written_out_coupler, written_out_qubit
 
@@ -135,11 +136,22 @@ def test_element_builders_match_the_written_out_formulas(beta_c, offsets, n):
         same_bits(qubit_phase(u, j, n), phi)
 
 
+@pytest.mark.parametrize("size", [2, 3])
+def test_kron_sum_is_the_sum_of_kronecker_products(size):
+    # the broadcast fold against the written-out sum, qubit 0 slowest
+    rng = np.random.default_rng(size)
+    ops = [rng.normal(size=(size, size)) for _ in range(4)]
+    eye = np.eye(size)
+    want = sum(kron_all([op if i == j else eye for i in range(4)])
+               for j, op in enumerate(ops))
+    assert np.array_equal(_kron_sum(ops), want)
+
+
 def test_operator_matrix_validation():
     with pytest.raises(ValueError):
-        OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), "oscillator")
+        OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        OperatorMatrix(np.ones((2, 3)), "oscillator")
+        OperatorMatrix(np.ones((2, 3)))
 
 
 def test_reduce_qubit_properties():

@@ -26,18 +26,37 @@ def test_eigendecompose_rejects_non_hermitian():
 
 @pytest.mark.parametrize("rel,rejected", [(1e-11, True), (1e-13, False)])
 def test_one_hermiticity_rule(rel, rejected):
-    # the same 1e-12 rule at construction and for a later edit of .data
+    # the same 1e-12 rule at construction, for a later edit of .data and
+    # for an effective Hamiltonian handed to pauli_decompose as an array
     H = assemble_ising_model(IsingModel.symmetric(1.0, J2=0.1))
     H.data = H.data.copy()
     H.data[0, 1] += rel * np.linalg.norm(H.data)
-    if not rejected:
-        OperatorMatrix(H.data, "ising_pc")
-        eigendecompose(H)
-        return
-    with pytest.raises(ValueError, match="not Hermitian"):
-        OperatorMatrix(H.data, "ising_pc")
-    with pytest.raises(ValueError, match="not Hermitian"):
-        eigendecompose(H)
+    for read in (lambda: OperatorMatrix(H.data), lambda: eigendecompose(H),
+                 lambda: pauli_decompose(H.data)):
+        if rejected:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                read()
+        else:
+            read()
+
+
+def test_pauli_decompose_refuses_a_non_16x16_array():
+    for A in (np.eye(8), np.zeros((16, 15)), np.eye(32)):
+        with pytest.raises(ValueError, match="16x16"):
+            pauli_decompose(A)
+
+
+def test_basis_is_read_from_the_frame():
+    # the benchmark's tracer keys its manifold count on basis == "product"
+    u = derive_unitless(reference_circuit())
+    qubits = [reduce_qubit(build_qubit_bare(u, j, 30), qubit_phase(u, j, 30))
+              for j in range(4)]
+    coupler = build_coupler(u, 20)
+    for n_keep in (1, 8):
+        H = assemble_full(qubits, coupler, u, n_keep)
+        assert eigendecompose(H).basis == "product"
+    assert _planted_spectrum()[0].basis == "product"
+    assert _spec_of(IsingModel.symmetric(1.0, J2=0.1)).basis == "ising_pc"
 
 
 def test_eigendecompose_sorted_and_labeled():
@@ -95,8 +114,7 @@ def test_spectral_couplings_are_the_bare_frame_projection(beta_c):
               for j in range(4)]
     spec = eigendecompose(assemble_full(qubits, build_coupler(u, 30), u, 8))
     cs = extract_couplings(spec, [q.omega for q in qubits])
-    model, residual = pauli_decompose(OperatorMatrix(
-        _bare_frame_projection(spec), "ising_pc"))
+    model, residual = pauli_decompose(_bare_frame_projection(spec))
     scale = abs(cs.J2)
     for name in ("J1", "J2", "J3"):
         assert np.allclose(getattr(cs, name), np.mean(getattr(model, name)),
@@ -136,7 +154,7 @@ def test_two_excitation_sector_in_the_adapted_basis():
     R = H.frame.rotation
     W = np.kron(R.T, np.eye(n_c)) @ H.frame.isometry()
     frame = AdaptedBasis(R, np.broadcast_to(np.eye(n_c), (16, n_c, n_c)))
-    bare = OperatorMatrix(W @ H.data @ W.T, "product", frame=frame)
+    bare = OperatorMatrix(W @ H.data @ W.T, frame=frame)
     bare_spec = eigendecompose(bare)
     want = two_excitation_splitting(bare_spec, omega)
     assert np.allclose(adapted["levels"], want["levels"], rtol=1e-9)
@@ -224,8 +242,7 @@ def _planted_spectrum():
     E[cols] = [planted, 2.5, 2.6]
     H = (V * E) @ V.T
     frame = AdaptedBasis(np.eye(16), np.broadcast_to(np.eye(2), (16, 2, 2)))
-    spec = eigendecompose(OperatorMatrix((H + H.T) / 2, "product",
-                                         frame=frame))
+    spec = eigendecompose(OperatorMatrix((H + H.T) / 2, frame=frame))
     return spec, planted
 
 

@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -287,6 +288,23 @@ def test_analytic_validation():
         analytic_couplings(u, _well(u))
 
 
+@pytest.mark.parametrize("name,value", [
+    ("phi_cx", 1e-3), ("phi_jx", [0.0, 0.0, 1e-3, 0.0]),
+    ("alpha", "one ulp"), ("xi_j", "one ulp"), ("beta_j", "one ulp")])
+def test_analytic_refuses_points_its_closed_forms_do_not_describe(name,
+                                                                   value):
+    # the closed forms describe four identical qubits at the degeneracy
+    # point; a flux offset or one qubit differing by one ulp is refused
+    u = _u(0.43)
+    w = _well(u)
+    if value == "one ulp":
+        value = getattr(u, name).copy()
+        value[1] = np.nextafter(value[1], np.inf)
+    with pytest.raises(ValueError, match="four identical qubits at the "
+                                         "degeneracy point"):
+        analytic_couplings(replace(u, **{name: value}), w)
+
+
 def test_analytic_reference_point():
     cs = analytic_couplings(_u(0.43), _well(_u(0.43)))
     # values in the 100 MHz / -50 MHz region, diverging toward beta_c = 1
@@ -333,7 +351,7 @@ def test_numerical_swt_runs_and_reports():
     u = _u(0.3)
     qubits, coupler = _system(u)
     h_eff, cs = numerical_swt(u, qubits, coupler)
-    assert h_eff.data.shape == (16, 16)
+    assert h_eff.shape == (16, 16)
     assert cs.J2 < 0
     assert cs.residual >= 0
     # symmetric circuit: per-pair spreads vanish
@@ -349,7 +367,7 @@ def test_numerical_swt_gap_collapse():
     from fluxcoupler.hamiltonian import OperatorMatrix
     u = _u(0.3)
     qubits, _ = _system(u)
-    shallow = OperatorMatrix(np.diag(np.arange(12) * 1.0e9), "oscillator")
+    shallow = OperatorMatrix(np.diag(np.arange(12) * 1.0e9))
     with pytest.raises(RuntimeError, match="gap collapse"):
         numerical_swt(u, qubits, shallow)
 
@@ -492,7 +510,7 @@ def test_pauli_decompose_round_trip():
     m = IsingModel(omega=rng.normal(size=4), J1=rng.normal(size=4),
                    J2=rng.normal(size=6), J3=rng.normal(size=4),
                    J4=rng.normal(), shift=rng.normal())
-    model, residual = pauli_decompose(assemble_ising_model(m))
+    model, residual = pauli_decompose(assemble_ising_model(m).data)
     assert np.allclose(model.omega, m.omega, atol=1e-12)
     assert np.allclose(model.J1, m.J1, atol=1e-12)
     assert np.allclose(model.J2, m.J2, atol=1e-12)
@@ -505,7 +523,7 @@ def test_pauli_decompose_round_trip():
 def test_pauli_decompose_is_the_trace_projection():
     # every coefficient is tr(P^H A) / 16 for its Pauli string P
     import itertools
-    from fluxcoupler.hamiltonian import OperatorMatrix, kron_all
+    from fluxcoupler.hamiltonian import kron_all
     paulis = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
               "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
               "Z": np.diag([1.0, -1.0])}
@@ -518,7 +536,7 @@ def test_pauli_decompose_is_the_trace_projection():
     def z_string(qubits):
         return "".join("Z" if k in qubits else "I" for k in range(4))
 
-    model, residual = pauli_decompose(OperatorMatrix(A, "ising_pc"))
+    model, residual = pauli_decompose(A)
     tol = 1e-14 * np.linalg.norm(A)
     assert model.shift == pytest.approx(c["IIII"].real, abs=tol)
     assert model.J4 == pytest.approx(c["ZZZZ"].real, abs=tol)
@@ -541,10 +559,10 @@ def test_pauli_decompose_is_the_trace_projection():
 
 
 def test_pauli_decompose_residual_detects_non_ising():
-    from fluxcoupler.hamiltonian import OperatorMatrix, kron_all
+    from fluxcoupler.hamiltonian import kron_all
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
     I = np.eye(2)
     H = 0.3 * kron_all([X, X, I, I])
-    _, residual = pauli_decompose(OperatorMatrix(H, "ising_pc"))
+    _, residual = pauli_decompose(H)
     # Frobenius norm of the non-Ising content
     assert residual == pytest.approx(np.linalg.norm(H), rel=1e-12)

@@ -5,9 +5,9 @@ from scipy.optimize import brentq
 from scipy.special import binom, gammaln
 
 from fluxcoupler.circuit import derive_unitless, reference_circuit
-from fluxcoupler.hamiltonian import (PAIRS, OperatorMatrix, build_coupler,
-                                     build_qubit_bare, coupler_phase, kron_all,
-                                     qubit_phase, reduce_qubit)
+from fluxcoupler.hamiltonian import (PAIRS, build_coupler, build_qubit_bare,
+                                     coupler_phase, kron_all, qubit_phase,
+                                     reduce_qubit)
 from fluxcoupler.oscillator import cosine_matrix, ladder
 from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, SwtPrefactors,
                              _cross_block_gaps, pauli_decompose,
@@ -224,8 +224,7 @@ def linear_coupler_toy(g, delta, omega=0.0, n_c=25):
     # rotate energy basis -> pc frame (Hadamard per qubit maps flip -> Z)
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     U = kron_all([had] * 4)
-    h_eff = OperatorMatrix(U.T @ block @ U, "ising_pc")
-    return pauli_decompose(h_eff)
+    return pauli_decompose(U.T @ block @ U)
 
 
 def _genlaguerre_matrix(lo, k, x):
