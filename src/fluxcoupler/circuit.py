@@ -63,11 +63,15 @@ class CircuitParams:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
             if getattr(self, name).shape != (4,):
                 raise ValueError(f"{name} must have shape (4,)")
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         for name in ("L_j", "C_j", "I_cj"):
             if not np.all(getattr(self, name) > 0):
                 raise ValueError(f"{name} entries must be strictly positive")
         if not np.all(np.isfinite([self.L_c, self.C_c, self.I_cc])):
             raise ValueError("L_c, C_c, I_cc must be finite")
+        if not np.isfinite(self.Phi_cx):
+            raise ValueError("Phi_cx must be finite")
         if self.L_c <= 0 or self.C_c <= 0 or self.I_cc <= 0:
             raise ValueError("L_c, C_c, I_cc must be strictly positive")
         if not np.all(self.M_j**2 < self.L_j * self.L_c):

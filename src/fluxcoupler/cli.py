@@ -307,7 +307,8 @@ def main(argv=None):
 
     try:
         if args.config:
-            with open(args.config, encoding="utf-8") as fh:
+            # utf-8-sig: a leading byte-order mark is not part of the config
+            with open(args.config, encoding="utf-8-sig") as fh:
                 cfg = parse_config(fh.read())
         else:
             cfg = parse_config("")

@@ -7,11 +7,11 @@ generalized Ising model (known 16-level spectra).
 
 The product space is laid out qubits first (qubit 0 slowest, as its
 Kronecker products write it) and coupler index fastest.  This module is the
-only one that builds operators on it, and it writes the qubits' side once, on
-their 16 persistent-current configurations z (qubit_configurations): their
-own Hamiltonian and the interaction.  The numerical SWT reads it in the bare
-frame, by Kronecker factors: each qubit in its energy basis, the coupler in
-its own eigenbasis (coupler_eigenbasis, bare_frame).  The spectral path
+only one that builds operators on it, and it writes the interaction once, on
+the qubits' 16 persistent-current configurations z (qubit_configurations,
+each qubit's pc basis from reduce_qubit).  The numerical SWT reads it in the
+bare frame, by Kronecker factors: each qubit in its energy basis, the coupler
+in its own eigenbasis (coupler_eigenbasis, bare_frame).  The spectral path
 (assemble_full) reads it in a coupler basis adapted to each z: the displaced
 coupler states chi_n(z) of Irish, PRL 99, 173601 (2007), kept per
 configuration as a local basis reduction.
@@ -46,14 +46,14 @@ class AdaptedBasis:
     coupler eigenbasis).  Basis state (z, n) is rotation[:, z] (x)
     states[z, :, n], n = 0 coupler-ground.  assemble_full keeps n_keep
     displaced states chi_n(z); the Ising model keeps one, states = 1."""
-    rotation: np.ndarray   # (16, 16) persistent-current states z, by column
-    states: np.ndarray     # (16, n_c, n_keep) kept coupler states chi_n(z)
+    rotation: np.ndarray   # (n_z, n_z) persistent-current states z, by column
+    states: np.ndarray     # (n_z, n_c, n_keep) kept coupler states chi_n(z)
 
     def isometry(self):
         """Matrix whose columns are the basis states in the bare frame."""
-        n_c, n_keep = self.states.shape[1:]
+        n_z, n_c, n_keep = self.states.shape
         return np.einsum("az,zcn->aczn", self.rotation, self.states).reshape(
-            16 * n_c, 16 * n_keep)
+            n_z * n_c, n_z * n_keep)
 
 
 @dataclass
@@ -72,8 +72,10 @@ class OperatorMatrix:
 
 
 def check_hermitian(A):
-    """Raise ValueError unless ||A - A^H||_F <= 1e-12 max(||A||_F, 1)."""
-    if np.linalg.norm(A - A.conj().T) > 1e-12 * max(np.linalg.norm(A), 1.0):
+    """Raise ValueError unless ||A - A^H||_F <= 1e-12 max(||A||_F, 1), which
+    a NaN entry never satisfies."""
+    tol = 1e-12 * max(np.linalg.norm(A), 1.0)
+    if not np.linalg.norm(A - A.conj().T) <= tol:
         raise ValueError("operator not Hermitian within tolerance")
 
 
@@ -155,13 +157,16 @@ class ReducedQubit:
     h2: np.ndarray          # 2x2, Hz, trace removed, diagonal in energy basis
     phi2: np.ndarray        # 2x2 phase operator in the same basis
     omega: float            # splitting (Hz)
+    pc: np.ndarray          # 2x2 pc states by column, same basis
 
 
 def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
     """Project a bare qubit onto its two lowest eigenstates.
 
-    The eigenvector gauge is fixed so the off-diagonal phi element is real and
-    non-negative, making all downstream coupling signs deterministic.
+    Both bases are gauge-fixed, so all downstream coupling signs are
+    deterministic: the energy basis so the off-diagonal phi element is real
+    and non-negative, the persistent-current states pc (eigenvectors of phi2,
+    descending: right-well state first) to positive largest components.
     """
     ev, vec = np.linalg.eigh(h.data)
     v2 = vec[:, :2]
@@ -170,7 +175,9 @@ def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
         v2 = v2 @ np.diag([1.0, -1.0])
         phi2 = v2.T @ phi.data @ v2
     h2 = np.diag(ev[:2] - np.mean(ev[:2]))
-    return ReducedQubit(h2=h2, phi2=phi2, omega=float(ev[1] - ev[0]))
+    pc = np.linalg.eigh(phi2)[1][:, ::-1]
+    pc = pc * np.sign(pc[np.abs(pc).argmax(axis=0), [0, 1]])
+    return ReducedQubit(h2=h2, phi2=phi2, omega=float(ev[1] - ev[0]), pc=pc)
 
 
 def coupler_eigenbasis(coupler: OperatorMatrix, u):
@@ -190,31 +197,23 @@ def _configuration_sum(x):
 
 
 def qubit_configurations(qubits, u):
-    """The qubits' side of the product space, which both builders read:
-    the interaction E_Ltilde_c [sum_{i<j} alpha_i alpha_j phi_i phi_j
-    + sum_j alpha_j phi_j phi_c] on the 16 persistent-current configurations
-    z (qubit 0 slowest), on which every phi_j is diagonal.
+    """The qubits' side of the interaction, which both builders read:
+    E_Ltilde_c [sum_{i<j} alpha_i alpha_j phi_i phi_j + sum_j alpha_j phi_j phi_c]
+    on the 16 persistent-current configurations z (qubit 0 slowest), on
+    which every phi_j is diagonal.
 
-    Returns (R, h_q, force, direct): R = R_0 (x) ... (x) R_3, whose column z
-    is configuration z in the qubit energy basis; h_q, the Kronecker sum of
-    each qubit's h2 in its pc basis (the qubits' own Hamiltonian); force,
-    the coupler force lambda(z) = E_Ltilde_c sum_j alpha_j phi_j(z_j);
-    direct, the pair energy of z with each unordered pair once.  The columns
-    of R_j are the eigenvectors of phi2 (descending eigenvalue: right-well
-    state first), gauge-fixed to positive largest components.
+    Returns (R, force, direct): R = pc_0 (x) ... (x) pc_3, whose column z is
+    configuration z in the qubit energy basis; force, the coupler force
+    lambda(z) = E_Ltilde_c sum_j alpha_j phi_j(z_j); direct, the pair energy
+    of z with each unordered pair once.
     """
-    R = []
-    for q in qubits:
-        v = np.linalg.eigh(q.phi2)[1][:, ::-1]
-        R.append(v * np.sign(v[np.abs(v).argmax(axis=0), [0, 1]]))
     a_phi = np.asarray(u.alpha, dtype=float)[:, None] * np.array(
-        [np.diag(r.T @ q.phi2 @ r) for r, q in zip(R, qubits)])
-    h_q = _kron_sum([r.T @ q.h2 @ r for r, q in zip(R, qubits)])
+        [np.diag(q.pc.T @ q.phi2 @ q.pc) for q in qubits])
     x = _configuration_sum(a_phi)
     E = u.E_Ltilde_c
     # sum_{i<j} x_i x_j = ((sum_j x_j)^2 - sum_j x_j^2) / 2
     direct = 0.5 * E * (x**2 - _configuration_sum(a_phi**2))
-    return kron_all(R), h_q, E * x, direct
+    return kron_all([q.pc for q in qubits]), E * x, direct
 
 
 def bare_frame(qubits, u, e_c, phi_c):
@@ -225,7 +224,7 @@ def bare_frame(qubits, u, e_c, phi_c):
         A = R diag(direct) R^T,  F = R diag(force) R^T
     of qubit_configurations, carried by its factors and never formed.
     Returns (h0, (A, F, phi_c), R)."""
-    R, _, force, direct = qubit_configurations(qubits, u)
+    R, force, direct = qubit_configurations(qubits, u)
     h0 = np.add.outer(_configuration_sum([np.diag(q.h2) for q in qubits]), e_c)
     V = (R @ (direct[:, None] * R.T), R @ (force[:, None] * R.T), phi_c)
     return h0.ravel(), V, R
@@ -244,9 +243,10 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep):
         H_c + lambda(z) phi_c,   lambda(z) = E_Ltilde_c sum_j alpha_j phi_j(z_j),
     in the full coupler eigenbasis, and its lowest n_keep states chi_n(z)
     are kept.  The block of z carries their energies (relative to the bare
-    coupler ground level), the direct pair term and the qubits' diagonal
-    h_q[z, z]; blocks z, z' with h_q[z, z'] != 0 (those that differ in one
-    qubit) are coupled by it times the overlaps <chi_n(z)|chi_m(z')>.
+    coupler ground level), the direct pair term and the diagonal h_q[z, z]
+    of the qubits' own Hamiltonian h_q, the Kronecker sum of each qubit's h2
+    in its pc basis; blocks z, z' with h_q[z, z'] != 0 (those that differ in
+    one qubit) are coupled by it times the overlaps <chi_n(z)|chi_m(z')>.
 
     The returned operator carries the persistent-current rotations and the
     chi_n(z) as .frame, its change of basis to the bare frame (qubit energy
@@ -260,20 +260,21 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep):
     if n_keep > n_c:
         raise ValueError("n_keep exceeds coupler truncation")
     e_c, phi_c = coupler_eigenbasis(coupler, u)
-    R, h_q, force, direct = qubit_configurations(qubits, u)
+    R, force, direct = qubit_configurations(qubits, u)
+    h_q = _kron_sum([q.pc.T @ q.h2 @ q.pc for q in qubits])
 
     eps, chi = np.linalg.eigh(np.diag(e_c) + force[:, None, None] * phi_c)
     eps, chi = eps[:, :n_keep], chi[:, :, :n_keep]
 
-    z = np.arange(16)
-    H = np.zeros((16, n_keep, 16, n_keep))
+    z = np.arange(len(R))
+    H = np.zeros((len(R), n_keep, len(R), n_keep))
     H[z, :, z, :] = np.eye(n_keep) * (
         eps + (direct + np.diag(h_q))[:, None])[:, None, :]
     lo, hi = np.nonzero(np.triu(h_q, 1))
     hop = h_q[lo, hi][:, None, None] * (chi[lo].transpose(0, 2, 1) @ chi[hi])
     H[lo, :, hi, :] = hop
     H[hi, :, lo, :] = hop.transpose(0, 2, 1)
-    return OperatorMatrix(H.reshape(16 * n_keep, 16 * n_keep),
+    return OperatorMatrix(H.reshape(len(R) * n_keep, len(R) * n_keep),
                           frame=AdaptedBasis(R, chi))
 
 

@@ -63,7 +63,7 @@ def eigendecompose(h: OperatorMatrix) -> SpectrumResult:
     # OperatorMatrix checks at construction; this catches later edits of .data
     check_hermitian(h.data)
     ev, vec = np.linalg.eigh(h.data)
-    w = vec.reshape(16, h.frame.states.shape[2], -1)
+    w = vec.reshape(h.frame.states.shape[0], h.frame.states.shape[2], -1)
     occ = np.sum(np.abs(w[:, 0, :]) ** 2, axis=0)
     return SpectrumResult(eigenvalues=ev, eigenvectors=vec, frame=h.frame,
                           coupler_occupation=occ, subspace_label=occ > 0.5)
@@ -84,7 +84,7 @@ def extract_couplings(s: SpectrumResult, omega) -> CouplingStrengths:
     idx = s.manifold()
     # <z, bare coupler ground | psi_k> = sum_n <0|chi_n(z)> psi_k(z, n)
     B = np.einsum("zn,znk->zk", s.frame.states[:, 0, :],
-                  s.eigenvectors[:, idx].reshape(16, -1, 16))
+                  s.eigenvectors[:, idx].reshape(len(s.frame.states), -1, 16))
     U, _, Wt = np.linalg.svd(B)
     T = U @ Wt
     cs = ising_couplings((T * s.eigenvalues[idx]) @ T.T)
@@ -97,10 +97,11 @@ def _two_excitation_levels(s: SpectrumResult):
     and their weights on it: the six manifold eigenvectors of largest
     weight, refused when a weight falls below 0.5."""
     idx = s.manifold()
-    sector = np.array([bin(z).count("1") == 2 for z in range(16)])
+    n_z = len(s.frame.rotation)
+    sector = np.array([bin(z).count("1") == 2 for z in range(n_z)])
     # the sector is defined in the qubit energy basis: carry the manifold
     # eigenvectors to the bare frame first
-    vec = (s.frame.isometry() @ s.eigenvectors[:, idx]).reshape(16, -1, 16)
+    vec = (s.frame.isometry() @ s.eigenvectors[:, idx]).reshape(n_z, -1, 16)
     weights = np.sum(np.abs(vec[sector]) ** 2, axis=(0, 1))
     top = np.argsort(weights)[::-1][:6]
     if np.min(weights[top]) < 0.5:

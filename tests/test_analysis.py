@@ -264,6 +264,7 @@ def _assert_builds(monkeypatch, u, owners):
         ref = reduce_qubit(build_qubit_bare(u, j, n), qubit_phase(u, j, n))
         assert q.h2.tobytes() == ref.h2.tobytes()
         assert q.phi2.tobytes() == ref.phi2.tobytes()
+        assert q.pc.tobytes() == ref.pc.tobytes()
         assert np.float64(q.omega).tobytes() == np.float64(ref.omega).tobytes()
 
 

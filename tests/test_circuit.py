@@ -100,14 +100,23 @@ def test_validation_errors():
                       L_c=p.L_c, C_c=p.C_c, I_cc=p.I_cc)
 
 
-@pytest.mark.parametrize("name,value", [("L_c", np.nan), ("C_c", np.inf),
-                                        ("I_cc", np.nan)])
+@pytest.mark.parametrize("name,value", [
+    ("L_c", np.nan), ("C_c", np.inf), ("I_cc", np.nan), ("L_j", np.nan),
+    ("C_j", np.inf), ("I_cj", np.inf), ("M_j", np.inf), ("Phi_cx", np.nan),
+    ("Phi_jx", np.inf)])
 def test_non_finite_coupler_values_rejected(name, value):
+    # the coupler's values, the flux biases and one entry of each per-qubit
+    # array: none reaches a solver
     p = reference_circuit()
     values = dict(L_j=p.L_j, C_j=p.C_j, I_cj=p.I_cj, M_j=p.M_j, L_c=p.L_c,
-                  C_c=p.C_c, I_cc=p.I_cc)
-    with pytest.raises(ValueError, match="L_c, C_c, I_cc must be finite"):
-        CircuitParams(**{**values, name: value})
+                  C_c=p.C_c, I_cc=p.I_cc, Phi_cx=p.Phi_cx, Phi_jx=p.Phi_jx)
+    if np.ndim(values[name]):
+        values[name] = np.where(np.arange(4) == 2, value, values[name])
+    else:
+        values[name] = value
+    match = "L_c, C_c, I_cc" if name in ("L_c", "C_c", "I_cc") else name
+    with pytest.raises(ValueError, match=f"{match} must be finite"):
+        CircuitParams(**values)
 
 
 def test_unphysical_network_rejected():

@@ -189,6 +189,20 @@ grid = 0.2, 0.4
     assert first[0] == "2.00000000000e-01"
 
 
+def test_config_with_a_byte_order_mark(tmp_path):
+    # an editor's UTF-8 byte-order mark is not part of the first line
+    text = FAST_TRUNC.lstrip() + "[sweep]\ngrid = 0.43\n"
+    files = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text, encoding=encoding)
+        assert main(["sweep-beta", "--config", str(cfg),
+                     "--out", str(tmp_path / name)]) == 0
+        files.append((tmp_path / name / "sweep_beta.csv").read_bytes())
+    assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert files[0] == files[1]
+
+
 # each subcommand at a short grid, gap-scan's ending in an error row
 BYTE_CONFIGS = {
     "spectrum": ("[sweep]\nratio_grid = 0.98, 1.0\n", 0),

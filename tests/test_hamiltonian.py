@@ -10,10 +10,10 @@ from fluxcoupler.hamiltonian import (IsingModel, OperatorMatrix, PAIRS,
                                      TRIPLES, assemble_full,
                                      assemble_ising_model, build_coupler,
                                      build_qubit_bare, coupler_phase,
-                                     kron_all, qubit_phase, reduce_qubit,
-                                     _kron_sum)
+                                     kron_all, qubit_configurations,
+                                     qubit_phase, reduce_qubit, _kron_sum)
 from fluxcoupler.oscillator import qubit_reduction
-from toys import written_out_coupler, written_out_qubit
+from toys import pc_rotation, written_out_coupler, written_out_qubit
 
 
 def _u(beta_c=0.43, **kw):
@@ -180,6 +180,37 @@ def test_reduce_qubit_diagonal_phi_vanishes_at_degeneracy():
     red = reduce_qubit(build_qubit_bare(u, 2, 50), qubit_phase(u, 2, 50))
     assert abs(red.phi2[0, 0]) < 1e-10
     assert abs(red.phi2[1, 1]) < 1e-10
+
+
+# the reference circuit and a flux offset that tilts every qubit differently
+PC_CIRCUITS = [reference_circuit(), with_flux_offsets(
+    reference_circuit(), 0.002, (0.001, -0.002, 0.0015, 0.0005))]
+
+
+@pytest.mark.parametrize("p", PC_CIRCUITS, ids=["reference", "offset"])
+def test_reduce_qubit_pc_basis(p):
+    # pc: orthonormal eigenvectors of phi2, descending eigenvalue (right-well
+    # state first), each column with a positive largest component
+    u = derive_unitless(p)
+    for j in range(4):
+        red = reduce_qubit(build_qubit_bare(u, j, 50), qubit_phase(u, j, 50))
+        assert np.allclose(red.pc.T @ red.pc, np.eye(2), atol=1e-14)
+        phi_pc = red.pc.T @ red.phi2 @ red.pc
+        want = np.linalg.eigvalsh(red.phi2)[::-1]
+        assert np.allclose(phi_pc, np.diag(want),
+                           atol=1e-14 * np.max(np.abs(want)))
+        assert want[0] > want[1]
+        assert np.all(red.pc[np.abs(red.pc).argmax(axis=0), [0, 1]] > 0)
+
+
+@pytest.mark.parametrize("p", PC_CIRCUITS, ids=["reference", "offset"])
+def test_configuration_rotation_is_each_qubit_pc_basis(p):
+    # the R both builders read is the per-qubit loop over phi2, bit for bit
+    u = derive_unitless(p)
+    qubits = [reduce_qubit(build_qubit_bare(u, j, 50), qubit_phase(u, j, 50))
+              for j in range(4)]
+    R = qubit_configurations(qubits, u)[0]
+    assert R.tobytes() == pc_rotation(qubits).tobytes()
 
 
 def _system(u, n_q=50, n_c=40):

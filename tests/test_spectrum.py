@@ -24,10 +24,12 @@ def test_eigendecompose_rejects_non_hermitian():
         eigendecompose(H)
 
 
-@pytest.mark.parametrize("rel,rejected", [(1e-11, True), (1e-13, False)])
+@pytest.mark.parametrize("rel,rejected", [(1e-11, True), (1e-13, False),
+                                          (np.nan, True)])
 def test_one_hermiticity_rule(rel, rejected):
     # the same 1e-12 rule at construction, for a later edit of .data and
-    # for an effective Hamiltonian handed to pauli_decompose as an array
+    # for an effective Hamiltonian handed to pauli_decompose as an array;
+    # a NaN entry fails it
     H = assemble_ising_model(IsingModel.symmetric(1.0, J2=0.1))
     H.data = H.data.copy()
     H.data[0, 1] += rel * np.linalg.norm(H.data)

@@ -195,13 +195,15 @@ def test_degenerate_cross_block_pair_raises():
 
 def test_anti_hermiticity_check_is_live():
     # every generator is carried by its PQ block on the promise that V is
-    # Hermitian, so a factor that is not is refused at the input
+    # Hermitian, so a factor that is not, or that holds a NaN, is refused at
+    # the input
     h0, *factors = _random_swt_case(0, 2, 4, False)
     for k in range(3):
-        bad = [x.copy() for x in factors]
-        bad[k][0, 1] += 0.01
-        with pytest.raises(ValueError, match="not Hermitian"):
-            swt_effective_block(h0, *bad)
+        for edit in (0.01, np.nan):
+            bad = [x.copy() for x in factors]
+            bad[k][0, 1] += edit
+            with pytest.raises(ValueError, match="not Hermitian"):
+                swt_effective_block(h0, *bad)
 
 
 def test_series_that_has_not_converged_is_refused():

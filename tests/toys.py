@@ -163,6 +163,19 @@ def one_qubit_toy_error(alpha_eff, phi_cx=0.05, phi_jx=0.005, beta_c=0.2,
     return np.linalg.norm(h_eff - h_exact)
 
 
+def pc_rotation(qubits):
+    """R = R_0 (x) ... (x) R_3, each qubit's persistent-current states
+    decided from its own phi2 in one loop: the columns of R_j are the
+    eigenvectors of phi2 (descending eigenvalue), each with a positive
+    largest component.  The reference for the R of
+    hamiltonian.qubit_configurations, which reads ReducedQubit.pc."""
+    R = []
+    for q in qubits:
+        v = np.linalg.eigh(q.phi2)[1][:, ::-1]
+        R.append(v * np.sign(v[np.abs(v).argmax(axis=0), [0, 1]]))
+    return kron_all(R)
+
+
 # The interaction written term by term as Kronecker products of the 2 x 2
 # phi operators: the reference for hamiltonian.qubit_configurations, which
 # both product-space builders read.
