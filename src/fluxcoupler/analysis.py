@@ -44,23 +44,40 @@ class SweepResult:
         return np.array([r.get(key, np.nan) for r in self.rows])
 
 
+# The reduced qubits built in this process, by (qubit_states, bits of E_Lj,
+# xi_j, alpha, beta_j, phi_jx at j), in the order they were built; past
+# _REDUCED_MAX of them the oldest is evicted, so memory stays flat over chips
+# that share no qubit.
+_REDUCED = {}
+_REDUCED_MAX = 64
+
+
+def _reduced_qubit(u, j, n):
+    """Qubit j reduced at truncation n, built once per process for each key,
+    with read-only arrays since every later caller shares them."""
+    key = (n, np.array([u.E_Lj[j], u.xi_j[j], u.alpha[j], u.beta_j[j],
+                        u.phi_jx[j]], dtype=float).tobytes())
+    if key not in _REDUCED:
+        q = reduce_qubit(build_qubit_bare(u, j, n), qubit_phase(u, j, n))
+        for a in (q.h2, q.phi2, q.pc):
+            a.setflags(write=False)
+        if len(_REDUCED) >= _REDUCED_MAX:
+            del _REDUCED[next(iter(_REDUCED))]
+        _REDUCED[key] = q
+    return _REDUCED[key]
+
+
 def build_system(u, trunc=Truncations()):
     """Reduced qubits + bare coupler for a unitless parameter set.
 
-    Identical qubits are built once: the key is the bits of E_Lj, xi_j,
-    alpha, beta_j and phi_jx at j, all that build_qubit_bare and qubit_phase
-    read, and the qubits that share a key share one ReducedQubit.
+    Identical qubits are built once per process: the key is the qubit
+    truncation and the bits of E_Lj, xi_j, alpha, beta_j and phi_jx at j, all
+    that build_qubit_bare and qubit_phase read, and the qubits that share a
+    key share one ReducedQubit, so a beta_c sweep builds its qubits at the
+    first point only.
     """
-    n, reduced, qubits = trunc.qubit_states, {}, []
-    for j in range(4):
-        key = np.array([u.E_Lj[j], u.xi_j[j], u.alpha[j], u.beta_j[j],
-                        u.phi_jx[j]], dtype=float).tobytes()
-        if key not in reduced:
-            reduced[key] = reduce_qubit(build_qubit_bare(u, j, n),
-                                        qubit_phase(u, j, n))
-        qubits.append(reduced[key])
-    coupler = build_coupler(u, trunc.coupler_states)
-    return qubits, coupler
+    qubits = [_reduced_qubit(u, j, trunc.qubit_states) for j in range(4)]
+    return qubits, build_coupler(u, trunc.coupler_states)
 
 
 def spectral_system(u, trunc):

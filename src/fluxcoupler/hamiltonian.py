@@ -263,8 +263,11 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep):
     R, force, direct = qubit_configurations(qubits, u)
     h_q = _kron_sum([q.pc.T @ q.h2 @ q.pc for q in qubits])
 
-    eps, chi = np.linalg.eigh(np.diag(e_c) + force[:, None, None] * phi_c)
-    eps, chi = eps[:, :n_keep], chi[:, :, :n_keep]
+    # one eigh per distinct force: equal forces give bitwise-equal matrices
+    # (+0.0 and -0.0 too), so configurations that share a force share chi
+    forces, which = np.unique(force, return_inverse=True)
+    eps, chi = np.linalg.eigh(np.diag(e_c) + forces[:, None, None] * phi_c)
+    eps, chi = eps[which, :n_keep], chi[which, :, :n_keep]
 
     z = np.arange(len(R))
     H = np.zeros((len(R), n_keep, len(R), n_keep))

@@ -2,11 +2,12 @@
 
 Ladder operators; one displaced-oscillator element formula on scipy's
 vectorised generalized-Laguerre polynomial, which gives both the cosine
-matrix (its even-distance upper triangle in one call) and displaced-well
-overlaps; the double-well minimum by Brent's method; and the two-level
-qubit reduction factor s.
+matrix (its even-distance upper triangle in one call, memoised per process)
+and displaced-well overlaps; the double-well minimum by Brent's method; and
+the two-level qubit reduction factor s.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ def _displaced_element(lo, hi, r):
     return amp * eval_genlaguerre(np.asarray(lo, dtype="l"), k, r * r)
 
 
+@functools.lru_cache(maxsize=16)
 def cosine_matrix(n_trunc, r):
     """Matrix of cos(r (a^dag + a)) on the truncated Fock space.
 
@@ -42,13 +44,18 @@ def cosine_matrix(n_trunc, r):
     closed form <lo|exp(i r (a^dag + a))|hi>:
     (-1)^{k/2} sqrt(lo!/hi!) r^k e^{-r^2/2} L_lo^k(r^2), all of the even-k
     triangle in one vectorised eval_genlaguerre call.
+
+    Memoised on (n_trunc, r): the result is shared by every caller and is
+    read-only.
     """
     if n_trunc < 2:
         raise ValueError("n_trunc must be >= 2")
     if not np.isfinite(r) or r < 0:
         raise ValueError("r must be finite and non-negative")
     if r == 0.0:
-        return np.eye(n_trunc)
+        C = np.eye(n_trunc)
+        C.setflags(write=False)
+        return C
     lo, hi = np.triu_indices(n_trunc)
     even = (hi - lo) % 2 == 0
     lo, hi = lo[even], hi[even]
@@ -58,6 +65,7 @@ def cosine_matrix(n_trunc, r):
     C = np.zeros((n_trunc, n_trunc))
     C[lo, hi] = val
     C[hi, lo] = val
+    C.setflags(write=False)
     return C
 
 

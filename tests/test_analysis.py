@@ -14,7 +14,7 @@ from fluxcoupler.analysis import (Truncations, build_system, compare_swt,
 from fluxcoupler.circuit import (REFERENCE, circuit_from, derive_unitless,
                                  reference_circuit)
 from fluxcoupler.hamiltonian import build_qubit_bare, qubit_phase, reduce_qubit
-from fluxcoupler.oscillator import qubit_reduction
+from fluxcoupler.oscillator import cosine_matrix, qubit_reduction
 from fluxcoupler.swt import analytic_couplings, numerical_swt
 
 FAST = Truncations(qubit_states=40, coupler_states=30, n_keep=8)
@@ -246,28 +246,39 @@ def test_every_branch_refuses_a_single_well_qubit():
 QUBIT_KEY = ("E_Lj", "xi_j", "alpha", "beta_j", "phi_jx")
 
 
-def _assert_builds(monkeypatch, u, owners):
-    # build_system(u, FAST) builds qubit j only where owners[j] == j and hands
-    # qubit owners[j]'s ReducedQubit to j, each with a separate build's bits
-    calls = []
-
-    def counted(u, j, n, build=analysis.build_qubit_bare):
-        calls.append(j)
-        return build(u, j, n)
-
-    monkeypatch.setattr(analysis, "build_qubit_bare", counted)
-    qubits = analysis.build_system(u, FAST)[0]
-    assert calls == sorted(set(owners))
-    assert all(q is qubits[k] for q, k in zip(qubits, owners))
-    n = FAST.qubit_states
+def _assert_separate_build_bits(u, qubits, n):
+    # each qubit bit-identical to a separate build at truncation n
     for j, q in enumerate(qubits):
         ref = reduce_qubit(build_qubit_bare(u, j, n), qubit_phase(u, j, n))
-        assert q.h2.tobytes() == ref.h2.tobytes()
-        assert q.phi2.tobytes() == ref.phi2.tobytes()
-        assert q.pc.tobytes() == ref.pc.tobytes()
+        for name in ("h2", "phi2", "pc"):
+            assert getattr(q, name).tobytes() == getattr(ref, name).tobytes()
         assert np.float64(q.omega).tobytes() == np.float64(ref.omega).tobytes()
 
 
+def _count_builds(monkeypatch):
+    """The (j, n) of every build_qubit_bare call that build_system makes,
+    recorded from now on."""
+    calls = []
+
+    def counted(u, j, n, build=analysis.build_qubit_bare):
+        calls.append((j, n))
+        return build(u, j, n)
+
+    monkeypatch.setattr(analysis, "build_qubit_bare", counted)
+    return calls
+
+
+def _assert_builds(monkeypatch, u, owners):
+    # build_system(u, FAST) builds qubit j only where owners[j] == j and hands
+    # qubit owners[j]'s ReducedQubit to j, each with a separate build's bits
+    calls = _count_builds(monkeypatch)
+    qubits = analysis.build_system(u, FAST)[0]
+    assert [j for j, _ in calls] == sorted(set(owners))
+    assert all(q is qubits[k] for q, k in zip(qubits, owners))
+    _assert_separate_build_bits(u, qubits, FAST.qubit_states)
+
+
+@pytest.mark.usefixtures("cold_memos")
 @pytest.mark.parametrize("offsets, owners", [
     (None, [0, 0, 0, 0]),
     ((0.001, 0.001, -0.002, 0.0), [0, 0, 2, 3])])
@@ -277,6 +288,7 @@ def test_build_system_builds_each_distinct_qubit_once(offsets, owners,
     _assert_builds(monkeypatch, derive_unitless(p), owners)
 
 
+@pytest.mark.usefixtures("cold_memos")
 @pytest.mark.parametrize("name", QUBIT_KEY)
 def test_build_system_keys_on_every_qubit_field(name, monkeypatch):
     # one ulp on qubit 2 is enough to give it its own build
@@ -296,6 +308,66 @@ def test_qubit_builders_read_only_the_key():
         for builder in (build_qubit_bare, qubit_phase):
             assert builder(key_only, j, n).data.tobytes() == \
                 builder(u, j, n).data.tobytes()
+
+
+@pytest.mark.usefixtures("cold_memos")
+def test_beta_sweep_builds_its_qubits_and_coupler_cosine_once(monkeypatch):
+    # the qubits and the coupler's cosine argument do not depend on beta_c:
+    # a 3-point sweep builds the shared qubit at its first point only, and
+    # computes each of the two cosine matrices (qubit, coupler) once
+    calls = _count_builds(monkeypatch)
+    out = sweep_beta(reference_circuit(), [0.2, 0.3, 0.43], FAST,
+                     branches=("numerical_swt",))
+    assert list(out.column("numswt_status")) == ["ok"] * 3
+    assert calls == [(0, FAST.qubit_states)]
+    info = cosine_matrix.cache_info()
+    # misses: the qubit's matrix and the coupler's, once each; hits: the
+    # coupler's at the second and third points
+    assert (info.misses, info.hits) == (2, 2)
+
+
+@pytest.mark.usefixtures("cold_memos")
+def test_qubit_memo_keys_on_the_truncation(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    u = derive_unitless(reference_circuit())
+    for n in (20, 30):
+        qubits = build_system(u, Truncations(n, 30, 8))[0]
+        assert qubits[0].h2.shape == (2, 2)
+        _assert_separate_build_bits(u, qubits, n)
+    assert calls == [(0, 20), (0, 30)]
+
+
+@pytest.mark.usefixtures("cold_memos")
+def test_memoised_results_are_read_only():
+    u = derive_unitless(reference_circuit())
+    q = build_system(u, FAST)[0][0]
+    for a in (q.h2, q.phi2, q.pc, cosine_matrix(12, 0.3),
+              cosine_matrix(12, 0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    _assert_separate_build_bits(u, build_system(u, FAST)[0],
+                                FAST.qubit_states)
+
+
+@pytest.mark.usefixtures("cold_memos")
+def test_qubit_memo_is_bounded_and_evicts_the_oldest(monkeypatch):
+    # more distinct qubits than the bound: the memo keeps the newest
+    # _REDUCED_MAX of them, and a qubit evicted from it is built again
+    calls = _count_builds(monkeypatch)
+    trunc = Truncations(12, 10, 4)
+    points = analysis._REDUCED_MAX // 4 + 1
+    systems = [derive_unitless(with_flux_offsets(
+        reference_circuit(), 0.0, 1e-4 * (4 * k + np.arange(4))))
+        for k in range(points)]
+    for u in systems:
+        build_system(u, trunc)
+    assert len(calls) == 4 * points
+    assert len(analysis._REDUCED) == analysis._REDUCED_MAX
+    build_system(systems[-1], trunc)
+    assert len(calls) == 4 * points
+    build_system(systems[0], trunc)
+    assert len(calls) == 4 * points + 4
+    assert len(analysis._REDUCED) == analysis._REDUCED_MAX
 
 
 def test_find_special_point_bisection(monkeypatch):

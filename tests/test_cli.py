@@ -375,6 +375,32 @@ def test_start_up_imports_no_scipy_optimize():
     assert out.stdout.split() == ["False", "False", "False"]
 
 
+def test_start_up_imports_no_scipy_subpackage_but_special():
+    # importing a scipy subpackage costs start-up time on every run: after
+    # the import and one point of every branch, scipy.special (the Laguerre
+    # polynomials and log-gamma of oscillator) is the only public one loaded
+    code = "\n".join([
+        "import sys",
+        "import fluxcoupler.cli",
+        "from fluxcoupler import analysis",
+        "from fluxcoupler.circuit import derive_unitless, reference_circuit",
+        "def loaded():",
+        "    print(','.join(sorted(name for name, m in list(sys.modules.items())",
+        "        if name.startswith('scipy.') and name.count('.') == 1",
+        "        and not name[6:].startswith('_') and hasattr(m, '__path__'))))",
+        "loaded()",
+        "u = derive_unitless(reference_circuit())",
+        "for branch in analysis.BRANCHES:",
+        "    analysis.couplings_point(u, extraction=branch)",
+        "    loaded()",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["scipy.special"] * 4
+
+
 def test_sweep_flux_csv(tmp_path):
     cfg = _write(tmp_path, FAST_TRUNC + """
 [circuit]
@@ -398,6 +424,19 @@ grid = 0.3
     cols = [l for l in text.splitlines() if l.startswith("# columns:")][0]
     for prefix in ("spectral", "analytic", "numswt"):
         assert f"{prefix}_J4" in cols
+
+
+@pytest.mark.usefixtures("cold_memos")
+def test_compare_swt_bytes_do_not_depend_on_the_memos(tmp_path):
+    # the first run builds every qubit and cosine matrix, the second reads
+    # them from the process-wide memos: the same bytes
+    cfg = _write(tmp_path, FAST_TRUNC + "[sweep]\ngrid = 0.2, 0.43\n")
+    for run in ("cold", "warm"):
+        assert main(["compare-swt", "--config", cfg,
+                     "--out", str(tmp_path / run)]) == 0
+    cold, warm = ((tmp_path / run / "compare_swt.csv").read_bytes()
+                  for run in ("cold", "warm"))
+    assert cold == warm
 
 
 def test_compare_swt_bytes_do_not_depend_on_blas_threads(tmp_path):

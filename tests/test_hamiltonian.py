@@ -9,8 +9,9 @@ from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (IsingModel, OperatorMatrix, PAIRS,
                                      TRIPLES, assemble_full,
                                      assemble_ising_model, build_coupler,
-                                     build_qubit_bare, coupler_phase,
-                                     kron_all, qubit_configurations,
+                                     build_qubit_bare, coupler_eigenbasis,
+                                     coupler_phase, kron_all,
+                                     qubit_configurations,
                                      qubit_phase, reduce_qubit, _kron_sum)
 from fluxcoupler.oscillator import qubit_reduction
 from toys import pc_rotation, written_out_coupler, written_out_qubit
@@ -282,6 +283,42 @@ def test_adapted_basis_is_an_isometry_into_the_bare_frame():
     W = assemble_full(qubits, coupler, u, n_keep=8).frame.isometry()
     assert W.shape == (320, 128)
     assert np.allclose(W.T @ W, np.eye(128), atol=1e-12)
+
+
+def _assemble_full_batch_of_16(qubits, coupler, u, n_keep):
+    """assemble_full with one coupler eigh per configuration, all 16 in one
+    batch, whatever their forces: the reference for the one eigh per
+    distinct force."""
+    e_c, phi_c = coupler_eigenbasis(coupler, u)
+    R, force, direct = qubit_configurations(qubits, u)
+    h_q = _kron_sum([q.pc.T @ q.h2 @ q.pc for q in qubits])
+    eps, chi = np.linalg.eigh(np.diag(e_c) + force[:, None, None] * phi_c)
+    eps, chi = eps[:, :n_keep], chi[:, :, :n_keep]
+    z = np.arange(16)
+    H = np.zeros((16, n_keep, 16, n_keep))
+    H[z, :, z, :] = np.eye(n_keep) * (
+        eps + (direct + np.diag(h_q))[:, None])[:, None, :]
+    lo, hi = np.nonzero(np.triu(h_q, 1))
+    hop = h_q[lo, hi][:, None, None] * (chi[lo].transpose(0, 2, 1) @ chi[hi])
+    H[lo, :, hi, :] = hop
+    H[hi, :, lo, :] = hop.transpose(0, 2, 1)
+    return H.reshape(16 * n_keep, 16 * n_keep), chi
+
+
+@pytest.mark.parametrize("p, n_forces", [
+    (reference_circuit(), 6),
+    (with_flux_offsets(reference_circuit(), 0.0, (0.001, 0.001, -0.002, 0.0)),
+     12)], ids=["reference", "unequal"])
+def test_one_coupler_eigh_per_distinct_force(p, n_forces):
+    # the 16 configurations share n_forces coupler problems; solving each
+    # once gives the bits of solving all 16
+    u = derive_unitless(p)
+    qubits, coupler = _system(u)
+    assert len(np.unique(qubit_configurations(qubits, u)[1])) == n_forces
+    H = assemble_full(qubits, coupler, u, 8)
+    data, chi = _assemble_full_batch_of_16(qubits, coupler, u, 8)
+    assert H.data.tobytes() == data.tobytes()
+    assert H.frame.states.tobytes() == chi.tobytes()
 
 
 def test_ising_model_known_spectra():

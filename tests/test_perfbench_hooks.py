@@ -30,6 +30,7 @@ def test_every_traced_function_exists():
     assert tracer.TRACED and not missing
 
 
+@pytest.mark.usefixtures("cold_memos")
 def test_traced_workloads_keep_their_contract(tmp_path, monkeypatch):
     # both workloads, shortened, through the tracer the benchmark installs:
     # two fab-spread chips of seed 3 and the swt-sweep point beta_c = 0.43
