@@ -274,7 +274,13 @@ def two_excitation_scan(p: CircuitParams, ratios, trunc) -> SweepResult:
 
 def find_special_point(p: CircuitParams, lo=0.05, hi=0.6, trunc=Truncations(),
                        extraction="spectral_fit", tol=1e-3):
-    """beta_c where the extracted J4 equals -2 J2 (bisection on J4 + 2 J2)."""
+    """beta_c where the extracted J4 equals -2 J2 (bisection on J4 + 2 J2),
+    to within tol, or closer if lo and hi become adjacent floats first."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+
     def f(b):
         cs = couplings_point(derive_unitless(with_beta_c(p, b)), trunc, extraction)
         return cs.J4 + 2.0 * cs.J2
@@ -286,6 +292,8 @@ def find_special_point(p: CircuitParams, lo=0.05, hi=0.6, trunc=Truncations(),
             f"(f({lo}) = {flo:.3g}, f({hi}) = {fhi:.3g})")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fm = f(mid)
         if flo * fm <= 0:
             hi, fhi = mid, fm
@@ -357,6 +365,9 @@ def susceptibility(p: CircuitParams, parameter,
     E_Lj/E_Ltilde_c held fixed.  Derivatives are central differences of the
     analytic-SWT couplings with a Richardson half-step check.
     """
+    if not 0 < rel_step < np.inf:
+        raise ValueError(
+            f"rel_step must be positive and finite, got {rel_step}")
     u0 = derive_unitless(p)
     table = _susceptibility_terms(u0)
     if parameter not in table:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .hamiltonian import (ISING_STRINGS, NON_ISING, IsingModel,
                           OperatorMatrix, bare_frame, check_hermitian,
-                          coupler_eigenbasis, _PAULIS)
+                          coupler_eigenbasis)
 
 
 @dataclass
@@ -189,13 +189,18 @@ def swt_effective_block(h0_diag, A, F, phi_c):
 MAX_ORDER_RATIO = 0.25
 
 
+def _trace_free_norms(h):
+    """Spectral norm of the trace-free part of each Hermitian matrix in the
+    stack h: its largest |eigenvalue|, so no SVD is needed."""
+    n = h.shape[-1]
+    h = h - np.trace(h, axis1=-2, axis2=-1)[..., None, None] / n * np.eye(n)
+    return np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+
+
 def _check_convergence(h2, h4):
     """Refuse a low block whose trace-free 4th-order part h4 exceeds
     MAX_ORDER_RATIO of its trace-free 2nd-order part h2 (spectral norms)."""
-    def norm(h):
-        return np.linalg.norm(h - np.trace(h) / len(h) * np.eye(len(h)), 2)
-
-    n2, n4 = norm(h2), norm(h4)
+    n2, n4 = _trace_free_norms(np.array([h2, h4]))
     if n4 > MAX_ORDER_RATIO * n2:
         raise RuntimeError(
             f"SWT series not converged: ||H4||/||H2|| = {n4 / n2:.3g} "
@@ -243,12 +248,48 @@ def ising_couplings(h_eff) -> CouplingStrengths:
                      "omega_eff": model.omega})
 
 
-# tr(P^H A) / 16 for every string P = s_0 (x) s_1 (x) s_2 (x) s_3, with
-# A's row and column indices split into one bit per qubit; the contraction
-# path is searched once here, as optimize=True would on every call
-_PAULI_SUBSCRIPTS = "iab,jcd,kef,lgh,acegbdfh->ijkl"
-_PAULI_PATH = np.einsum_path(_PAULI_SUBSCRIPTS, *[_PAULIS.conj()] * 4,
-                             np.zeros((2,) * 8), optimize=True)[0]
+def _butterfly_order():
+    """The gather that lays a 16x16 complex array, viewed as (16, 16, 2)
+    floats, out as (a_0, d_0, a_1, d_1, a_2, d_2, a_3, d_3, part): a_q is
+    qubit q's row bit and d_q = a_q xor b_q, b_q its column bit (qubit 0 is
+    the most significant bit of an index)."""
+    bits = np.indices((2,) * 8)
+    a, d = bits[0::2], bits[1::2]
+    row = np.tensordot([8, 4, 2, 1], a, axes=1)
+    col = np.tensordot([8, 4, 2, 1], a ^ d, axes=1)
+    return ((32 * row + 2 * col)[..., None] + [0, 1]).ravel()
+
+
+_BUTTERFLY_ORDER = _butterfly_order()
+# (imaginary, real) of t01 - t10 -> (real, imaginary) of Y = i (t01 - t10)
+_SWAP_SIGN = np.array([-1.0, 1.0])
+
+
+def _pauli_coefficients(A):
+    """tr(P^H A) / 16 for every string P = s_0 (x) s_1 (x) s_2 (x) s_3 of a
+    16x16 array, as a complex (4, 4, 4, 4) array indexed over "IXYZ".
+
+    A butterfly over one qubit at a time, qubit 0 first (Hantzko, Binkowski
+    & Gupta, arXiv:2310.13421): the 2x2 block t of that qubit's row and
+    column bits gives I = t00 + t11, X = t01 + t10, Y = i (t01 - t10) and
+    Z = t00 - t11.  The parts are carried as a trailing (real, imaginary)
+    axis, and Y is formed from them, (i10 - i01) + i (r01 - r10), so each
+    coefficient is the sum of the same two terms, in the same qubit order, as
+    a contraction with the Pauli matrices (tests/toys.py): the same bits.
+    """
+    T = np.ascontiguousarray(A, dtype=complex).view(float).ravel()[
+        _BUTTERFLY_ORDER]
+    for _ in range(4):
+        # (this qubit's a, d; the qubits still to do and the strings done;
+        # part): T[0] holds t00 and t01, T[1] holds t11 and t10
+        T = T.reshape(2, 2, -1, 2)
+        out = np.empty((T.shape[2], 4, 2))
+        by_string = out.transpose(1, 0, 2)
+        np.add(T[0], T[1], out=by_string[:2])             # I, X
+        np.subtract(T[0], T[1], out=by_string[:1:-1])     # Z, t01 - t10
+        np.multiply(by_string[2, :, ::-1], _SWAP_SIGN, out=by_string[2])
+        T = out
+    return T.reshape((4,) * 4 + (2,)).view(complex)[..., 0] / 16.0
 
 
 def pauli_decompose(h_eff):
@@ -258,16 +299,19 @@ def pauli_decompose(h_eff):
     Returns (IsingModel, residual): each model field read from its
     hamiltonian.ISING_STRINGS coefficients, and the norm of every string
     outside that table (hamiltonian.NON_ISING) as the non-Ising residual.
+    The residual sums |c|^2 over those strings in C order, left to right, as
+    a Python sum would, so that it keeps its bits (the CSVs are byte-stable).
+    Each |c|^2 is numpy's correctly rounded square, where Python's
+    abs(c) ** 2 calls C pow, which misses it in the last bit for about one
+    value in two thousand; the sum moved by one ulp on 2 of 3000 random
+    complex Hermitian arrays and on none of 330 real symmetric ones.
     """
     A = np.asarray(h_eff)
     if A.shape != (16, 16):
         raise ValueError("need a 16x16 effective Hamiltonian")
     check_hermitian(A)
-    c = np.einsum(_PAULI_SUBSCRIPTS, *[_PAULIS.conj()] * 4,
-                  A.reshape((2,) * 8), optimize=_PAULI_PATH) / 16.0
+    c = _pauli_coefficients(A)
     fields = {name: c[index].real / factor
               for name, (index, factor) in ISING_STRINGS.items()}
-    # a Python sum over the strings in C order, not numpy's pairwise one, so
-    # the residual keeps its last bit (the CSVs are byte-stable)
-    residual = np.sqrt(16.0 * sum(abs(complex(v)) ** 2 for v in c[NON_ISING]))
+    residual = np.sqrt(16.0 * np.cumsum(np.abs(c[NON_ISING]) ** 2)[-1])
     return IsingModel(**fields), float(residual)

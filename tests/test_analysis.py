@@ -390,6 +390,55 @@ def test_find_special_point_no_crossing():
                            extraction="analytic_swt")
 
 
+def _bounded_crossing(monkeypatch, limit=200):
+    """Stub couplings_point with J4 + 2 J2 = beta_c - 0.37, raising after
+    `limit` calls, so that a bisection that never stops fails instead of
+    hanging.  Returns the list of the beta_c values it was called at."""
+    calls = []
+
+    def fake(u, trunc, extraction):
+        calls.append(u.beta_c)
+        if len(calls) > limit:
+            raise RuntimeError(f"bisection still running after {limit} points")
+        return SimpleNamespace(J4=u.beta_c - 0.37, J2=0.0)
+
+    monkeypatch.setattr(analysis, "couplings_point", fake)
+    return calls
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
+def test_find_special_point_refuses_a_tolerance_that_is_not_positive(
+        monkeypatch, tol):
+    calls = _bounded_crossing(monkeypatch)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        find_special_point(reference_circuit(), tol=tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lo, hi", [(0.6, 0.05), (0.3, 0.3), (np.nan, 0.6)])
+def test_find_special_point_refuses_an_empty_bracket(monkeypatch, lo, hi):
+    calls = _bounded_crossing(monkeypatch)
+    with pytest.raises(ValueError, match="need lo < hi"):
+        find_special_point(reference_circuit(), lo=lo, hi=hi)
+    assert calls == []
+
+
+def test_find_special_point_stops_at_adjacent_floats(monkeypatch):
+    # a tolerance below the float spacing at the root ends when the bracket
+    # can no longer be halved
+    calls = _bounded_crossing(monkeypatch)
+    b = find_special_point(reference_circuit(), lo=0.05, hi=0.6, tol=1e-300)
+    assert b == pytest.approx(0.37, abs=1e-15)
+    assert len(calls) < 70
+
+
+@pytest.mark.parametrize("rel_step", [0.0, -1e-4, np.nan, np.inf])
+def test_susceptibility_refuses_a_step_that_is_not_positive(rel_step):
+    with pytest.raises(ValueError, match="rel_step must be positive"):
+        susceptibility(reference_circuit(beta_c=0.43), "E_Jc",
+                       rel_step=rel_step)
+
+
 def test_susceptibility_exact_energy_scale_case():
     s = susceptibility(reference_circuit(beta_c=0.43), "E_Ltilde_c")
     # pure energy-scale variation: J proportional to E exactly, so the

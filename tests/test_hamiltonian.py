@@ -148,6 +148,21 @@ def test_kron_sum_is_the_sum_of_kronecker_products(size):
     assert np.array_equal(_kron_sum(ops), want)
 
 
+@pytest.mark.parametrize("dtypes", [(float,) * 4, (complex,) * 4,
+                                    (float, complex, float, complex)])
+def test_kron_all_keeps_the_bits_of_the_np_kron_fold(dtypes):
+    rng = np.random.default_rng(11)
+    ops = [rng.normal(size=(2, 2)) for _ in dtypes]
+    ops = [op + 1j * rng.normal(size=(2, 2)) if dtype is complex else op
+           for op, dtype in zip(ops, dtypes)]
+    want = ops[0]
+    for op in ops[1:]:
+        want = np.kron(want, op)
+    got = kron_all(ops)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_operator_matrix_validation():
     with pytest.raises(ValueError):
         OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))

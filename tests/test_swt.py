@@ -6,8 +6,11 @@ from math import factorial
 import numpy as np
 import pytest
 
+from fluxcoupler import spectrum
 from fluxcoupler import swt as swt_module
-from fluxcoupler.analysis import with_flux_offsets
+from fluxcoupler.analysis import (build_system, spectral_point,
+                                  with_flux_offsets)
+from fluxcoupler.cli import _BETA_GRID
 from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (IsingModel, assemble_full,
                                      assemble_ising_model, build_coupler,
@@ -18,7 +21,8 @@ from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, analytic_couplings,
                              numerical_swt, pauli_decompose, swt_prefactors,
                              swt_effective_block)
 from toys import (add_interaction, delta_form_couplings,
-                  dense_swt_effective_block, linear_coupler_toy, linear_map_L,
+                  dense_swt_effective_block, einsum_pauli_coefficients,
+                  einsum_pauli_decompose, linear_coupler_toy, linear_map_L,
                   one_qubit_toy_error)
 
 
@@ -568,3 +572,75 @@ def test_pauli_decompose_residual_detects_non_ising():
     _, residual = pauli_decompose(H)
     # Frobenius norm of the non-Ising content
     assert residual == pytest.approx(np.linalg.norm(H), rel=1e-12)
+
+
+def _assert_same_reading(h_eff):
+    """pauli_decompose gives the bytes of the einsum reference in every
+    IsingModel field and in the residual."""
+    (model, residual), (want, want_residual) = (
+        pauli_decompose(h_eff), einsum_pauli_decompose(h_eff))
+    for name in ("omega", "J1", "J2", "J3", "J4", "shift"):
+        got, ref = getattr(model, name), getattr(want, name)
+        assert type(got) is type(ref), name
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), name
+    assert np.float64(residual).tobytes() == \
+        np.float64(want_residual).tobytes()
+
+
+def test_pauli_decompose_keeps_the_einsum_bits_on_the_default_grid():
+    # the 30 numerical-SWT effective Hamiltonians of the CLI's beta_c grid
+    for beta_c in _BETA_GRID:
+        u = _u(beta_c)
+        _assert_same_reading(numerical_swt(u, *build_system(u))[0])
+
+
+@pytest.mark.parametrize("beta_c", [0.2, 0.43])
+def test_pauli_decompose_keeps_the_einsum_bits_on_the_spectral_heff(
+        monkeypatch, beta_c):
+    seen = []
+
+    def record(h_eff):
+        seen.append(h_eff)
+        return swt_module.ising_couplings(h_eff)
+
+    monkeypatch.setattr(spectrum, "ising_couplings", record)
+    spectral_point(_u(beta_c))
+    assert len(seen) == 1
+    _assert_same_reading(seen[0])
+
+
+def test_pauli_decompose_keeps_the_einsum_bits_on_random_real_arrays():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        B = rng.normal(size=(16, 16))
+        _assert_same_reading((B + B.T) / 2.0)
+
+
+def test_pauli_coefficients_keep_the_einsum_bits_on_complex_arrays():
+    # every coefficient, Y strings and signed zeros included
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        B = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        A = (B + B.conj().T) / 2.0
+        for h in (A, A.real):
+            assert swt_module._pauli_coefficients(h).tobytes() == \
+                einsum_pauli_coefficients(h).tobytes()
+
+
+def test_convergence_norm_is_the_spectral_norm(monkeypatch):
+    # on the circuit's 2nd- and 4th-order blocks and on random Hermitian ones
+    seen = []
+    check = swt_module._check_convergence
+    monkeypatch.setattr(swt_module, "_check_convergence",
+                        lambda h2, h4: (seen.extend([h2, h4]), check(h2, h4)))
+    u = _u(0.43)
+    numerical_swt(u, *build_system(u))
+    assert len(seen) == 2
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        B = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        seen.append(B + B.conj().T)
+    for h in seen:
+        want = np.linalg.norm(h - np.trace(h) / 16.0 * np.eye(16), 2)
+        got = swt_module._trace_free_norms(h)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)

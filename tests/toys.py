@@ -5,9 +5,11 @@ from scipy.optimize import brentq
 from scipy.special import binom, gammaln
 
 from fluxcoupler.circuit import derive_unitless, reference_circuit
-from fluxcoupler.hamiltonian import (PAIRS, build_coupler, build_qubit_bare,
-                                     coupler_phase, kron_all, qubit_phase,
-                                     reduce_qubit)
+from fluxcoupler.hamiltonian import (ISING_STRINGS, NON_ISING, PAIRS,
+                                     IsingModel, build_coupler,
+                                     build_qubit_bare, coupler_phase,
+                                     kron_all, qubit_phase, reduce_qubit,
+                                     _PAULIS)
 from fluxcoupler.oscillator import cosine_matrix, ladder
 from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, SwtPrefactors,
                              _cross_block_gaps, pauli_decompose,
@@ -174,6 +176,27 @@ def pc_rotation(qubits):
         v = np.linalg.eigh(q.phi2)[1][:, ::-1]
         R.append(v * np.sign(v[np.abs(v).argmax(axis=0), [0, 1]]))
     return kron_all(R)
+
+
+def einsum_pauli_coefficients(A):
+    """tr(P^H A) / 16 for every Pauli string P of a 16x16 array, as one
+    contraction with the complex Pauli matrices, qubit 0 first."""
+    subscripts = "iab,jcd,kef,lgh,acegbdfh->ijkl"
+    paulis = [_PAULIS.conj()] * 4
+    A = np.asarray(A).reshape((2,) * 8)
+    path = np.einsum_path(subscripts, *paulis, A, optimize=True)[0]
+    return np.einsum(subscripts, *paulis, A, optimize=path) / 16.0
+
+
+def einsum_pauli_decompose(h_eff):
+    """(IsingModel, residual) of a 16x16 array from
+    einsum_pauli_coefficients, with a Python sum of the residual's strings
+    in C order.  The reference whose bits swt.pauli_decompose keeps."""
+    c = einsum_pauli_coefficients(h_eff)
+    fields = {name: c[index].real / factor
+              for name, (index, factor) in ISING_STRINGS.items()}
+    residual = np.sqrt(16.0 * sum(abs(complex(v)) ** 2 for v in c[NON_ISING]))
+    return IsingModel(**fields), float(residual)
 
 
 # The interaction written term by term as Kronecker products of the 2 x 2
