@@ -190,13 +190,16 @@ def einsum_pauli_coefficients(A):
 
 def einsum_pauli_decompose(h_eff):
     """(IsingModel, residual) of a 16x16 array from
-    einsum_pauli_coefficients, with a Python sum of the residual's strings
-    in C order.  The reference whose bits swt.pauli_decompose keeps."""
+    einsum_pauli_coefficients, with the residual's strings summed in C order
+    by a left-to-right loop.  The reference whose bits swt.pauli_decompose
+    keeps."""
     c = einsum_pauli_coefficients(h_eff)
     fields = {name: c[index].real / factor
               for name, (index, factor) in ISING_STRINGS.items()}
-    residual = np.sqrt(16.0 * sum(abs(complex(v)) ** 2 for v in c[NON_ISING]))
-    return IsingModel(**fields), float(residual)
+    total = 0.0
+    for v in c[NON_ISING]:
+        total += abs(complex(v)) ** 2
+    return IsingModel(**fields), float(np.sqrt(16.0 * total))
 
 
 # The interaction written term by term as Kronecker products of the 2 x 2

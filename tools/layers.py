@@ -8,7 +8,7 @@ thread.  Each layer of a point at beta_c 0.43, truncation 50/40/8, is timed
 as the mean of enough calls to fill about 2 ms, and the best of all samples
 (REPEATS per round) is kept.  Each CLI subcommand's default run is timed in
 a fresh interpreter, start-up included, best of all samples.  The samples
-come in --rounds rounds, and every round measures each tree once, in
+come in ROUNDS rounds, and every round measures each tree once, in
 alternating order, so a slow spell of a shared machine falls on all trees
 alike.  The tier-1 suite of ROOT/tests is run once per tree, with its time
 per file.  The JSON file --out gets one column per tree, with the machine,
@@ -28,6 +28,7 @@ import xml.etree.ElementTree as ET
 BLAS_THREADS = {name: "1" for name in (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 REPEATS = 8    # layer samples per tree and round
+ROUNDS = 10    # rounds of samples, each over every tree
 SUBCOMMANDS = ("spectrum", "sweep-beta", "sweep-flux", "susceptibility",
                "compare-swt", "gap-scan")
 
@@ -117,12 +118,22 @@ def layers_in_child(root):
 
 
 def subcommand_s(root, name, tmp):
-    """Wall time of one default run of a subcommand, start-up included."""
+    """Wall time of one default run of a subcommand, start-up included.  A
+    run that writes no table stops the harness; exit status 1 with a table
+    only reports error rows, as gap-scan's default grid has."""
+    table = os.path.join(tmp, name.replace("-", "_") + ".csv")
+    if os.path.exists(table):
+        os.remove(table)
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "fluxcoupler.cli", name, "--out",
-                    tmp], env=_env(root), cwd=tmp, stdout=subprocess.DEVNULL,
-                   stderr=subprocess.DEVNULL)
-    return time.perf_counter() - t0
+    run = subprocess.run([sys.executable, "-m", "fluxcoupler.cli", name,
+                          "--out", tmp], env=_env(root), cwd=tmp,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                         text=True)
+    wall = time.perf_counter() - t0
+    if run.returncode not in (0, 1) or not os.path.exists(table):
+        raise RuntimeError(f"{name} of {root} failed (exit status "
+                           f"{run.returncode}): {run.stderr.strip()}")
+    return wall
 
 
 def tier1(root):
@@ -132,11 +143,17 @@ def tier1(root):
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "tier1.xml")
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
-                        "no:cacheprovider", "--continue-on-collection-errors",
-                        f"--junitxml={report}", "tests"], cwd=root, env=env,
-                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                              "no:cacheprovider",
+                              "--continue-on-collection-errors",
+                              f"--junitxml={report}", "tests"], cwd=root,
+                             env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
         wall = time.perf_counter() - t0
+        # 0: all passed, 1: some failed; anything else means no full run
+        if run.returncode not in (0, 1):
+            raise RuntimeError(f"tier-1 suite of {root} did not run: pytest "
+                               f"exit status {run.returncode}")
         per_file, passed, failed = {}, 0, 0
         for case in ET.parse(report).getroot().iter("testcase"):
             name = case.get("classname").rsplit(".", 1)[-1] + ".py"
@@ -181,7 +198,6 @@ def main(argv=None):
     parser.add_argument("trees", nargs="*", metavar="NAME=ROOT",
                         help="a column name and the source tree it measures")
     parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--layers-of", metavar="ROOT", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.layers_of:
@@ -195,7 +211,7 @@ def main(argv=None):
 
     best = {name: {"layers_ms": {}, "subcommands_s": {}} for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for name in list(trees)[::-1 if r % 2 else 1]:
                 root = trees[name]
                 sample = {"layers_ms": layers_in_child(root),
@@ -216,8 +232,8 @@ def main(argv=None):
             "tier1": tier1(root)}
     setup = {"point": "reference circuit, beta_c 0.43, truncation 50/40/8",
              "blas_threads": 1,
-             "layers_ms": f"best of {args.rounds} x {REPEATS} samples",
-             "subcommands_s": f"default run, best of {args.rounds}",
+             "layers_ms": f"best of {ROUNDS} x {REPEATS} samples",
+             "subcommands_s": f"default run, best of {ROUNDS}",
              "order": "each round measures every tree, in alternating order"}
     with open(args.out, "w") as f:
         json.dump({"setup": setup, "columns": columns}, f, indent=2)
