@@ -19,6 +19,7 @@ configuration as a local basis reduction.
 All assembled operators carry units of Hz (energy/h).
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -71,11 +72,20 @@ class OperatorMatrix:
         check_hermitian(self.data)
 
 
+def _frobenius(A):
+    """||A||_F as np.linalg.norm computes it, without its dispatch."""
+    x = A.ravel(order="K")
+    if x.dtype.kind == "c":
+        return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return np.sqrt(x.dot(x))
+
+
 def check_hermitian(A):
     """Raise ValueError unless ||A - A^H||_F <= 1e-12 max(||A||_F, 1), which
     a NaN entry never satisfies."""
-    tol = 1e-12 * max(np.linalg.norm(A), 1.0)
-    if not np.linalg.norm(A - A.conj().T) <= tol:
+    A = np.asarray(A)
+    tol = 1e-12 * max(_frobenius(A), 1.0)
+    if not _frobenius(A - A.conj().T) <= tol:
         raise ValueError("operator not Hermitian within tolerance")
 
 
@@ -100,22 +110,36 @@ def _kron_sum(ops):
     return out
 
 
+@functools.cache
+def _oscillator(n_trunc):
+    """(a + a^dag, a^dag a + 1/2, 1) on n_trunc levels: the operators every
+    rf-SQUID loop of that truncation is written in, built once per process,
+    read-only."""
+    a = ladder(n_trunc)
+    ops = (a + a.T, np.diag(np.arange(n_trunc) + 0.5), np.eye(n_trunc))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
 def _phase(xi, c, n_trunc):
     """phi = r (a + a^dag), r = sqrt(xi / sqrt(c)), in the oscillator basis
     of the quadratic part 4 xi^2 q^2/2 + c phi^2/2.  Returns (phi, r)."""
     r = np.sqrt(xi / np.sqrt(c))
-    a = ladder(n_trunc)
-    return r * (a + a.T), r
+    return r * _oscillator(n_trunc)[0], r
 
 
 def _rf_squid(E_L, xi, c, beta, phi_x, n_trunc):
     """H = E_L (4 xi^2 q^2/2 + c (phi - phi_x)^2/2 + beta cos phi) in the
     oscillator basis of its quadratic part, harmonic frequency 2 xi sqrt(c)."""
     phi, r = _phase(xi, c, n_trunc)
-    h = 2.0 * xi * np.sqrt(c) * np.diag(np.arange(n_trunc) + 0.5) \
-        + beta * cosine_matrix(n_trunc, r) \
-        - c * phi_x * phi + 0.5 * c * phi_x**2 * np.eye(n_trunc)
-    return OperatorMatrix(E_L * h)
+    _, number, one = _oscillator(n_trunc)
+    h = 2.0 * xi * np.sqrt(c) * number
+    h += beta * cosine_matrix(n_trunc, r)
+    h -= c * phi_x * phi
+    h += 0.5 * c * phi_x**2 * one
+    h *= E_L
+    return OperatorMatrix(h)
 
 
 def build_coupler(u, n_trunc):
@@ -178,7 +202,8 @@ def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
     if phi2[0, 1] < 0:
         v2 = v2 @ np.diag([1.0, -1.0])
         phi2 = v2.T @ phi.data @ v2
-    h2 = np.diag(ev[:2] - np.mean(ev[:2]))
+    # the bits of np.mean(ev[:2]), which sums onto +0.0 left to right
+    h2 = np.diag(ev[:2] - (0.0 + ev[0] + ev[1]) / 2.0)
     pc = np.linalg.eigh(phi2)[1][:, ::-1]
     pc = pc * np.sign(pc[np.abs(pc).argmax(axis=0), [0, 1]])
     return ReducedQubit(h2=h2, phi2=phi2, omega=float(ev[1] - ev[0]), pc=pc)
@@ -269,15 +294,20 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep):
 
     # one eigh per distinct force: equal forces give bitwise-equal matrices
     # (+0.0 and -0.0 too), so configurations that share a force share chi
-    forces, which = np.unique(force, return_inverse=True)
-    eps, chi = np.linalg.eigh(np.diag(e_c) + forces[:, None, None] * phi_c)
+    first = {}
+    which = [first.setdefault(f, len(first)) for f in force.tolist()]
+    coupler_z = np.array(list(first))[:, None, None] * phi_c
+    coupler_z += np.diag(e_c)
+    eps, chi = np.linalg.eigh(coupler_z)
     eps, chi = eps[which, :n_keep], chi[which, :, :n_keep]
 
     z = np.arange(len(R))
     H = np.zeros((len(R), n_keep, len(R), n_keep))
     H[z, :, z, :] = np.eye(n_keep) * (
         eps + (direct + np.diag(h_q))[:, None])[:, None, :]
-    lo, hi = np.nonzero(np.triu(h_q, 1))
+    lo, hi = np.nonzero(h_q)
+    upper = lo < hi
+    lo, hi = lo[upper], hi[upper]
     hop = h_q[lo, hi][:, None, None] * (chi[lo].transpose(0, 2, 1) @ chi[hi])
     H[lo, :, hi, :] = hop
     H[hi, :, lo, :] = hop.transpose(0, 2, 1)

@@ -2,9 +2,15 @@
 
 Ladder operators; one displaced-oscillator element formula on scipy's
 vectorised generalized-Laguerre polynomial, which gives both the cosine
-matrix (its even-distance upper triangle in one call, memoised per process)
-and displaced-well overlaps; the double-well minimum by Brent's method; and
-the two-level qubit reduction factor s.
+matrix (its even-distance upper triangle in one call) and displaced-well
+overlaps; the double-well minimum by Brent's method; and the two-level qubit
+reduction factor s.
+
+Two process-wide memos, both read-only: cosine_matrix's results, by
+(n_trunc, r), and, by the truncation alone, everything of a cosine matrix
+that does not depend on r (_even_triangle: its element pairs, signs,
+log-factorial amplitudes and positions), so a new r costs one Laguerre
+recurrence and one exp.
 """
 
 import functools
@@ -22,17 +28,49 @@ def ladder(n):
     return a
 
 
-def _displaced_element(lo, hi, r):
-    """sqrt(lo!/hi!) r^k e^{-r^2/2} L_lo^k(r^2) with k = hi - lo >= 0, r > 0.
+def _half_log_ratio(lo, hi):
+    """log sqrt(lo!/hi!), elementwise over integer lo and hi."""
+    return 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
 
-    Elementwise over integer lo and hi, with log-factorial amplitudes
-    (overflow-safe well past level 60).  The degree goes to eval_genlaguerre
-    as C long, so scipy runs its three-term recurrence for integer degree.
+
+def _displaced_element(lo, k, half, r):
+    """sqrt(lo!/hi!) r^k e^{-r^2/2} L_lo^k(r^2) with k = hi - lo >= 0, r > 0
+    and half = _half_log_ratio(lo, hi).
+
+    Elementwise over integer lo and k, with log-factorial amplitudes
+    (overflow-safe well past level 60).  lo must be C long: as the degree
+    of eval_genlaguerre it makes scipy run its three-term recurrence for
+    integer degree.
     """
+    amp = np.exp(half + k * np.log(r) - r * r / 2.0)
+    return amp * eval_genlaguerre(lo, k, r * r)
+
+
+@dataclass(frozen=True)
+class _Triangle:
+    """The even-distance upper triangle of an n x n cosine matrix, all of it
+    that depends on n alone."""
+    lo: np.ndarray      # row, as C long for eval_genlaguerre
+    k: np.ndarray       # distance hi - lo, even
+    half: np.ndarray    # _half_log_ratio(lo, hi)
+    flip: np.ndarray    # where (-1)^{k/2} = -1
+    at: np.ndarray      # flat positions of (lo, hi), then of (hi, lo)
+
+
+@functools.cache
+def _even_triangle(n):
+    """_Triangle of truncation n, built once per process, with read-only
+    arrays."""
+    lo, hi = np.triu_indices(n)
+    even = (hi - lo) % 2 == 0
+    lo, hi = lo[even], hi[even]
     k = hi - lo
-    amp = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
-                 + k * np.log(r) - r * r / 2.0)
-    return amp * eval_genlaguerre(np.asarray(lo, dtype="l"), k, r * r)
+    t = _Triangle(lo=lo.astype("l"), k=k, half=_half_log_ratio(lo, hi),
+                  flip=k % 4 != 0,
+                  at=np.concatenate((lo * n + hi, hi * n + lo)))
+    for a in vars(t).values():
+        a.setflags(write=False)
+    return t
 
 
 @functools.lru_cache(maxsize=16)
@@ -43,7 +81,8 @@ def cosine_matrix(n_trunc, r):
     upper-triangle element at even k is the real part of the displacement
     closed form <lo|exp(i r (a^dag + a))|hi>:
     (-1)^{k/2} sqrt(lo!/hi!) r^k e^{-r^2/2} L_lo^k(r^2), all of the even-k
-    triangle in one vectorised eval_genlaguerre call.
+    triangle in one vectorised eval_genlaguerre call; what does not depend
+    on r comes from _even_triangle.
 
     Memoised on (n_trunc, r): the result is shared by every caller and is
     read-only.
@@ -56,15 +95,13 @@ def cosine_matrix(n_trunc, r):
         C = np.eye(n_trunc)
         C.setflags(write=False)
         return C
-    lo, hi = np.triu_indices(n_trunc)
-    even = (hi - lo) % 2 == 0
-    lo, hi = lo[even], hi[even]
-    val = _displaced_element(lo, hi, r)
+    t = _even_triangle(n_trunc)
+    val = _displaced_element(t.lo, t.k, t.half, r)
+    np.negative(val, out=val, where=t.flip)
     # + 0.0 turns an underflowed -0.0 into +0.0: no element is ever -0.0
-    val = np.where((hi - lo) % 4 == 0, val, -val) + 0.0
+    val += 0.0
     C = np.zeros((n_trunc, n_trunc))
-    C[lo, hi] = val
-    C[hi, lo] = val
+    C.ravel()[t.at] = np.concatenate((val, val))
     C.setflags(write=False)
     return C
 
@@ -176,7 +213,8 @@ def displaced_overlap(M, N, d):
     # |N_+> = D(d)|N> in the left well's frame, so the overlap is <M|D(d)|N>;
     # the Laguerre form carries (-d)^{N-M} when N > M
     sign = 1.0 if M >= N else (-1.0) ** (hi - lo)
-    return sign * _displaced_element(lo, hi, d)
+    return sign * _displaced_element(np.asarray(lo, dtype="l"), hi - lo,
+                                     _half_log_ratio(lo, hi), d)
 
 
 @dataclass

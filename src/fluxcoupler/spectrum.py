@@ -144,7 +144,9 @@ def gap_diagnostics(s: SpectrumResult) -> GapDiagnostics:
     outside it, against its largest internal spacing delta_max."""
     idx = s.manifold()
     ground = s.eigenvalues[idx]
-    others = np.delete(s.eigenvalues, idx)
+    outside = np.ones(len(s.eigenvalues), dtype=bool)
+    outside[idx] = False
+    others = s.eigenvalues[outside]
     delta_max = float(np.max(np.diff(ground)))
     if len(others) == 0:
         return GapDiagnostics(np.inf, delta_max, True)

@@ -229,6 +229,31 @@ def numerical_swt(u, qubits, coupler: OperatorMatrix):
     return h_eff, ising_couplings(h_eff)
 
 
+def _mean(values):
+    """np.mean of a short float array, bit for bit, in plain floats: numpy
+    adds the values left to right onto +0.0 (no pairwise blocks below
+    eight) and divides by their count.  A loop, not sum(), which Python
+    3.12 compensates."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total / len(values)
+
+
+def _ptp(values):
+    """np.ptp of a short float array, bit for bit, in plain floats: its
+    maximum minus its minimum, where the later of two equal values wins
+    (so the sign of a zero is the last zero's) and a NaN sticks."""
+    values = values.tolist()
+    hi = lo = values[0]
+    for v in values[1:]:
+        if hi == hi and not hi > v:
+            hi = v
+        if lo == lo and not lo < v:
+            lo = v
+    return hi - lo
+
+
 def ising_couplings(h_eff) -> CouplingStrengths:
     """Coupling strengths of a 16x16 effective Hamiltonian (pc frame).
 
@@ -239,12 +264,11 @@ def ising_couplings(h_eff) -> CouplingStrengths:
     """
     model, residual = pauli_decompose(h_eff)
     return CouplingStrengths(
-        J1=float(np.mean(model.J1)), J2=float(np.mean(model.J2)),
-        J3=float(np.mean(model.J3)), J4=float(model.J4),
-        shift=float(model.shift), residual=residual,
-        diagnostics={"J1_spread": float(np.ptp(model.J1)),
-                     "J2_spread": float(np.ptp(model.J2)),
-                     "J3_spread": float(np.ptp(model.J3)),
+        J1=_mean(model.J1), J2=_mean(model.J2), J3=_mean(model.J3),
+        J4=float(model.J4), shift=float(model.shift), residual=residual,
+        diagnostics={"J1_spread": _ptp(model.J1),
+                     "J2_spread": _ptp(model.J2),
+                     "J3_spread": _ptp(model.J3),
                      "omega_eff": model.omega})
 
 

@@ -1,12 +1,15 @@
 import pytest
 
 import fluxcoupler.analysis as analysis
-from fluxcoupler.oscillator import cosine_matrix
+from fluxcoupler import hamiltonian, oscillator
 
 
 @pytest.fixture
 def cold_memos():
-    """Empty the process-wide memos of reduced qubits and cosine matrices, so
-    a test that counts builds sees only the builds it causes."""
+    """Empty the process-wide memos of reduced qubits, cosine matrices and
+    per-truncation oscillator constants, so a test that counts builds sees
+    only the builds it causes."""
     analysis._REDUCED.clear()
-    cosine_matrix.cache_clear()
+    oscillator.cosine_matrix.cache_clear()
+    oscillator._even_triangle.cache_clear()
+    hamiltonian._oscillator.cache_clear()

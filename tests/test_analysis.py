@@ -13,9 +13,14 @@ from fluxcoupler.analysis import (Truncations, build_system, compare_swt,
                                   with_flux_offsets)
 from fluxcoupler.circuit import (REFERENCE, circuit_from, derive_unitless,
                                  reference_circuit)
-from fluxcoupler.hamiltonian import build_qubit_bare, qubit_phase, reduce_qubit
-from fluxcoupler.oscillator import cosine_matrix, qubit_reduction
+from fluxcoupler.hamiltonian import (_oscillator, assemble_full,
+                                     build_qubit_bare, qubit_phase,
+                                     reduce_qubit)
+from fluxcoupler.oscillator import (_even_triangle, cosine_matrix,
+                                    qubit_reduction)
+from fluxcoupler.spectrum import eigendecompose
 from fluxcoupler.swt import analytic_couplings, numerical_swt
+from toys import memo_free_system
 
 FAST = Truncations(qubit_states=40, coupler_states=30, n_keep=8)
 
@@ -341,12 +346,41 @@ def test_qubit_memo_keys_on_the_truncation(monkeypatch):
 def test_memoised_results_are_read_only():
     u = derive_unitless(reference_circuit())
     q = build_system(u, FAST)[0][0]
+    constants = [*vars(_even_triangle(12)).values(), *_oscillator(12)]
     for a in (q.h2, q.phi2, q.pc, cosine_matrix(12, 0.3),
-              cosine_matrix(12, 0.0)):
+              cosine_matrix(12, 0.0), *constants):
         with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 1.0
+            a[(0,) * a.ndim] = 1
     _assert_separate_build_bits(u, build_system(u, FAST)[0],
                                 FAST.qubit_states)
+
+
+def _perturbed_chip(seed):
+    """The reference circuit at beta_c 0.43, beta_j 1.1 with every qubit
+    element 1 % off its design value and each qubit 1e-4 Phi_0 off its
+    bias, drawn from seed: four distinct qubits, 16 distinct forces."""
+    rng = np.random.default_rng(seed)
+    p = reference_circuit(beta_c=0.43, beta_j=1.1)
+    spread = {name: getattr(p, name) * (1.0 + 0.01 * rng.normal(size=4))
+              for name in ("L_j", "C_j", "I_cj", "M_j")}
+    return with_flux_offsets(replace(p, **spread), 0.0,
+                             1e-4 * rng.normal(size=4))
+
+
+@pytest.mark.usefixtures("cold_memos")
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_perturbed_chip_has_the_memo_free_bits(seed):
+    # build_system through its memos (qubits, cosine matrices, oscillator
+    # constants), two chips in one process, against each qubit and the
+    # coupler written out and reduced with no memo at all
+    trunc = Truncations()
+    for chip in (_perturbed_chip(seed), _perturbed_chip(seed + 100)):
+        u = derive_unitless(chip)
+        got = assemble_full(*build_system(u, trunc), u, trunc.n_keep)
+        want = assemble_full(*memo_free_system(u, trunc), u, trunc.n_keep)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert eigendecompose(got).eigenvalues.tobytes() == \
+            np.linalg.eigh(want.data)[0].tobytes()
 
 
 @pytest.mark.usefixtures("cold_memos")

@@ -7,7 +7,8 @@ from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.oscillator import (cosine_matrix, displaced_overlap,
                                     find_well_minimum, ladder,
                                     qubit_reduction)
-from toys import _genlaguerre_matrix, brentq_well_minimum, displacement_matrix
+from toys import (_genlaguerre_matrix, brentq_well_minimum,
+                  displacement_matrix, memo_free_cosine)
 
 
 # ---------------------------------------------------------------- oracles
@@ -125,6 +126,17 @@ def test_cosine_matrix_is_bit_identical_to_the_displacement_form(n, r):
     want = ((E + E.conj().T) / 2.0).real
     got = cosine_matrix(n, r)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.usefixtures("cold_memos")
+def test_cosine_matrix_keeps_its_bits_at_interleaved_truncations():
+    # the per-truncation memo serves each n its own triangle: n = 50 again
+    # after 40 and 13, every call with an r not seen before
+    for n, r in ((50, 0.31), (40, 0.43), (13, 0.77), (50, 0.29)):
+        got = cosine_matrix(n, r)
+        assert got.shape == (n, n)
+        assert got.tobytes() == memo_free_cosine(n, r).tobytes()
+    assert cosine_matrix.cache_info().misses == 4
 
 
 def test_cosine_matrix_hermitian_and_real():

@@ -6,11 +6,12 @@ from scipy.special import binom, gammaln
 
 from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (ISING_STRINGS, NON_ISING, PAIRS,
-                                     IsingModel, build_coupler,
+                                     IsingModel, OperatorMatrix,
+                                     ReducedQubit, build_coupler,
                                      build_qubit_bare, coupler_phase,
                                      kron_all, qubit_phase, reduce_qubit,
                                      _PAULIS)
-from fluxcoupler.oscillator import cosine_matrix, ladder
+from fluxcoupler.oscillator import ladder
 from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, SwtPrefactors,
                              _cross_block_gaps, pauli_decompose,
                              swt_effective_block)
@@ -19,9 +20,10 @@ _I2 = np.eye(2)
 _Z = np.diag([1.0, -1.0])
 
 
-# The coupler and the qubit each written out as its own formula: the
-# reference for hamiltonian._rf_squid, through which build_coupler,
-# coupler_phase, build_qubit_bare and qubit_phase give the same bits.
+# The coupler and the qubit each written out as its own formula, with no
+# memo anywhere: the reference for hamiltonian._rf_squid, through which
+# build_coupler, coupler_phase, build_qubit_bare and qubit_phase give the
+# same bits.
 def _oscillator_ops(xi, stiffness, n_trunc):
     """Harmonic part, phi and its scale r of the oscillator basis of
     4 xi^2 q^2/2 + stiffness phi^2/2."""
@@ -37,7 +39,7 @@ def written_out_coupler(u, n_trunc):
     """(H_c, phi_c): E_Ltilde_c (4 xi_c^2 q^2/2 + (phi - phi_cx)^2/2
     + beta_c cos phi) and its phase, in the oscillator basis."""
     h_harm, phi, r = _oscillator_ops(u.xi_c, 1.0, n_trunc)
-    h = h_harm + u.beta_c * cosine_matrix(n_trunc, r) \
+    h = h_harm + u.beta_c * memo_free_cosine(n_trunc, r) \
         - u.phi_cx * phi + 0.5 * u.phi_cx**2 * np.eye(n_trunc)
     return u.E_Ltilde_c * h, phi
 
@@ -49,9 +51,33 @@ def written_out_qubit(u, j, n_trunc):
     phi_x = float(u.phi_jx[j])
     c = 1.0 + alpha**2
     h_harm, phi, r = _oscillator_ops(float(u.xi_j[j]), c, n_trunc)
-    h = h_harm + float(u.beta_j[j]) * cosine_matrix(n_trunc, r) \
+    h = h_harm + float(u.beta_j[j]) * memo_free_cosine(n_trunc, r) \
         - c * phi_x * phi + 0.5 * c * phi_x**2 * np.eye(n_trunc)
     return float(u.E_Lj[j]) * h, phi
+
+
+def written_out_reduction(h, phi):
+    """reduce_qubit's two-level reduction of the bare qubit h with phase phi
+    (arrays), gauge rules and all, with numpy's own reductions."""
+    ev, vec = np.linalg.eigh(h)
+    v2 = vec[:, :2]
+    if (v2.T @ phi @ v2)[0, 1] < 0:
+        v2 = v2 @ np.diag([1.0, -1.0])
+    phi2 = v2.T @ phi @ v2
+    pc = np.linalg.eigh(phi2)[1][:, ::-1]
+    pc = pc * np.sign(pc[np.abs(pc).argmax(axis=0), [0, 1]])
+    return ReducedQubit(h2=np.diag(ev[:2] - np.mean(ev[:2])), phi2=phi2,
+                        omega=float(ev[1] - ev[0]), pc=pc)
+
+
+def memo_free_system(u, trunc):
+    """analysis.build_system's (qubits, coupler) from the written-out
+    formulas, each qubit built and reduced on its own."""
+    qubits = [written_out_reduction(*written_out_qubit(u, j,
+                                                       trunc.qubit_states))
+              for j in range(4)]
+    return qubits, OperatorMatrix(written_out_coupler(
+        u, trunc.coupler_states)[0])
 
 
 def delta_form_couplings(p: SwtPrefactors):
@@ -306,6 +332,13 @@ def displacement_matrix(n, r):
         amp = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
                      + k * np.log(r) - r * r / 2.0)
     return (1j) ** k * amp * lag
+
+
+def memo_free_cosine(n, r):
+    """cos(r (a^dag + a)) as the Hermitian part of displacement_matrix, the
+    reference oscillator.cosine_matrix equals bit for bit."""
+    E = displacement_matrix(n, r)
+    return ((E + E.conj().T) / 2.0).real
 
 
 def brentq_well_minimum(beta, alpha=0.0):

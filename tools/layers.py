@@ -6,8 +6,12 @@ one or more source trees.
 For each NAME=ROOT the library is imported from ROOT/src, with one BLAS
 thread.  Each layer of a point at beta_c 0.43, truncation 50/40/8, is timed
 as the mean of enough calls to fill about 2 ms, and the best of all samples
-(REPEATS per round) is kept.  Each CLI subcommand's default run is timed in
-a fresh interpreter, start-up included, best of all samples.  The samples
+(REPEATS per round) is kept.  One more layer is a fabrication-spread chip
+(the operating point with every qubit element 1 % off its design value)
+through the whole spectral pipeline, its qubit and cosine memos emptied in
+every call, since no chip of a Monte-Carlo batch reuses them.  Each CLI
+subcommand's default run is timed in a fresh interpreter, start-up
+included: the best of all samples, and their quartiles.  The samples
 come in ROUNDS rounds, and every round measures each tree once, in
 alternating order, so a slow spell of a shared machine falls on all trees
 alike.  The tier-1 suite of ROOT/tests is run once per tree, with its time
@@ -19,11 +23,13 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 BLAS_THREADS = {name: "1" for name in (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -57,10 +63,27 @@ def best_ms(cases, repeats):
     return {name: 1e3 * t for name, t in best.items()}
 
 
+def perturbed_chip(seed=1):
+    """Unitless parameters of the operating point (beta_c 0.43, beta_j 1.1)
+    with L_j, C_j, I_cj and M_j of every qubit 1 % off their design values
+    and each qubit 1e-4 Phi_0 off its bias, drawn from seed: four distinct
+    qubits and 16 distinct coupler forces, as on a fabricated chip."""
+    import numpy as np
+    from fluxcoupler.analysis import with_flux_offsets
+    from fluxcoupler.circuit import derive_unitless, reference_circuit
+
+    rng = np.random.default_rng(seed)
+    p = reference_circuit(beta_c=0.43, beta_j=1.1)
+    spread = {name: getattr(p, name) * (1.0 + 0.01 * rng.normal(size=4))
+              for name in ("L_j", "C_j", "I_cj", "M_j")}
+    return derive_unitless(with_flux_offsets(replace(p, **spread), 0.0,
+                                             1e-4 * rng.normal(size=4)))
+
+
 def layers(repeats):
     """{layer: best ms} at the operating point, for the library on sys.path;
     every input is built once, and the memoised cosine_matrix is warm except
-    where it is called uncached."""
+    where it is called uncached or the layer empties it."""
     from fluxcoupler import analysis, hamiltonian as ham, swt
     from fluxcoupler.circuit import derive_unitless, reference_circuit
     from fluxcoupler.oscillator import cosine_matrix
@@ -80,6 +103,17 @@ def layers(repeats):
     uncached = getattr(cosine_matrix, "__wrapped__", cosine_matrix)
     r_c = ham._phase(u.xi_c, 1.0, 40)[1]
     r_q = ham._phase(u.xi_j[0], 1.0 + u.alpha[0] ** 2, 50)[1]
+    chip = perturbed_chip()
+    chip_qubits = analysis.build_system(chip, trunc)[0]
+    forces = ham.qubit_configurations(chip_qubits, chip)[1]
+    if len({q.omega for q in chip_qubits}) != 4 or len(set(forces)) != 16:
+        raise RuntimeError("the perturbed chip must have four distinct "
+                           "qubits and 16 distinct forces")
+
+    def cold_chip():
+        analysis._REDUCED.clear()
+        cosine_matrix.cache_clear()
+        analysis.spectral_system(chip, trunc)
 
     cases = {
         "oscillator.cosine_matrix (coupler, 40, uncached)":
@@ -105,6 +139,7 @@ def layers(repeats):
     for branch in analysis.BRANCHES:
         cases[f"analysis.couplings_point ({branch})"] = (
             lambda b=branch: analysis.couplings_point(u, trunc, b))
+    cases["analysis.spectral_system (perturbed chip, cold memos)"] = cold_chip
     return best_ms(cases, repeats)
 
 
@@ -209,7 +244,7 @@ def main(argv=None):
     trees = {name: os.path.abspath(root)
              for name, root in (tree.split("=", 1) for tree in args.trees)}
 
-    best = {name: {"layers_ms": {}, "subcommands_s": {}} for name in trees}
+    samples = {name: {"layers_ms": {}, "subcommands_s": {}} for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(ROUNDS):
             for name in list(trees)[::-1 if r % 2 else 1]:
@@ -219,21 +254,27 @@ def main(argv=None):
                                             for cmd in SUBCOMMANDS}}
                 for kind, values in sample.items():
                     for key, t in values.items():
-                        best[name][kind][key] = min(
-                            best[name][kind].get(key, float("inf")), t)
+                        samples[name][kind].setdefault(key, []).append(t)
     columns = {}
     for name, root in trees.items():
+        layer_ms, command_s = samples[name].values()
         columns[name] = {
             **provenance(root),
-            "layers_ms": {k: round(t, 4)
-                          for k, t in best[name]["layers_ms"].items()},
-            "subcommands_s": {k: round(t, 3)
-                              for k, t in best[name]["subcommands_s"].items()},
+            "layers_ms": {k: round(min(t), 4) for k, t in layer_ms.items()},
+            "subcommands_s": {k: round(min(t), 3)
+                              for k, t in command_s.items()},
+            "subcommands_quartiles_s": {
+                k: [round(q, 3) for q in statistics.quantiles(
+                    t, n=4, method="inclusive")]
+                for k, t in command_s.items()},
             "tier1": tier1(root)}
     setup = {"point": "reference circuit, beta_c 0.43, truncation 50/40/8",
+             "chip": "the point with each qubit element 1 % off, seed 1",
              "blas_threads": 1,
              "layers_ms": f"best of {ROUNDS} x {REPEATS} samples",
              "subcommands_s": f"default run, best of {ROUNDS}",
+             "subcommands_quartiles_s":
+                 f"default run, [q1, median, q3] of {ROUNDS}",
              "order": "each round measures every tree, in alternating order"}
     with open(args.out, "w") as f:
         json.dump({"setup": setup, "columns": columns}, f, indent=2)
