@@ -11,6 +11,14 @@ Library layout:
   cli         config parsing and CSV emission
 """
 
+import numpy as _np
+
+# glibc sets its malloc trim threshold to twice the largest mmapped block
+# freed so far (mallopt(3), M_MMAP_THRESHOLD and M_TRIM_THRESHOLD): one freed
+# 1 MiB block keeps the numerical SWT's ~80 KiB temporaries on the heap
+# between points instead of handing them back to the OS to fault in again
+_np.empty(1 << 17)
+
 from .circuit import (CircuitParams, PhysicalConstants, UnitlessParams,
                       CONSTANTS, derive_unitless, reference_circuit)
 from .oscillator import (cosine_matrix, displaced_overlap, find_well_minimum,

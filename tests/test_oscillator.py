@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import beta, binom, eval_genlaguerre, gammaln
 
 from fluxcoupler.circuit import derive_unitless, reference_circuit
-from fluxcoupler.oscillator import (cosine_matrix, displaced_overlap,
-                                    find_well_minimum, ladder,
-                                    qubit_reduction)
+from fluxcoupler.oscillator import (_beta, _binom, _laguerre_coefficients,
+                                    _laguerre_p, _lgam, cosine_matrix,
+                                    displaced_overlap, find_well_minimum,
+                                    ladder, qubit_reduction)
 from toys import (_genlaguerre_matrix, brentq_well_minimum,
                   displacement_matrix, memo_free_cosine)
 
@@ -109,6 +110,55 @@ def test_displacement_matrix_against_scalar_laguerre(n, r):
                                atol=0)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_binom_is_bit_identical_to_scipy():
+    # every 0 <= K <= N < 600: the product formula below min(K, N - K) = 20,
+    # and beta through rgamma (N + 2 <= 171) and through lgam beyond; then
+    # min(K, N - K) in 10 .. 19 up to N = 3000, where the product's 1e50
+    # rescale changes bits (from N = 613 on)
+    N, K = np.tril_indices(600)
+    kx = np.arange(10.0, 20.0)
+    N_far = np.repeat(np.arange(600.0, 3000.0), len(kx))
+    K_far = np.tile(kx, 2400)
+    N = np.concatenate((N, N_far, N_far)).astype(float)
+    K = np.concatenate((K, K_far, N_far - K_far)).astype(float)
+    np.testing.assert_array_equal(_bits(_binom(N, K)), _bits(binom(N, K)))
+
+
+def test_beta_is_bit_identical_to_scipy():
+    # integer a, b < 250: the Gamma product scaled by rgamma(a + b), each of
+    # its two orders, up to a + b = 171, and the lgam form beyond
+    a, b = (v.ravel().astype(float) for v in np.indices((250, 250)) + 1)
+    got = np.array([_beta(p, q) for p, q in zip(a, b)])
+    np.testing.assert_array_equal(_bits(got), _bits(beta(a, b)))
+
+
+def test_lgam_is_bit_identical_to_scipy_gammaln():
+    # the product below 13, the series to 1000, its short form to 1e8, and
+    # Stirling's leading terms alone beyond
+    x = np.concatenate((np.arange(1.0, 5001.0), [1e6, 1e8 + 1, 1e9]))
+    got = np.array([_lgam(v) for v in x])
+    np.testing.assert_array_equal(_bits(got), _bits(gammaln(x)))
+
+
+@pytest.mark.parametrize("x", [1e-300, 0.09, 0.3, 1.7, 50.0])
+def test_laguerre_recurrence_is_bit_identical_to_scipy(x):
+    # L_lo^k(x) for every lo + k < 120, odd k included: 1 and -x + k + 1 at
+    # lo = 0 and 1, else binom(lo + k, lo) times p after step lo - 1
+    dist = np.arange(120.0)
+    p = _laguerre_p(dist, x, *_laguerre_coefficients(dist, 118))
+    lo, k = np.tril_indices(120)
+    lo, k = (k, lo - k)
+    got = np.select([lo == 0, lo == 1], [1.0, -x + k + 1.0],
+                    _binom((lo + k).astype(float), lo.astype(float))
+                    * p[np.maximum(lo - 1, 0), k])
+    want = eval_genlaguerre(lo.astype("l"), k.astype(float), x)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
 @pytest.mark.parametrize("r", [0.0, 0.05, 0.3, 1.2])
 def test_cosine_matrix_against_series(r):
     got = cosine_matrix(12, r)
@@ -116,12 +166,13 @@ def test_cosine_matrix_against_series(r):
     assert np.allclose(got, want, atol=1e-11)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 13, 40, 50, 60, 80])
+@pytest.mark.parametrize("n", [2, 3, 4, 13, 40, 50, 60, 80, 90, 180])
 @pytest.mark.parametrize("r", [0.0, 1e-40, 0.05, 0.2, 0.31, 0.55, 1.3, 3.3,
                                7.5])
 def test_cosine_matrix_is_bit_identical_to_the_displacement_form(n, r):
     # r = 1e-40 underflows the far-diagonal amplitudes to zero, whose sign
-    # the Hermitian average makes +0.0
+    # the Hermitian average makes +0.0; from n = 41 on binom goes through
+    # beta, and through its lgam branch from n = 171 on
     E = displacement_matrix(n, r)
     want = ((E + E.conj().T) / 2.0).real
     got = cosine_matrix(n, r)

@@ -11,18 +11,22 @@ as the mean of enough calls to fill about 2 ms, and the best of all samples
 through the whole spectral pipeline, its qubit and cosine memos emptied in
 every call, since no chip of a Monte-Carlo batch reuses them.  Each CLI
 subcommand's default run is timed in a fresh interpreter, start-up
-included: the best of all samples, and their quartiles.  The samples
-come in ROUNDS rounds, and every round measures each tree once, in
+included: the best of all samples, and their quartiles.  So are a fresh
+interpreter's `import fluxcoupler.cli` alone and the minor page faults
+(ru_minflt) of one default 30-point numerical-SWT sweep in a fresh
+interpreter, as quartiles.  The samples come in ROUNDS rounds, and every round measures each tree once, in
 alternating order, so a slow spell of a shared machine falls on all trees
 alike.  The tier-1 suite of ROOT/tests is run once per tree, with its time
 per file.  The JSON file --out gets one column per tree, with the machine,
-the Python, numpy and scipy versions and the git sha of the tree.
+the Python, numpy and scipy versions (scipy null where it is not
+installed) and the git sha of the tree.
 """
 
 import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -171,6 +175,43 @@ def subcommand_s(root, name, tmp):
     return wall
 
 
+def import_s(root):
+    """Time of `import fluxcoupler.cli` in a fresh interpreter, the
+    interpreter's own start-up excluded."""
+    code = ("import time; t0 = time.perf_counter(); import fluxcoupler.cli; "
+            "print(time.perf_counter() - t0)")
+    run = subprocess.run([sys.executable, "-c", code], env=_env(root),
+                         capture_output=True, text=True, check=True)
+    return float(run.stdout)
+
+
+def sweep_minflt():
+    """Minor page faults of one default 30-point beta_c sweep through the
+    numerical SWT, for the library on sys.path, imported beforehand."""
+    from fluxcoupler import analysis, cli
+    from fluxcoupler.circuit import reference_circuit
+
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    analysis.sweep_beta(reference_circuit(), cli._BETA_GRID,
+                        analysis.Truncations(), ("numerical_swt",))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def sweep_minflt_in_child(root):
+    """sweep_minflt() for the tree at root, in a fresh interpreter."""
+    run = subprocess.run([sys.executable, os.path.abspath(__file__),
+                          "--faults-of", root],
+                         env=_env(root), capture_output=True, text=True,
+                         check=True)
+    return int(run.stdout)
+
+
+def quartiles(samples, digits):
+    """[q1, median, q3] of samples, rounded."""
+    return [round(q, digits) for q in statistics.quantiles(
+        samples, n=4, method="inclusive")]
+
+
 def tier1(root):
     """Wall time, outcome counts and the summed test time per file of the
     tier-1 suite under root/tests."""
@@ -206,7 +247,10 @@ def provenance(root):
     """The git sha of root, whether its src/ differs from it, the machine
     and the library versions of this interpreter."""
     import numpy
-    import scipy
+    try:
+        import scipy
+    except ImportError:  # a test-only dependency
+        scipy = None
 
     def git(*args):
         run = subprocess.run(["git", "-C", root, *args], capture_output=True,
@@ -225,7 +269,7 @@ def provenance(root):
                         "arch": platform.machine(),
                         "system": platform.platform()},
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy and scipy.__version__}
 
 
 def main(argv=None):
@@ -234,39 +278,49 @@ def main(argv=None):
                         help="a column name and the source tree it measures")
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--layers-of", metavar="ROOT", help=argparse.SUPPRESS)
+    parser.add_argument("--faults-of", metavar="ROOT", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.layers_of:
         sys.path.insert(0, os.path.join(args.layers_of, "src"))
         json.dump(layers(REPEATS), sys.stdout)
+        return
+    if args.faults_of:
+        sys.path.insert(0, os.path.join(args.faults_of, "src"))
+        print(sweep_minflt())
         return
     if not args.trees or not args.out:
         parser.error("need --out and at least one NAME=ROOT")
     trees = {name: os.path.abspath(root)
              for name, root in (tree.split("=", 1) for tree in args.trees)}
 
-    samples = {name: {"layers_ms": {}, "subcommands_s": {}} for name in trees}
+    samples = {name: {"layers_ms": {}, "subcommands_s": {}, "start_up": {}}
+               for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(ROUNDS):
             for name in list(trees)[::-1 if r % 2 else 1]:
                 root = trees[name]
                 sample = {"layers_ms": layers_in_child(root),
                           "subcommands_s": {cmd: subcommand_s(root, cmd, tmp)
-                                            for cmd in SUBCOMMANDS}}
+                                            for cmd in SUBCOMMANDS},
+                          "start_up": {
+                              "import_cli_s": import_s(root),
+                              "swt_sweep_minflt": sweep_minflt_in_child(root)}}
                 for kind, values in sample.items():
                     for key, t in values.items():
                         samples[name][kind].setdefault(key, []).append(t)
     columns = {}
     for name, root in trees.items():
-        layer_ms, command_s = samples[name].values()
+        layer_ms, command_s, start_up = samples[name].values()
         columns[name] = {
             **provenance(root),
             "layers_ms": {k: round(min(t), 4) for k, t in layer_ms.items()},
             "subcommands_s": {k: round(min(t), 3)
                               for k, t in command_s.items()},
-            "subcommands_quartiles_s": {
-                k: [round(q, 3) for q in statistics.quantiles(
-                    t, n=4, method="inclusive")]
-                for k, t in command_s.items()},
+            "subcommands_quartiles_s": {k: quartiles(t, 3)
+                                        for k, t in command_s.items()},
+            "import_cli_quartiles_s": quartiles(start_up["import_cli_s"], 4),
+            "swt_sweep_minflt_quartiles": quartiles(
+                start_up["swt_sweep_minflt"], 1),
             "tier1": tier1(root)}
     setup = {"point": "reference circuit, beta_c 0.43, truncation 50/40/8",
              "chip": "the point with each qubit element 1 % off, seed 1",
@@ -275,6 +329,11 @@ def main(argv=None):
              "subcommands_s": f"default run, best of {ROUNDS}",
              "subcommands_quartiles_s":
                  f"default run, [q1, median, q3] of {ROUNDS}",
+             "import_cli_quartiles_s": "import fluxcoupler.cli in a fresh "
+                 f"interpreter, [q1, median, q3] of {ROUNDS}",
+             "swt_sweep_minflt_quartiles": "ru_minflt of the default 30-point "
+                 "numerical-SWT sweep_beta in a fresh interpreter, "
+                 f"[q1, median, q3] of {ROUNDS}",
              "order": "each round measures every tree, in alternating order"}
     with open(args.out, "w") as f:
         json.dump({"setup": setup, "columns": columns}, f, indent=2)
