@@ -364,7 +364,7 @@ def test_start_up_imports_no_scipy_module():
         "from fluxcoupler import analysis",
         "from fluxcoupler.circuit import derive_unitless, reference_circuit",
         "def loaded():",
-        "    print(sum(name.split('.')[0] == 'scipy' for name in sys.modules))",
+        "    print(sum(m.split('.')[0] == 'scipy' for m in sys.modules))",
         "loaded()",
         "u = derive_unitless(reference_circuit())",
         "for branch in analysis.BRANCHES:",

@@ -11,15 +11,15 @@ as the mean of enough calls to fill about 2 ms, and the best of all samples
 through the whole spectral pipeline, its qubit and cosine memos emptied in
 every call, since no chip of a Monte-Carlo batch reuses them.  Each CLI
 subcommand's default run is timed in a fresh interpreter, start-up
-included: the best of all samples, and their quartiles.  So are a fresh
-interpreter's `import fluxcoupler.cli` alone and the minor page faults
-(ru_minflt) of one default 30-point numerical-SWT sweep in a fresh
-interpreter, as quartiles.  The samples come in ROUNDS rounds, and every round measures each tree once, in
-alternating order, so a slow spell of a shared machine falls on all trees
-alike.  The tier-1 suite of ROOT/tests is run once per tree, with its time
-per file.  The JSON file --out gets one column per tree, with the machine,
-the Python, numpy and scipy versions (scipy null where it is not
-installed) and the git sha of the tree.
+included: the best of all samples, and their quartiles.  Quartiles are
+also kept of a fresh interpreter's `import fluxcoupler.cli` time and of the
+minor page faults (ru_minflt) of one default 30-point numerical-SWT sweep
+in a fresh interpreter.  The samples come in ROUNDS rounds, and every
+round measures each tree once, in alternating order, so a slow spell of a
+shared machine falls on all trees alike.  The tier-1 suite of ROOT/tests
+is run once per tree, with its time per file.  The JSON file --out gets one
+column per tree, with the machine, the Python, numpy and scipy versions
+(scipy null where it is not installed) and the git sha of the tree.
 """
 
 import argparse
