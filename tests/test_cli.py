@@ -355,9 +355,32 @@ def test_non_positive_frequency_ratio_is_an_error_row(tmp_path):
     assert status["1.00000000000e+00"] == "ok"
 
 
-def test_start_up_imports_no_scipy_module():
-    # importing scipy costs most of a run's start-up: no scipy module may be
-    # loaded, at import or lazily at the first point of any branch
+def test_start_up_imports_no_scipy_optimize():
+    # scipy.optimize costs a third of a second of every run's start-up; it
+    # must not come back, at import or lazily at the first point
+    code = "\n".join([
+        "import sys",
+        "import fluxcoupler.cli",
+        "from fluxcoupler import analysis",
+        "from fluxcoupler.circuit import derive_unitless, reference_circuit",
+        "print('scipy.optimize' in sys.modules)",
+        "u = derive_unitless(reference_circuit())",
+        "for branch in ('numerical_swt', 'analytic_swt'):",
+        "    analysis.couplings_point(u, extraction=branch)",
+        "    print('scipy.optimize' in sys.modules)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["False", "False", "False"]
+
+
+def test_start_up_imports_no_scipy_subpackage_but_special():
+    # importing scipy costs most of a run's start-up; scipy.special was once
+    # the one subpackage allowed, and since the cosine matrix's special
+    # functions are ported, not even it: no scipy module may be loaded, at
+    # import or lazily at the first point of any branch
     code = "\n".join([
         "import sys",
         "import fluxcoupler.cli",
