@@ -193,8 +193,7 @@ def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
 
     Both bases are gauge-fixed, so all downstream coupling signs are
     deterministic: the energy basis so the off-diagonal phi element is real
-    and non-negative, the persistent-current states pc (eigenvectors of phi2,
-    descending: right-well state first) to positive largest components.
+    and non-negative, the persistent-current states as _pc_states does.
     """
     ev, vec = np.linalg.eigh(h.data)
     v2 = vec[:, :2]
@@ -204,9 +203,21 @@ def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
         phi2 = v2.T @ phi.data @ v2
     # the bits of np.mean(ev[:2]), which sums onto +0.0 left to right
     h2 = np.diag(ev[:2] - (0.0 + ev[0] + ev[1]) / 2.0)
+    return ReducedQubit(h2=h2, phi2=phi2, omega=float(ev[1] - ev[0]),
+                        pc=_pc_states(phi2))
+
+
+def _pc_states(phi2):
+    """The persistent-current states of a 2x2 phi2 with phi2[0, 1] >= 0, by
+    column: its eigenvectors, descending (right-well state first).  The
+    right-well state's components share a sign, since phi2[0, 1] >= 0, and
+    are made non-negative; the left-well state is signed so that det = +1.
+    Neither sign is decided by comparing the components' sizes, which tie
+    at a symmetric qubit."""
     pc = np.linalg.eigh(phi2)[1][:, ::-1]
-    pc = pc * np.sign(pc[np.abs(pc).argmax(axis=0), [0, 1]])
-    return ReducedQubit(h2=h2, phi2=phi2, omega=float(ev[1] - ev[0]), pc=pc)
+    right = np.copysign(1.0, pc[0, 0] + pc[1, 0])
+    det = right * (pc[0, 0] * pc[1, 1] - pc[1, 0] * pc[0, 1])
+    return pc * np.array([right, np.copysign(1.0, det)])
 
 
 def coupler_eigenbasis(coupler: OperatorMatrix, u):
@@ -217,11 +228,26 @@ def coupler_eigenbasis(coupler: OperatorMatrix, u):
     return ev - ev[0], phi_c
 
 
+@functools.cache
+def _configuration_index(count, levels):
+    """(j, z_j) index arrays that pick x[j, z_j] for every configuration z
+    of count qubits with levels each, qubit 0 slowest, as columns."""
+    index = (np.arange(count)[:, None],
+             np.indices((levels,) * count).reshape(count, -1))
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
 def _configuration_sum(x):
-    """sum_j x[j, z_j] for the 16 qubit states z, qubit 0 slowest."""
-    out = x[0]
-    for row in x[1:]:
-        out = np.add.outer(out, row).ravel()
+    """sum_j x[j, z_j] for the 16 qubit states z, qubit 0 slowest.  Each
+    sum adds its terms in ascending order, so configurations that permute
+    equal qubits get the same bits."""
+    x = np.asarray(x)
+    terms = np.sort(x[_configuration_index(*x.shape)], axis=0)
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
     return out
 
 

@@ -6,10 +6,10 @@ from fluxcoupler import hamiltonian, oscillator
 
 @pytest.fixture
 def cold_memos():
-    """Empty the process-wide memos of reduced qubits, cosine matrices and
-    per-truncation oscillator constants, so a test that counts builds sees
-    only the builds it causes."""
+    """Empty the process-wide memos of reduced qubits, cosine matrices,
+    quadrature decompositions and per-truncation oscillator constants, so a
+    test that counts builds sees only the builds it causes."""
     analysis._REDUCED.clear()
     oscillator.cosine_matrix.cache_clear()
-    oscillator._even_triangle.cache_clear()
+    oscillator._quadrature.cache_clear()
     hamiltonian._oscillator.cache_clear()

@@ -16,7 +16,7 @@ from fluxcoupler.circuit import (REFERENCE, circuit_from, derive_unitless,
 from fluxcoupler.hamiltonian import (_oscillator, assemble_full,
                                      build_qubit_bare, qubit_phase,
                                      reduce_qubit)
-from fluxcoupler.oscillator import (_even_triangle, cosine_matrix,
+from fluxcoupler.oscillator import (_margin, _quadrature, cosine_matrix,
                                     qubit_reduction)
 from fluxcoupler.spectrum import eigendecompose
 from fluxcoupler.swt import analytic_couplings, numerical_swt
@@ -346,9 +346,12 @@ def test_qubit_memo_keys_on_the_truncation(monkeypatch):
 def test_memoised_results_are_read_only():
     u = derive_unitless(reference_circuit())
     q = build_system(u, FAST)[0][0]
-    constants = [*vars(_even_triangle(12)).values(), *_oscillator(12)]
-    for a in (q.h2, q.phi2, q.pc, cosine_matrix(12, 0.3),
-              cosine_matrix(12, 0.0), *constants):
+    C = cosine_matrix(12, 0.3)
+    built = _quadrature.cache_info().misses
+    # the decomposition C was taken from, read from the memo
+    constants = [*_quadrature(12 + _margin(12, 0.3)), *_oscillator(12)]
+    assert _quadrature.cache_info().misses == built
+    for a in (q.h2, q.phi2, q.pc, C, cosine_matrix(12, 0.0), *constants):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
     _assert_separate_build_bits(u, build_system(u, FAST)[0],

@@ -10,9 +10,10 @@ from fluxcoupler.hamiltonian import (IsingModel, OperatorMatrix, PAIRS,
                                      TRIPLES, assemble_full,
                                      assemble_ising_model, build_coupler,
                                      build_qubit_bare, coupler_eigenbasis,
-                                     coupler_phase, kron_all,
+                                     bare_frame, coupler_phase, kron_all,
                                      qubit_configurations,
-                                     qubit_phase, reduce_qubit, _kron_sum)
+                                     qubit_phase, reduce_qubit, _kron_sum,
+                                     _pc_states)
 from fluxcoupler.oscillator import qubit_reduction
 from toys import pc_rotation, written_out_coupler, written_out_qubit
 
@@ -206,7 +207,7 @@ PC_CIRCUITS = [reference_circuit(), with_flux_offsets(
 @pytest.mark.parametrize("p", PC_CIRCUITS, ids=["reference", "offset"])
 def test_reduce_qubit_pc_basis(p):
     # pc: orthonormal eigenvectors of phi2, descending eigenvalue (right-well
-    # state first), each column with a positive largest component
+    # state first), the first column non-negative and det pc = +1
     u = derive_unitless(p)
     for j in range(4):
         red = reduce_qubit(build_qubit_bare(u, j, 50), qubit_phase(u, j, 50))
@@ -216,7 +217,23 @@ def test_reduce_qubit_pc_basis(p):
         assert np.allclose(phi_pc, np.diag(want),
                            atol=1e-14 * np.max(np.abs(want)))
         assert want[0] > want[1]
-        assert np.all(red.pc[np.abs(red.pc).argmax(axis=0), [0, 1]] > 0)
+        assert np.all(red.pc[:, 0] >= 0)
+        assert np.linalg.det(red.pc) > 0
+
+
+def test_pc_signs_survive_a_one_ulp_nudge():
+    # at a symmetric qubit phi2's diagonal is zero but for rounding, and
+    # both components of each pc state are about 0.7071, so a rule that
+    # compared their sizes left the signs to rounding; a diagonal of -1, 0
+    # or +1 ulp of phi2[0, 1] must not flip them
+    u = _u()
+    phi2 = reduce_qubit(build_qubit_bare(u, 0, 50), qubit_phase(u, 0, 50)).phi2
+    want = np.sign(_pc_states(phi2))
+    ulp = np.spacing(phi2[0, 1])
+    for diagonal in itertools.product((-ulp, 0.0, ulp), repeat=2):
+        nudged = phi2.copy()
+        nudged[[0, 1], [0, 1]] = diagonal
+        assert np.array_equal(np.sign(_pc_states(nudged)), want)
 
 
 @pytest.mark.parametrize("p", PC_CIRCUITS, ids=["reference", "offset"])
@@ -321,7 +338,7 @@ def _assemble_full_batch_of_16(qubits, coupler, u, n_keep):
 
 
 @pytest.mark.parametrize("p, n_forces", [
-    (reference_circuit(), 6),
+    (reference_circuit(), 5),
     (with_flux_offsets(reference_circuit(), 0.0, (0.001, 0.001, -0.002, 0.0)),
      12)], ids=["reference", "unequal"])
 def test_one_coupler_eigh_per_distinct_force(p, n_forces):
@@ -334,6 +351,24 @@ def test_one_coupler_eigh_per_distinct_force(p, n_forces):
     data, chi = _assemble_full_batch_of_16(qubits, coupler, u, 8)
     assert H.data.tobytes() == data.tobytes()
     assert H.frame.states.tobytes() == chi.tobytes()
+
+
+def test_equal_qubits_give_permutation_invariant_configurations():
+    # with four equal qubits, a configuration and every permutation of its
+    # qubits carry the same force, pair energy and bare level, bit for bit,
+    # so the force takes one value per number of right-well qubits
+    u = _u()
+    qubits, coupler = _system(u)
+    qubits = [qubits[0]] * 4
+    e_c, phi_c = coupler_eigenbasis(coupler, u)
+    _, force, direct = qubit_configurations(qubits, u)
+    h0 = bare_frame(qubits, u, e_c, phi_c)[0].reshape(16, -1)
+    bits = np.array(list(itertools.product((0, 1), repeat=4)))
+    for perm in itertools.permutations(range(4)):
+        z = bits[:, perm] @ (8, 4, 2, 1)
+        for x in (force, direct, h0):
+            assert x[z].tobytes() == x.tobytes()
+    assert len(set(force.tolist())) == 5
 
 
 def test_ising_model_known_spectra():

@@ -1,15 +1,18 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import beta, binom, eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, gammaln
 
+from fluxcoupler import oscillator
 from fluxcoupler.circuit import derive_unitless, reference_circuit
-from fluxcoupler.oscillator import (_beta, _binom, _laguerre_coefficients,
-                                    _laguerre_p, _lgam, cosine_matrix,
+from fluxcoupler.oscillator import (_margin, _quadrature, cosine_matrix,
                                     displaced_overlap, find_well_minimum,
                                     ladder, qubit_reduction)
-from toys import (_genlaguerre_matrix, brentq_well_minimum,
-                  displacement_matrix, memo_free_cosine)
+from toys import (brentq_well_minimum, displacement_matrix, memo_free_cosine,
+                  quadrature_cosine)
 
 
 # ---------------------------------------------------------------- oracles
@@ -36,17 +39,6 @@ def _overlap_quadrature(M, N, d):
     f = (_hermite_psi(M, x + shift) * _hermite_psi(N, x - shift)
          * np.exp(x * x))
     return float(np.sum(w * f))
-
-
-def _overlap_by_recurrence(M, N, d):
-    """<M_-|N_+> from the hand-run Laguerre recurrence of toys, with the
-    amplitude and sign of displaced_overlap."""
-    lo, hi = min(M, N), max(M, N)
-    k = hi - lo
-    amp = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
-                 + k * np.log(d) - d * d / 2.0)
-    sign = 1.0 if M >= N else (-1.0) ** k
-    return sign * (amp * _genlaguerre_matrix(np.array(lo), np.array(k), d * d))
 
 
 def _cosine_series(n, r, order=60):
@@ -110,55 +102,6 @@ def test_displacement_matrix_against_scalar_laguerre(n, r):
                                atol=0)
 
 
-def _bits(a):
-    return np.asarray(a, dtype=float).view(np.int64)
-
-
-def test_binom_is_bit_identical_to_scipy():
-    # every 0 <= K <= N < 600: the product formula below min(K, N - K) = 20,
-    # and beta through rgamma (N + 2 <= 171) and through lgam beyond; then
-    # min(K, N - K) in 10 .. 19 up to N = 3000, where the product's 1e50
-    # rescale changes bits (from N = 613 on)
-    N, K = np.tril_indices(600)
-    kx = np.arange(10.0, 20.0)
-    N_far = np.repeat(np.arange(600.0, 3000.0), len(kx))
-    K_far = np.tile(kx, 2400)
-    N = np.concatenate((N, N_far, N_far)).astype(float)
-    K = np.concatenate((K, K_far, N_far - K_far)).astype(float)
-    np.testing.assert_array_equal(_bits(_binom(N, K)), _bits(binom(N, K)))
-
-
-def test_beta_is_bit_identical_to_scipy():
-    # integer a, b < 250: the Gamma product scaled by rgamma(a + b), each of
-    # its two orders, up to a + b = 171, and the lgam form beyond
-    a, b = (v.ravel().astype(float) for v in np.indices((250, 250)) + 1)
-    got = np.array([_beta(p, q) for p, q in zip(a, b)])
-    np.testing.assert_array_equal(_bits(got), _bits(beta(a, b)))
-
-
-def test_lgam_is_bit_identical_to_scipy_gammaln():
-    # the product below 13, the series to 1000, its short form to 1e8, and
-    # Stirling's leading terms alone beyond
-    x = np.concatenate((np.arange(1.0, 5001.0), [1e6, 1e8 + 1, 1e9]))
-    got = np.array([_lgam(v) for v in x])
-    np.testing.assert_array_equal(_bits(got), _bits(gammaln(x)))
-
-
-@pytest.mark.parametrize("x", [1e-300, 0.09, 0.3, 1.7, 50.0])
-def test_laguerre_recurrence_is_bit_identical_to_scipy(x):
-    # L_lo^k(x) for every lo + k < 120, odd k included: 1 and -x + k + 1 at
-    # lo = 0 and 1, else binom(lo + k, lo) times p after step lo - 1
-    dist = np.arange(120.0)
-    p = _laguerre_p(dist, x, *_laguerre_coefficients(dist, 118))
-    lo, k = np.tril_indices(120)
-    lo, k = (k, lo - k)
-    got = np.select([lo == 0, lo == 1], [1.0, -x + k + 1.0],
-                    _binom((lo + k).astype(float), lo.astype(float))
-                    * p[np.maximum(lo - 1, 0), k])
-    want = eval_genlaguerre(lo.astype("l"), k.astype(float), x)
-    np.testing.assert_array_equal(_bits(got), _bits(want))
-
-
 @pytest.mark.parametrize("r", [0.0, 0.05, 0.3, 1.2])
 def test_cosine_matrix_against_series(r):
     got = cosine_matrix(12, r)
@@ -170,24 +113,38 @@ def test_cosine_matrix_against_series(r):
 @pytest.mark.parametrize("r", [0.0, 1e-40, 0.05, 0.2, 0.31, 0.55, 1.3, 3.3,
                                7.5])
 def test_cosine_matrix_is_bit_identical_to_the_displacement_form(n, r):
-    # r = 1e-40 underflows the far-diagonal amplitudes to zero, whose sign
-    # the Hermitian average makes +0.0; from n = 41 on binom goes through
-    # beta, and through its lgam branch from n = 171 on
+    # the quadrature against the Hermitian part of the closed-form
+    # displacement elements, to 1e-13 (the name predates the quadrature,
+    # which keeps the closed form's bits only at r = 0)
     E = displacement_matrix(n, r)
     want = ((E + E.conj().T) / 2.0).real
     got = cosine_matrix(n, r)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    if r == 0.0:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 13, 50, 180, 400])
+@pytest.mark.parametrize("r", [0.1, 0.55, 1.5, 3.0, 7.5])
+def test_quadrature_margin_is_converged(n, r):
+    # the margin rule's quadrature against one on 60 more levels; a fixed
+    # margin of 20 is off by 0.11 at n = 180, r = 1.5
+    want = quadrature_cosine(n, r, n + _margin(n, r) + 60)
+    np.testing.assert_allclose(cosine_matrix(n, r), want, rtol=0,
+                               atol=1e-13)
 
 
 @pytest.mark.usefixtures("cold_memos")
 def test_cosine_matrix_keeps_its_bits_at_interleaved_truncations():
-    # the per-truncation memo serves each n its own triangle: n = 50 again
-    # after 40 and 13, every call with an r not seen before
+    # the per-size memo serves each n its own decomposition: n = 50 again
+    # after 40 and 13, every call with an r not seen before, and the two
+    # n = 50 calls share one size
     for n, r in ((50, 0.31), (40, 0.43), (13, 0.77), (50, 0.29)):
         got = cosine_matrix(n, r)
         assert got.shape == (n, n)
         assert got.tobytes() == memo_free_cosine(n, r).tobytes()
     assert cosine_matrix.cache_info().misses == 4
+    assert _quadrature.cache_info().misses == 3
 
 
 def test_cosine_matrix_hermitian_and_real():
@@ -223,23 +180,58 @@ def test_well_minimum_against_bisection(beta, alpha):
     assert abs(c * got - beta * np.sin(got)) < 1e-12
 
 
+def _root_tolerance(beta, alpha, phi):
+    """1e-15 beta / |f'(phi)|: how far rounding of f = c phi - beta sin(phi),
+    a few 1e-16 beta, lets two roots of f lie apart."""
+    return 1e-15 * beta / abs(1.0 + alpha**2 - beta * np.cos(phi))
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.049, 0.1, 0.3])
 def test_well_minimum_is_bit_identical_to_scipy_brentq(alpha):
+    # Newton's root against scipy's brentq within rounding of f (the name
+    # predates Newton's method, which does not keep brentq's bits); near the
+    # threshold f' is small and both roots give f = 0 apart by 2e-8
     c = 1.0 + alpha**2
     betas = np.concatenate([[1.0 + 1e-9, 1.0 + 1e-6, 1.0 + 1e-3, 1.02],
                             np.linspace(1.0, 3.0, 401)[1:]])
     betas = betas[betas / c > 1.0]
-    got = np.array([find_well_minimum(b, alpha) for b in betas])
-    want = np.array([brentq_well_minimum(b, alpha) for b in betas])
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    for b in betas:
+        got = find_well_minimum(b, alpha)
+        want = brentq_well_minimum(b, alpha)
+        assert abs(got - want) <= _root_tolerance(b, alpha, want)
 
 
 def test_reference_qubit_well_minimum_is_bit_identical_to_scipy_brentq():
+    # the reference qubit's well minimum against scipy's brentq within
+    # rounding of f (the name predates Newton's method)
     u = derive_unitless(reference_circuit())
     xi, beta, alpha = (float(v[0]) for v in (u.xi_j, u.beta_j, u.alpha))
-    got = np.float64(qubit_reduction(xi, beta, alpha).phi_p)
-    want = np.float64(brentq_well_minimum(beta, alpha))
-    assert got.view(np.int64) == want.view(np.int64)
+    got = qubit_reduction(xi, beta, alpha).phi_p
+    want = brentq_well_minimum(beta, alpha)
+    assert abs(got - want) <= _root_tolerance(beta, alpha, want)
+
+
+@pytest.mark.parametrize("beta, want", [
+    (1e3, np.pi * (1.0 - 1.0 / 1001.0)),
+    (1e6, np.pi * (1.0 - 1.0 / 1000001.0)),
+    (1.0 + 1e-13, np.sqrt(6e-13))], ids=["1e3", "1e6", "threshold"])
+def test_well_minimum_residual_scales_with_beta(beta, want):
+    # deep wells, where f's rounding grows with beta (a fixed 1e-12 bound
+    # failed at 1e6), and the threshold, where f' is near zero and Newton
+    # takes about 40 steps
+    phi = find_well_minimum(beta)
+    assert abs(phi - beta * np.sin(phi)) <= 1e-14 * beta
+    assert phi == pytest.approx(want, rel=1e-2)
+
+
+def test_well_minimum_without_a_root_raises(monkeypatch):
+    # a residual that never reaches rounding level raises ArithmeticError,
+    # which python -O keeps, not an assertion
+    monkeypatch.setattr(oscillator, "math", SimpleNamespace(
+        pi=math.pi, isfinite=math.isfinite, cos=math.cos,
+        sin=lambda x: math.nan))
+    with pytest.raises(ArithmeticError, match="well minimum not found"):
+        find_well_minimum(1.5)
 
 
 def test_well_minimum_single_well_branch():
@@ -267,9 +259,20 @@ def test_displaced_overlap_against_quadrature(M, N, d):
     got = displaced_overlap(M, N, d)
     want = _overlap_quadrature(M, N, d)
     assert got == pytest.approx(want, abs=1e-10)
-    # and bit for bit the element of the hand-run recurrence
-    want = np.float64(_overlap_by_recurrence(M, N, d))
-    assert np.float64(got).view(np.int64) == want.view(np.int64)
+
+
+@pytest.mark.parametrize("d", [0.05, 0.7, 3.0])
+def test_displaced_overlap_against_scipy_laguerre(d):
+    # the three-term recurrence and lgamma amplitudes against scipy's
+    # eval_genlaguerre and gammaln, every M, N < 60
+    M, N = (v.ravel() for v in np.indices((60, 60)))
+    lo, hi = np.minimum(M, N), np.maximum(M, N)
+    want = (np.where((N > M) & ((hi - lo) % 2 == 1), -1.0, 1.0)
+            * np.exp(0.5 * (gammaln(lo + 1.0) - gammaln(hi + 1.0))
+                     + (hi - lo) * np.log(d) - d * d / 2.0)
+            * eval_genlaguerre(lo, hi - lo, d * d))
+    got = np.array([displaced_overlap(m, n, d) for m, n in zip(M, N)])
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
 
 def test_displaced_overlap_limits_and_errors():

@@ -11,7 +11,7 @@ from fluxcoupler.hamiltonian import (ISING_STRINGS, NON_ISING, PAIRS,
                                      build_qubit_bare, coupler_phase,
                                      kron_all, qubit_phase, reduce_qubit,
                                      _PAULIS)
-from fluxcoupler.oscillator import ladder
+from fluxcoupler.oscillator import _margin, ladder
 from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, SwtPrefactors,
                              _cross_block_gaps, pauli_decompose,
                              swt_effective_block)
@@ -64,10 +64,18 @@ def written_out_reduction(h, phi):
     if (v2.T @ phi @ v2)[0, 1] < 0:
         v2 = v2 @ np.diag([1.0, -1.0])
     phi2 = v2.T @ phi @ v2
-    pc = np.linalg.eigh(phi2)[1][:, ::-1]
-    pc = pc * np.sign(pc[np.abs(pc).argmax(axis=0), [0, 1]])
     return ReducedQubit(h2=np.diag(ev[:2] - np.mean(ev[:2])), phi2=phi2,
-                        omega=float(ev[1] - ev[0]), pc=pc)
+                        omega=float(ev[1] - ev[0]), pc=signed_pc(phi2))
+
+
+def signed_pc(phi2):
+    """The eigenvectors of phi2 by column, descending, the first with
+    non-negative components and the second signed so that det = +1."""
+    v = np.linalg.eigh(phi2)[1][:, ::-1]
+    v = v * np.sign(v[:, 0].sum())
+    if np.linalg.det(v) < 0:
+        v = v * np.array([1.0, -1.0])
+    return v
 
 
 def memo_free_system(u, trunc):
@@ -193,15 +201,10 @@ def one_qubit_toy_error(alpha_eff, phi_cx=0.05, phi_jx=0.005, beta_c=0.2,
 
 def pc_rotation(qubits):
     """R = R_0 (x) ... (x) R_3, each qubit's persistent-current states
-    decided from its own phi2 in one loop: the columns of R_j are the
-    eigenvectors of phi2 (descending eigenvalue), each with a positive
-    largest component.  The reference for the R of
-    hamiltonian.qubit_configurations, which reads ReducedQubit.pc."""
-    R = []
-    for q in qubits:
-        v = np.linalg.eigh(q.phi2)[1][:, ::-1]
-        R.append(v * np.sign(v[np.abs(v).argmax(axis=0), [0, 1]]))
-    return kron_all(R)
+    decided from its own phi2 in one loop by signed_pc.  The reference for
+    the R of hamiltonian.qubit_configurations, which reads
+    ReducedQubit.pc."""
+    return kron_all([signed_pc(q.phi2) for q in qubits])
 
 
 def einsum_pauli_coefficients(A):
@@ -317,8 +320,8 @@ def displacement_matrix(n, r):
     Closed form via generalized Laguerre polynomials:
     <m|D|n> = i^{|m-n|} sqrt(min!/max!) r^{|m-n|} e^{-r^2/2} L_min^{|m-n|}(r^2)
     for the displacement-type operator with purely imaginary argument.
-    The reference for oscillator.cosine_matrix, which equals
-    ((E + E^H)/2).real bit for bit.
+    An independent reference for oscillator.cosine_matrix, which agrees
+    with ((E + E^H)/2).real to 1e-13.
     """
     idx = np.arange(n)
     M, N = np.meshgrid(idx, idx, indexing="ij")
@@ -336,18 +339,33 @@ def displacement_matrix(n, r):
     return np.array([1, 1j, -1, -1j])[k % 4] * amp * lag
 
 
+def quadrature_cosine(n, r, size):
+    """cos(r (a^dag + a)) on n levels by Gauss-Hermite quadrature on size
+    levels, the eigendecomposition of a + a^dag made afresh: the nodes x
+    and eigenvectors V give V[:n] diag(cos(r x)) V[:n]^T, its odd distances
+    set to zero and symmetrised."""
+    a = ladder(size)
+    nodes, vectors = np.linalg.eigh(a + a.T)
+    w = vectors[:n]
+    C = (w * np.cos(r * nodes)) @ w.T
+    C[(np.arange(n)[:, None] + np.arange(n)) % 2 == 1] = 0.0
+    return 0.5 * (C + C.T)
+
+
 def memo_free_cosine(n, r):
-    """cos(r (a^dag + a)) as the Hermitian part of displacement_matrix, the
-    reference oscillator.cosine_matrix equals bit for bit."""
-    E = displacement_matrix(n, r)
-    return ((E + E.conj().T) / 2.0).real
+    """quadrature_cosine on n + _margin(n, r) levels (the identity at
+    r = 0): the reference oscillator.cosine_matrix, which memoises the
+    decomposition, equals bit for bit."""
+    if r == 0.0:
+        return np.eye(n)
+    return quadrature_cosine(n, r, n + _margin(n, r))
 
 
 def brentq_well_minimum(beta, alpha=0.0):
     """Double-well minimum by scipy.optimize.brentq and one Newton polish.
 
-    The reference for oscillator.find_well_minimum, whose port of Brent's
-    method gives the same bits; only for beta > 1 + alpha^2.
+    An independent reference for oscillator.find_well_minimum, which runs
+    Newton's method alone; only for beta > 1 + alpha^2.
     """
     c = 1.0 + alpha**2
 

@@ -9,9 +9,12 @@ as the mean of enough calls to fill about 2 ms, and the best of all samples
 (REPEATS per round) is kept.  One more layer is a fabrication-spread chip
 (the operating point with every qubit element 1 % off its design value)
 through the whole spectral pipeline, its qubit and cosine memos emptied in
-every call, since no chip of a Monte-Carlo batch reuses them.  Each CLI
-subcommand's default run is timed in a fresh interpreter, start-up
-included: the best of all samples, and their quartiles.  Quartiles are
+every call, since no chip of a Monte-Carlo batch reuses them.  The first
+cosine matrix of a truncation (40, 50 and 1000 levels) is timed with every
+memo of the oscillator module emptied before each call, after the other
+layers, which read those memos warm; the 1000-level one is sampled once per
+round.  Each CLI subcommand's default run is timed in a fresh interpreter,
+start-up included: the best of all samples, and their quartiles.  Quartiles are
 also kept of a fresh interpreter's `import fluxcoupler.cli` time and of the
 minor page faults (ru_minflt) of one default 30-point numerical-SWT sweep
 in a fresh interpreter.  The samples come in ROUNDS rounds, and every
@@ -88,7 +91,7 @@ def layers(repeats):
     """{layer: best ms} at the operating point, for the library on sys.path;
     every input is built once, and the memoised cosine_matrix is warm except
     where it is called uncached or the layer empties it."""
-    from fluxcoupler import analysis, hamiltonian as ham, swt
+    from fluxcoupler import analysis, hamiltonian as ham, oscillator, swt
     from fluxcoupler.circuit import derive_unitless, reference_circuit
     from fluxcoupler.oscillator import cosine_matrix
     from fluxcoupler.spectrum import eigendecompose, extract_couplings
@@ -144,7 +147,24 @@ def layers(repeats):
         cases[f"analysis.couplings_point ({branch})"] = (
             lambda b=branch: analysis.couplings_point(u, trunc, b))
     cases["analysis.spectral_system (perturbed chip, cold memos)"] = cold_chip
-    return best_ms(cases, repeats)
+
+    def first_size(n, r):
+        def call():
+            for f in vars(oscillator).values():
+                if hasattr(f, "cache_clear"):
+                    f.cache_clear()
+            cosine_matrix(n, r)
+        return call
+
+    out = best_ms(cases, repeats)
+    out.update(best_ms({
+        "oscillator.cosine_matrix (coupler, 40, first size)":
+            first_size(40, r_c),
+        "oscillator.cosine_matrix (qubit, 50, first size)":
+            first_size(50, r_q)}, repeats))
+    out.update(best_ms({"oscillator.cosine_matrix (qubit r, 1000, first size)":
+                        first_size(1000, r_q)}, 1))
+    return out
 
 
 def layers_in_child(root):
