@@ -2,7 +2,7 @@
 
 Library layout:
   circuit     physical parameters -> dimensionless parameters
-  oscillator  single-mode basis math (Laguerre cosine elements, double well)
+  oscillator  single-mode basis math (quadrature cosine matrix, double well)
   hamiltonian operator assembly (bare, product space, target Ising model)
   spectrum    diagonalization, classification, coupling extraction
   swt         Schrieffer-Wolff engine (analytic + numerical branches) and

@@ -241,14 +241,10 @@ def _configuration_index(count, levels):
 
 def _configuration_sum(x):
     """sum_j x[j, z_j] for the 16 qubit states z, qubit 0 slowest.  Each
-    sum adds its terms in ascending order, so configurations that permute
+    sum is taken over its terms sorted, so configurations that permute
     equal qubits get the same bits."""
     x = np.asarray(x)
-    terms = np.sort(x[_configuration_index(*x.shape)], axis=0)
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    return np.sort(x[_configuration_index(*x.shape)], axis=0).sum(axis=0)
 
 
 def qubit_configurations(qubits, u):
