@@ -58,7 +58,7 @@ print("Z Z X, a qubit's transverse term that depends on two other qubits'")
 print("configuration, because its tunnelling drags the displaced coupler along.")
 print("the numerical SWT reports the same quantity to 4th order (demo 04).")
 print(f"the manifold is well defined: its minimum coupler-ground weight is "
-      f"{np.sort(spec.coupler_occupation)[-16]:.3f}.")
+      f"{spec.coupler_occupation[spec.manifold()].min():.3f}.")
 print()
 print(f"subspace separation: delta_gap = {gaps.delta_gap / 1e9:.3f} GHz, "
       f"delta_max = {gaps.delta_max / 1e9:.3f} GHz "

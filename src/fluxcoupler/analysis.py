@@ -15,8 +15,7 @@ from . import circuit as circ
 from .circuit import (CircuitParams, critical_current_from_beta,
                       derive_unitless, rescaled_coupler_inductance)
 from .oscillator import qubit_reduction
-from .hamiltonian import (build_coupler, build_qubit_bare, qubit_phase,
-                          reduce_qubit, assemble_full)
+from .hamiltonian import build_coupler, assemble_full, _reduced_qubit
 from .spectrum import (eigendecompose, extract_couplings, gap_diagnostics,
                        _two_excitation_levels)
 from .swt import analytic_couplings, numerical_swt
@@ -44,38 +43,10 @@ class SweepResult:
         return np.array([r.get(key, np.nan) for r in self.rows])
 
 
-# The reduced qubits built in this process, by (qubit_states, bits of E_Lj,
-# xi_j, alpha, beta_j, phi_jx at j), in the order they were built; past
-# _REDUCED_MAX of them the oldest is evicted, so memory stays flat over chips
-# that share no qubit.
-_REDUCED = {}
-_REDUCED_MAX = 64
-
-
-def _reduced_qubit(u, j, n):
-    """Qubit j reduced at truncation n, built once per process for each key,
-    with read-only arrays since every later caller shares them."""
-    key = (n, np.array([u.E_Lj[j], u.xi_j[j], u.alpha[j], u.beta_j[j],
-                        u.phi_jx[j]], dtype=float).tobytes())
-    if key not in _REDUCED:
-        q = reduce_qubit(build_qubit_bare(u, j, n), qubit_phase(u, j, n))
-        for a in (q.h2, q.phi2, q.pc):
-            a.setflags(write=False)
-        if len(_REDUCED) >= _REDUCED_MAX:
-            del _REDUCED[next(iter(_REDUCED))]
-        _REDUCED[key] = q
-    return _REDUCED[key]
-
-
 def build_system(u, trunc=Truncations()):
-    """Reduced qubits + bare coupler for a unitless parameter set.
-
-    Identical qubits are built once per process: the key is the qubit
-    truncation and the bits of E_Lj, xi_j, alpha, beta_j and phi_jx at j, all
-    that build_qubit_bare and qubit_phase read, and the qubits that share a
-    key share one ReducedQubit, so a beta_c sweep builds its qubits at the
-    first point only.
-    """
+    """Reduced qubits + bare coupler for a unitless parameter set.  Qubits
+    with equal loops (+-alpha_j and a +-0.0 bias included) share one memoised
+    ReducedQubit, so a beta_c sweep builds its qubits at its first point."""
     qubits = [_reduced_qubit(u, j, trunc.qubit_states) for j in range(4)]
     return qubits, build_coupler(u, trunc.coupler_states)
 

@@ -1,9 +1,8 @@
 """Operator assembly.
 
 Bare coupler and qubit Hamiltonians, each the one rf-SQUID loop of _rf_squid
-(c = 1 for the coupler, c = 1 + alpha_j^2 for a qubit), the two-level qubit
-reduction, the 4-qubit (x) coupler product-space Hamiltonian, and the
-generalized Ising model (known 16-level spectra).
+on the parameters _loop reads, the memoised two-level qubit reduction, the
+4-qubit (x) coupler product-space Hamiltonian, and the generalized Ising model.
 
 The product space is laid out qubits first (qubit 0 slowest, as its
 Kronecker products write it) and coupler index fastest.  This module is the
@@ -142,42 +141,50 @@ def _rf_squid(E_L, xi, c, beta, phi_x, n_trunc):
     return OperatorMatrix(h)
 
 
+def _loop(u, j=None):
+    """(E_L, xi, c, beta, phi_x) of qubit j's rf-SQUID loop, c = 1 + alpha_j^2,
+    or of the coupler's (j None), c = 1: all that its builders read of u."""
+    if j is None:
+        return (float(u.E_Ltilde_c), float(u.xi_c), 1.0, float(u.beta_c),
+                float(u.phi_cx))
+    return (float(u.E_Lj[j]), float(u.xi_j[j]), 1.0 + float(u.alpha[j])**2,
+            float(u.beta_j[j]), float(u.phi_jx[j]))
+
+
 def build_coupler(u, n_trunc):
     """Bare coupler H_c = E_Ltilde_c (4 xi_c^2 q^2/2 + (phi - phi_cx)^2/2 + beta_c cos phi).
 
     The rf-SQUID loop with c = 1.  Refuses beta_c >= 1 (the harmonic
     expansion frame is invalid there).
     """
-    if u.beta_c >= 1:
+    E_L, xi, c, beta, phi_x = _loop(u)
+    if beta >= 1:
         raise ValueError("beta_c >= 1: coupler harmonic frame invalid")
     if n_trunc < 10:
         raise ValueError("n_trunc >= 10 required for the coupler")
-    return _rf_squid(u.E_Ltilde_c, u.xi_c, 1.0, u.beta_c, u.phi_cx, n_trunc)
+    return _rf_squid(E_L, xi, c, beta, phi_x, n_trunc)
 
 
 def coupler_phase(u, n_trunc):
     """phi operator of the coupler in the same oscillator basis as build_coupler."""
-    return OperatorMatrix(_phase(u.xi_c, 1.0, n_trunc)[0])
+    return OperatorMatrix(_phase(*_loop(u)[1:3], n_trunc)[0])
 
 
 def build_qubit_bare(u, j, n_trunc):
     """Bare qubit H_j = E_Lj (4 xi^2 q^2/2 + c (phi - phi_jx)^2/2 + beta cos phi),
     the rf-SQUID loop with c = 1 + alpha^2; refuses E_Lj <= 0 and beta <= c
     (one well)."""
-    c = 1.0 + float(u.alpha[j])**2
-    E_L, beta = float(u.E_Lj[j]), float(u.beta_j[j])
+    E_L, xi, c, beta, phi_x = _loop(u, j)
     if not E_L > 0:
         raise ValueError("E_Lj must be strictly positive")
     if beta <= c:
         raise ValueError("no double well: beta <= 1 + alpha^2")
-    return _rf_squid(E_L, float(u.xi_j[j]), c, beta, float(u.phi_jx[j]),
-                     n_trunc)
+    return _rf_squid(E_L, xi, c, beta, phi_x, n_trunc)
 
 
 def qubit_phase(u, j, n_trunc):
     """phi operator of qubit j, matching build_qubit_bare's basis."""
-    c = 1.0 + float(u.alpha[j])**2
-    return OperatorMatrix(_phase(float(u.xi_j[j]), c, n_trunc)[0])
+    return OperatorMatrix(_phase(*_loop(u, j)[1:3], n_trunc)[0])
 
 
 @dataclass
@@ -205,6 +212,26 @@ def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
     h2 = np.diag(ev[:2] - (0.0 + ev[0] + ev[1]) / 2.0)
     return ReducedQubit(h2=h2, phi2=phi2, omega=float(ev[1] - ev[0]),
                         pc=_pc_states(phi2))
+
+
+# The reduced qubits built in this process, by (n, _loop(u, j)), oldest first;
+# past _REDUCED_MAX of them the oldest is evicted, so memory stays flat over
+# chips that share no qubit.
+_REDUCED = {}
+_REDUCED_MAX = 64
+
+
+def _reduced_qubit(u, j, n):
+    """Qubit j reduced at truncation n, built once per key; read-only."""
+    key = (n, _loop(u, j))
+    if key not in _REDUCED:
+        q = reduce_qubit(build_qubit_bare(u, j, n), qubit_phase(u, j, n))
+        for a in (q.h2, q.phi2, q.pc):
+            a.setflags(write=False)
+        if len(_REDUCED) >= _REDUCED_MAX:
+            del _REDUCED[next(iter(_REDUCED))]
+        _REDUCED[key] = q
+    return _REDUCED[key]
 
 
 def _pc_states(phi2):

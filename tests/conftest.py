@@ -1,6 +1,5 @@
 import pytest
 
-import fluxcoupler.analysis as analysis
 from fluxcoupler import hamiltonian, oscillator
 
 
@@ -9,7 +8,7 @@ def cold_memos():
     """Empty the process-wide memos of reduced qubits, cosine matrices,
     quadrature decompositions and per-truncation oscillator constants, so a
     test that counts builds sees only the builds it causes."""
-    analysis._REDUCED.clear()
+    hamiltonian._REDUCED.clear()
     oscillator.cosine_matrix.cache_clear()
     oscillator._quadrature.cache_clear()
     hamiltonian._oscillator.cache_clear()

@@ -13,9 +13,10 @@ from fluxcoupler.analysis import (Truncations, build_system, compare_swt,
                                   with_flux_offsets)
 from fluxcoupler.circuit import (REFERENCE, circuit_from, derive_unitless,
                                  reference_circuit)
-from fluxcoupler.hamiltonian import (_oscillator, assemble_full,
-                                     build_qubit_bare, qubit_phase,
-                                     reduce_qubit)
+from fluxcoupler import hamiltonian
+from fluxcoupler.hamiltonian import (_loop, _oscillator, assemble_full,
+                                     build_coupler, build_qubit_bare,
+                                     coupler_phase, qubit_phase, reduce_qubit)
 from fluxcoupler.oscillator import (_margin, _quadrature, cosine_matrix,
                                     qubit_reduction)
 from fluxcoupler.spectrum import eigendecompose
@@ -248,9 +249,6 @@ def test_every_branch_refuses_a_single_well_qubit():
         == row["numswt_status"]
 
 
-QUBIT_KEY = ("E_Lj", "xi_j", "alpha", "beta_j", "phi_jx")
-
-
 def _assert_separate_build_bits(u, qubits, n):
     # each qubit bit-identical to a separate build at truncation n
     for j, q in enumerate(qubits):
@@ -265,11 +263,11 @@ def _count_builds(monkeypatch):
     recorded from now on."""
     calls = []
 
-    def counted(u, j, n, build=analysis.build_qubit_bare):
+    def counted(u, j, n, build=hamiltonian.build_qubit_bare):
         calls.append((j, n))
         return build(u, j, n)
 
-    monkeypatch.setattr(analysis, "build_qubit_bare", counted)
+    monkeypatch.setattr(hamiltonian, "build_qubit_bare", counted)
     return calls
 
 
@@ -293,26 +291,76 @@ def test_build_system_builds_each_distinct_qubit_once(offsets, owners,
     _assert_builds(monkeypatch, derive_unitless(p), owners)
 
 
-@pytest.mark.usefixtures("cold_memos")
-@pytest.mark.parametrize("name", QUBIT_KEY)
-def test_build_system_keys_on_every_qubit_field(name, monkeypatch):
-    # one ulp on qubit 2 is enough to give it its own build
-    u = derive_unitless(reference_circuit())
+def _with_qubit_2(u, name, change):
+    """u with qubit 2's entry of field `name` replaced by change(entry)."""
     values = np.array(getattr(u, name), dtype=float)
-    values[2] = np.nextafter(values[2], np.inf)
-    _assert_builds(monkeypatch, replace(u, **{name: values}), [0, 0, 2, 0])
+    values[2] = change(values[2])
+    return replace(u, **{name: values})
 
 
-def test_qubit_builders_read_only_the_key():
-    p = with_flux_offsets(reference_circuit(), 0.0,
+def _c_of(alpha):
+    return _loop(SimpleNamespace(E_Lj=[1.0], xi_j=[1.0], alpha=[alpha],
+                                 beta_j=[2.0], phi_jx=[0.0]), 0)[2]
+
+
+def _next_alpha_moving_c(alpha):
+    """The float after alpha whose c = 1 + alpha^2 is the next one up."""
+    moved = np.nextafter(alpha, np.inf)
+    while _c_of(moved) == _c_of(alpha):
+        moved = np.nextafter(moved, np.inf)
+    return moved
+
+
+@pytest.mark.usefixtures("cold_memos")
+@pytest.mark.parametrize("name, change", [
+    ("E_Lj", lambda x: np.nextafter(x, np.inf)),
+    ("xi_j", lambda x: np.nextafter(x, np.inf)),
+    ("alpha", _next_alpha_moving_c),
+    ("beta_j", lambda x: np.nextafter(x, np.inf)),
+    ("phi_jx", lambda x: np.nextafter(x, np.inf))],
+    ids=["E_Lj", "xi_j", "alpha", "beta_j", "phi_jx"])
+def test_build_system_keys_on_every_qubit_field(name, change, monkeypatch):
+    # the fields that feed the five loop parameters (E_L, xi, c, beta,
+    # phi_x): one ulp on E_Lj, xi_j, beta_j or phi_jx, or the smallest
+    # change of alpha that moves c, gives qubit 2 its own build
+    u = derive_unitless(reference_circuit())
+    _assert_builds(monkeypatch, _with_qubit_2(u, name, change), [0, 0, 2, 0])
+
+
+@pytest.mark.usefixtures("cold_memos")
+@pytest.mark.parametrize("name, change", [
+    ("alpha", lambda x: np.nextafter(x, np.inf)),
+    ("alpha", lambda x: -x),
+    ("phi_jx", lambda x: -x)],
+    ids=["alpha_same_c", "alpha_sign", "phi_jx_sign"])
+def test_build_system_shares_qubits_with_equal_loops(name, change,
+                                                     monkeypatch):
+    # the builders read alpha only through c = 1 + alpha^2, and a -0.0 bias
+    # gives the bits of +0.0: qubit 2 shares qubit 0's build, which has the
+    # bits of a fresh build of qubit 2
+    u = derive_unitless(reference_circuit())
+    changed = _with_qubit_2(u, name, change)
+    before, after = getattr(u, name)[2], getattr(changed, name)[2]
+    assert np.float64(before).tobytes() != np.float64(after).tobytes()
+    assert _loop(changed, 2) == _loop(u, 2)
+    _assert_builds(monkeypatch, changed, [0, 0, 0, 0])
+
+
+def test_qubit_builders_read_only_the_key(monkeypatch):
+    # every builder of a loop reads u through _loop alone: handed an empty
+    # u and a _loop that answers from the real one, it gives the same bits
+    p = with_flux_offsets(reference_circuit(), 0.001,
                           (0.001, 0.001, -0.002, 0.0))
     u = derive_unitless(p)
-    key_only = SimpleNamespace(**{name: getattr(u, name) for name in QUBIT_KEY})
     n = FAST.qubit_states
-    for j in range(4):
-        for builder in (build_qubit_bare, qubit_phase):
-            assert builder(key_only, j, n).data.tobytes() == \
-                builder(u, j, n).data.tobytes()
+    builders = [(b, (j, n)) for j in range(4)
+                for b in (build_qubit_bare, qubit_phase)]
+    builders += [(b, (n,)) for b in (build_coupler, coupler_phase)]
+    want = [b(u, *args).data.tobytes() for b, args in builders]
+    loops = {j: _loop(u, j) for j in (None, 0, 1, 2, 3)}
+    monkeypatch.setattr(hamiltonian, "_loop", lambda _, j=None: loops[j])
+    assert [b(SimpleNamespace(), *args).data.tobytes()
+            for b, args in builders] == want
 
 
 @pytest.mark.usefixtures("cold_memos")
@@ -392,19 +440,19 @@ def test_qubit_memo_is_bounded_and_evicts_the_oldest(monkeypatch):
     # _REDUCED_MAX of them, and a qubit evicted from it is built again
     calls = _count_builds(monkeypatch)
     trunc = Truncations(12, 10, 4)
-    points = analysis._REDUCED_MAX // 4 + 1
+    points = hamiltonian._REDUCED_MAX // 4 + 1
     systems = [derive_unitless(with_flux_offsets(
         reference_circuit(), 0.0, 1e-4 * (4 * k + np.arange(4))))
         for k in range(points)]
     for u in systems:
         build_system(u, trunc)
     assert len(calls) == 4 * points
-    assert len(analysis._REDUCED) == analysis._REDUCED_MAX
+    assert len(hamiltonian._REDUCED) == hamiltonian._REDUCED_MAX
     build_system(systems[-1], trunc)
     assert len(calls) == 4 * points
     build_system(systems[0], trunc)
     assert len(calls) == 4 * points + 4
-    assert len(analysis._REDUCED) == analysis._REDUCED_MAX
+    assert len(hamiltonian._REDUCED) == hamiltonian._REDUCED_MAX
 
 
 def test_find_special_point_bisection(monkeypatch):

@@ -367,6 +367,17 @@ def test_numerical_swt_runs_and_reports():
     assert np.allclose(cs.diagnostics["omega_eff"], bare, rtol=0.2)
 
 
+@pytest.mark.parametrize("beta_c", [0.05, 0.43])
+def test_numerical_swt_odd_strings_vanish_at_half_flux(beta_c):
+    # the half-flux bias makes the odd-weight Z strings vanish, as in the
+    # spectral branch (test_spectral_couplings_are_the_bare_frame_projection);
+    # on the default grid J1 and J3 are rounding noise, at most 4e-13 of |J2|
+    u = _u(beta_c)
+    cs = numerical_swt(u, *_system(u))[1]
+    assert abs(cs.J1) <= 1e-6 * abs(cs.J2)
+    assert abs(cs.J3) <= 1e-6 * abs(cs.J2)
+
+
 def test_numerical_swt_gap_collapse():
     # hand the engine a coupler whose first excitation sits below the qubit
     # splitting: it must refuse rather than produce a divergent expansion

@@ -5,27 +5,29 @@ one or more source trees.
 
 For each NAME=ROOT the library is imported from ROOT/src, with one BLAS
 thread.  Each layer of a point at beta_c 0.43, truncation 50/40/8, is timed
-as the mean of enough calls to fill about 2 ms, and the best of all samples
-(REPEATS per round) is kept.  One more layer is a fabrication-spread chip
+in REPEATS passes per round, each pass the mean of enough calls to fill
+about 2 ms.  One more layer is a fabrication-spread chip
 (the operating point with every qubit element 1 % off its design value)
 through the whole spectral pipeline, its qubit and cosine memos emptied in
 every call, since no chip of a Monte-Carlo batch reuses them.  The first
 cosine matrix of a truncation (40, 50 and 1000 levels) is timed with every
 memo of the oscillator module emptied before each call, after the other
 layers, which read those memos warm; the 1000-level one is sampled once per
-round.  Each CLI subcommand's default run is timed in a fresh interpreter,
-start-up included: the best of all samples, and their quartiles.  Quartiles are
-also kept of a fresh interpreter's `import fluxcoupler.cli` time and of the
-minor page faults (ru_minflt) of one default 30-point numerical-SWT sweep
-in a fresh interpreter.  The samples come in ROUNDS rounds, and every
-round measures each tree once, in alternating order, so a slow spell of a
-shared machine falls on all trees alike.  The tier-1 suite of ROOT/tests
+round.  Once per round each CLI subcommand's default run is timed in a fresh
+interpreter, start-up included, and so are a fresh interpreter's `import
+fluxcoupler.cli` and the minor page faults (ru_minflt) of one default
+30-point numerical-SWT sweep.  Every sample is kept, and each column is
+reduced by one function (spread) to its best and its [q1, median, q3].  The
+samples come in ROUNDS rounds, and every round measures each tree once, in
+alternating order, so a slow spell of a shared machine falls on all trees
+alike.  The tier-1 suite of ROOT/tests
 is run once per tree, with its time per file.  The JSON file --out gets one
 column per tree, with the machine, the Python, numpy and scipy versions
 (scipy null where it is not installed) and the git sha of the tree.
 """
 
 import argparse
+import collections
 import json
 import os
 import platform
@@ -51,23 +53,23 @@ def _env(root):
             "PYTHONPATH": os.path.join(root, "src")}
 
 
-def best_ms(cases, repeats):
-    """{name: best over `repeats` samples of the mean time of one call, in
-    ms} for {name: call}, every case sampled once per pass."""
+def pass_ms(cases, repeats):
+    """{name: [the mean time of one call in each of `repeats` passes, in ms]}
+    for {name: call}, every case sampled once per pass."""
     calls = {}
     for name, f in cases.items():
         t0 = time.perf_counter()
         f()
         calls[name] = max(1, int(2e-3 / max(time.perf_counter() - t0, 1e-7)))
-    best = dict.fromkeys(cases, float("inf"))
+    samples = {name: [] for name in cases}
     for _ in range(repeats):
         for name, f in cases.items():
             t0 = time.perf_counter()
             for _ in range(calls[name]):
                 f()
-            best[name] = min(best[name],
-                             (time.perf_counter() - t0) / calls[name])
-    return {name: 1e3 * t for name, t in best.items()}
+            samples[name].append(
+                1e3 * (time.perf_counter() - t0) / calls[name])
+    return samples
 
 
 def perturbed_chip():
@@ -88,7 +90,8 @@ def perturbed_chip():
 
 
 def layers(repeats):
-    """{layer: best ms} at the operating point, for the library on sys.path;
+    """{layer: [ms per pass]} at the operating point, for the library on
+    sys.path;
     every input is built once, and the memoised cosine_matrix is warm except
     where it is called uncached or the layer empties it."""
     from fluxcoupler import analysis, hamiltonian as ham, oscillator, swt
@@ -117,8 +120,11 @@ def layers(repeats):
         raise RuntimeError("the perturbed chip must have four distinct "
                            "qubits and 16 distinct forces")
 
+    # the reduced-qubit memo: hamiltonian's, or analysis's in older trees
+    qubit_memo = getattr(ham, "_REDUCED", getattr(analysis, "_REDUCED", None))
+
     def cold_chip():
-        analysis._REDUCED.clear()
+        qubit_memo.clear()
         cosine_matrix.cache_clear()
         analysis.spectral_system(chip, trunc)
 
@@ -156,23 +162,24 @@ def layers(repeats):
             cosine_matrix(n, r)
         return call
 
-    out = best_ms(cases, repeats)
-    out.update(best_ms({
+    out = pass_ms(cases, repeats)
+    out.update(pass_ms({
         "oscillator.cosine_matrix (coupler, 40, first size)":
             first_size(40, r_c),
         "oscillator.cosine_matrix (qubit, 50, first size)":
             first_size(50, r_q)}, repeats))
-    out.update(best_ms({"oscillator.cosine_matrix (qubit r, 1000, first size)":
+    out.update(pass_ms({"oscillator.cosine_matrix (qubit r, 1000, first size)":
                         first_size(1000, r_q)}, 1))
     return out
 
 
-def layers_in_child(root):
-    """layers(REPEATS) for the tree at root, in a fresh interpreter."""
-    run = subprocess.run([sys.executable, os.path.abspath(__file__),
-                          "--layers-of", root],
-                         env=_env(root), capture_output=True, text=True,
-                         check=True)
+def in_child(flag, root):
+    """What this script prints with `flag ROOT` (--layers-of: layers(REPEATS);
+    --faults-of: sweep_minflt()) for the tree at root, in a fresh
+    interpreter."""
+    run = subprocess.run([sys.executable, os.path.abspath(__file__), flag,
+                          root], env=_env(root), capture_output=True,
+                         text=True, check=True)
     return json.loads(run.stdout)
 
 
@@ -217,19 +224,16 @@ def sweep_minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
-def sweep_minflt_in_child(root):
-    """sweep_minflt() for the tree at root, in a fresh interpreter."""
-    run = subprocess.run([sys.executable, os.path.abspath(__file__),
-                          "--faults-of", root],
-                         env=_env(root), capture_output=True, text=True,
-                         check=True)
-    return int(run.stdout)
+# the samples of each column, and the digits its spread is rounded to
+DIGITS = {"layers_ms": 4, "subcommands_s": 3, "import_cli_s": 4,
+          "swt_sweep_minflt": 1}
 
 
-def quartiles(samples, digits):
-    """[q1, median, q3] of samples, rounded."""
-    return [round(q, digits) for q in statistics.quantiles(
-        samples, n=4, method="inclusive")]
+def spread(samples, digits):
+    """The best (smallest) of samples and their [q1, median, q3], rounded."""
+    return {"best": round(min(samples), digits),
+            "quartiles": [round(q, digits) for q in statistics.quantiles(
+                samples, n=4, method="inclusive")]}
 
 
 def tier1(root):
@@ -306,54 +310,51 @@ def main(argv=None):
         return
     if args.faults_of:
         sys.path.insert(0, os.path.join(args.faults_of, "src"))
-        print(sweep_minflt())
+        print(json.dumps(sweep_minflt()))
         return
     if not args.trees or not args.out:
         parser.error("need --out and at least one NAME=ROOT")
     trees = {name: os.path.abspath(root)
              for name, root in (tree.split("=", 1) for tree in args.trees)}
 
-    samples = {name: {"layers_ms": {}, "subcommands_s": {}, "start_up": {}}
-               for name in trees}
+    # samples[name][column, key]: every sample, key None for a column
+    # that is one number
+    samples = {name: collections.defaultdict(list) for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(ROUNDS):
             for name in list(trees)[::-1 if r % 2 else 1]:
-                root = trees[name]
-                sample = {"layers_ms": layers_in_child(root),
-                          "subcommands_s": {cmd: subcommand_s(root, cmd, tmp)
-                                            for cmd in SUBCOMMANDS},
-                          "start_up": {
-                              "import_cli_s": import_s(root),
-                              "swt_sweep_minflt": sweep_minflt_in_child(root)}}
-                for kind, values in sample.items():
-                    for key, t in values.items():
-                        samples[name][kind].setdefault(key, []).append(t)
+                root, got = trees[name], samples[name]
+                for layer, ms in in_child("--layers-of", root).items():
+                    got["layers_ms", layer] += ms
+                for cmd in SUBCOMMANDS:
+                    got["subcommands_s", cmd].append(
+                        subcommand_s(root, cmd, tmp))
+                got["import_cli_s", None].append(import_s(root))
+                got["swt_sweep_minflt", None].append(
+                    in_child("--faults-of", root))
     columns = {}
     for name, root in trees.items():
-        layer_ms, command_s, start_up = samples[name].values()
-        columns[name] = {
-            **provenance(root),
-            "layers_ms": {k: round(min(t), 4) for k, t in layer_ms.items()},
-            "subcommands_s": {k: round(min(t), 3)
-                              for k, t in command_s.items()},
-            "subcommands_quartiles_s": {k: quartiles(t, 3)
-                                        for k, t in command_s.items()},
-            "import_cli_quartiles_s": quartiles(start_up["import_cli_s"], 4),
-            "swt_sweep_minflt_quartiles": quartiles(
-                start_up["swt_sweep_minflt"], 1),
-            "tier1": tier1(root)}
+        column = columns[name] = provenance(root)
+        for (kind, key), values in samples[name].items():
+            s = spread(values, DIGITS[kind])
+            if key is None:
+                column[kind] = s
+            else:
+                column.setdefault(kind, {})[key] = s
+        column["tier1"] = tier1(root)
+    each = "best and [q1, median, q3]"
     setup = {"point": "reference circuit, beta_c 0.43, truncation 50/40/8",
              "chip": "the point with each qubit element 1 % off, seed 1",
              "blas_threads": 1,
-             "layers_ms": f"best of {ROUNDS} x {REPEATS} samples",
-             "subcommands_s": f"default run, best of {ROUNDS}",
-             "subcommands_quartiles_s":
-                 f"default run, [q1, median, q3] of {ROUNDS}",
-             "import_cli_quartiles_s": "import fluxcoupler.cli in a fresh "
-                 f"interpreter, [q1, median, q3] of {ROUNDS}",
-             "swt_sweep_minflt_quartiles": "ru_minflt of the default 30-point "
+             "layers_ms": f"{each} of {ROUNDS} x {REPEATS} passes, each the "
+                 "mean time of one call (the 1000-level first size: "
+                 f"{ROUNDS} passes)",
+             "subcommands_s": f"default run, {each} of {ROUNDS}",
+             "import_cli_s": "import fluxcoupler.cli in a fresh "
+                 f"interpreter, {each} of {ROUNDS}",
+             "swt_sweep_minflt": "ru_minflt of the default 30-point "
                  "numerical-SWT sweep_beta in a fresh interpreter, "
-                 f"[q1, median, q3] of {ROUNDS}",
+                 f"{each} of {ROUNDS}",
              "order": "each round measures every tree, in alternating order"}
     with open(args.out, "w") as f:
         json.dump({"setup": setup, "columns": columns}, f, indent=2)
