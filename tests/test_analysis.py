@@ -298,15 +298,12 @@ def _with_qubit_2(u, name, change):
     return replace(u, **{name: values})
 
 
-def _c_of(alpha):
-    return _loop(SimpleNamespace(E_Lj=[1.0], xi_j=[1.0], alpha=[alpha],
-                                 beta_j=[2.0], phi_jx=[0.0]), 0)[2]
-
-
 def _next_alpha_moving_c(alpha):
-    """The float after alpha whose c = 1 + alpha^2 is the next one up."""
+    """The first float above alpha whose c = 1 + alpha^2 differs from
+    alpha's."""
+    c = 1.0 + float(alpha)**2
     moved = np.nextafter(alpha, np.inf)
-    while _c_of(moved) == _c_of(alpha):
+    while 1.0 + float(moved)**2 == c:
         moved = np.nextafter(moved, np.inf)
     return moved
 
@@ -324,7 +321,9 @@ def test_build_system_keys_on_every_qubit_field(name, change, monkeypatch):
     # phi_x): one ulp on E_Lj, xi_j, beta_j or phi_jx, or the smallest
     # change of alpha that moves c, gives qubit 2 its own build
     u = derive_unitless(reference_circuit())
-    _assert_builds(monkeypatch, _with_qubit_2(u, name, change), [0, 0, 2, 0])
+    changed = _with_qubit_2(u, name, change)
+    assert _loop(changed, 2) != _loop(u, 2)
+    _assert_builds(monkeypatch, changed, [0, 0, 2, 0])
 
 
 @pytest.mark.usefixtures("cold_memos")

@@ -6,24 +6,24 @@ one or more source trees.
 For each NAME=ROOT the library is imported from ROOT/src, with one BLAS
 thread.  Each layer of a point at beta_c 0.43, truncation 50/40/8, is timed
 in REPEATS passes per round, each pass the mean of enough calls to fill
-about 2 ms.  One more layer is a fabrication-spread chip
-(the operating point with every qubit element 1 % off its design value)
-through the whole spectral pipeline, its qubit and cosine memos emptied in
-every call, since no chip of a Monte-Carlo batch reuses them.  The first
-cosine matrix of a truncation (40, 50 and 1000 levels) is timed with every
-memo of the oscillator module emptied before each call, after the other
-layers, which read those memos warm; the 1000-level one is sampled once per
-round.  Once per round each CLI subcommand's default run is timed in a fresh
+about 2 ms.  One more layer is a fabrication-spread chip (the operating
+point with every qubit element 1 % off its design value) through the whole
+spectral pipeline, its qubit and cosine memos emptied in every call, since
+no chip of a Monte-Carlo batch reuses them.  The first cosine matrix of a
+truncation (40, 50 and 1000 levels) is timed with every memo of the
+oscillator module emptied before each call, after the other layers, which
+read those memos warm; the 1000-level one is sampled once per round.  Once
+per round each CLI subcommand's default run is timed in a fresh
 interpreter, start-up included, and so are a fresh interpreter's `import
 fluxcoupler.cli` and the minor page faults (ru_minflt) of one default
 30-point numerical-SWT sweep.  Every sample is kept, and each column is
 reduced by one function (spread) to its best and its [q1, median, q3].  The
 samples come in ROUNDS rounds, and every round measures each tree once, in
 alternating order, so a slow spell of a shared machine falls on all trees
-alike.  The tier-1 suite of ROOT/tests
-is run once per tree, with its time per file.  The JSON file --out gets one
-column per tree, with the machine, the Python, numpy and scipy versions
-(scipy null where it is not installed) and the git sha of the tree.
+alike.  The tier-1 suite of ROOT/tests is run once per tree, with its time
+per file.  The JSON file --out gets one column per tree, with the machine,
+the Python, numpy and scipy versions (scipy null where it is not installed)
+and the git sha of the tree.
 """
 
 import argparse
@@ -91,9 +91,8 @@ def perturbed_chip():
 
 def layers(repeats):
     """{layer: [ms per pass]} at the operating point, for the library on
-    sys.path;
-    every input is built once, and the memoised cosine_matrix is warm except
-    where it is called uncached or the layer empties it."""
+    sys.path; every input is built once, and the memoised cosine_matrix is
+    warm except where it is called uncached or the layer empties it."""
     from fluxcoupler import analysis, hamiltonian as ham, oscillator, swt
     from fluxcoupler.circuit import derive_unitless, reference_circuit
     from fluxcoupler.oscillator import cosine_matrix
