@@ -1,8 +1,10 @@
 """Operator assembly.
 
 Bare coupler and qubit Hamiltonians, each the one rf-SQUID loop of _rf_squid
-on the parameters _loop reads, the memoised two-level qubit reduction, the
-4-qubit (x) coupler product-space Hamiltonian, and the generalized Ising model.
+on the parameters _loop reads, the memoised two-level qubit reduction
+(_reduced_qubit), the memoised qubit side of the interaction (_qubit_side),
+the 4-qubit (x) coupler product-space Hamiltonian, and the generalized Ising
+model.
 
 The product space is laid out qubits first (qubit 0 slowest, as its
 Kronecker products write it) and coupler index fastest.  This module is the
@@ -294,6 +296,48 @@ def qubit_configurations(qubits, u):
     return kron_all([q.pc for q in qubits]), E * x, direct
 
 
+@dataclass
+class _QubitSide:
+    """All that bare_frame and assemble_full read of the qubits: R, force
+    and direct of qubit_configurations, each configuration's qubit energy
+    (the sum of its qubits' h2 diagonal entries), A = R diag(direct) R^T,
+    F = R diag(force) R^T, and h_q, the Kronecker sum of each qubit's h2 in
+    its pc basis."""
+    R: np.ndarray
+    force: np.ndarray
+    direct: np.ndarray
+    energies: np.ndarray
+    A: np.ndarray
+    F: np.ndarray
+    h_q: np.ndarray
+
+
+# The qubit side of the last qubit set read, by every value it reads: the
+# bits of E_Ltilde_c, of alpha and of each qubit's h2, phi2 and pc.  One
+# entry, since a beta_c sweep holds one qubit set and a fabricated chip
+# shares none with the next; the content key keeps writable qubits safe.
+_SIDE = {}
+
+
+def _qubit_side(qubits, u):
+    """The qubits' side of the interaction, built once per key; read-only."""
+    key = (np.float64(u.E_Ltilde_c).tobytes(),
+           np.asarray(u.alpha, dtype=float).tobytes(),
+           tuple(a.tobytes() for q in qubits for a in (q.h2, q.phi2, q.pc)))
+    if key not in _SIDE:
+        R, force, direct = qubit_configurations(qubits, u)
+        side = _QubitSide(
+            R, force, direct,
+            _configuration_sum([np.diag(q.h2) for q in qubits]),
+            R @ (direct[:, None] * R.T), R @ (force[:, None] * R.T),
+            _kron_sum([q.pc.T @ q.h2 @ q.pc for q in qubits]))
+        for a in vars(side).values():
+            a.setflags(write=False)
+        _SIDE.clear()
+        _SIDE[key] = side
+    return _SIDE[key]
+
+
 def bare_frame(qubits, u, e_c, phi_c):
     """The product-space Hamiltonian in the bare frame (each qubit in its
     energy basis, the coupler in its eigenbasis: levels e_c, phase phi_c),
@@ -302,10 +346,9 @@ def bare_frame(qubits, u, e_c, phi_c):
         A = R diag(direct) R^T,  F = R diag(force) R^T
     of qubit_configurations, carried by its factors and never formed.
     Returns (h0, (A, F, phi_c), R)."""
-    R, force, direct = qubit_configurations(qubits, u)
-    h0 = np.add.outer(_configuration_sum([np.diag(q.h2) for q in qubits]), e_c)
-    V = (R @ (direct[:, None] * R.T), R @ (force[:, None] * R.T), phi_c)
-    return h0.ravel(), V, R
+    side = _qubit_side(qubits, u)
+    h0 = np.add.outer(side.energies, e_c)
+    return h0.ravel(), (side.A, side.F, phi_c), side.R
 
 
 def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep):
@@ -338,8 +381,8 @@ def assemble_full(qubits, coupler: OperatorMatrix, u, n_keep):
     if n_keep > n_c:
         raise ValueError("n_keep exceeds coupler truncation")
     e_c, phi_c = coupler_eigenbasis(coupler, u)
-    R, force, direct = qubit_configurations(qubits, u)
-    h_q = _kron_sum([q.pc.T @ q.h2 @ q.pc for q in qubits])
+    side = _qubit_side(qubits, u)
+    R, force, direct, h_q = side.R, side.force, side.direct, side.h_q
 
     # one eigh per distinct force: equal forces give bitwise-equal matrices
     # (+0.0 and -0.0 too), so configurations that share a force share chi

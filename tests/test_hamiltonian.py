@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from fluxcoupler.analysis import with_flux_offsets
+from fluxcoupler import hamiltonian
+from fluxcoupler.analysis import Truncations, build_system, with_flux_offsets
 from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (IsingModel, OperatorMatrix, PAIRS,
                                      TRIPLES, assemble_full,
@@ -369,6 +370,94 @@ def test_equal_qubits_give_permutation_invariant_configurations():
         for x in (force, direct, h0):
             assert x[z].tobytes() == x.tobytes()
     assert len(set(force.tolist())) == 5
+
+
+# ------------------------------------------------- the qubit-side memo
+
+@pytest.mark.usefixtures("cold_memos")
+def test_builders_keep_their_bytes_through_the_qubit_side_memo():
+    # bare_frame and assemble_full give the same bytes with the memo cold
+    # and warm, for the memoised (read-only) qubits and for freshly reduced
+    # ones whose arrays are writable, which the memo leaves writable
+    u = _u()
+    memoised = build_system(u, Truncations(50, 40, 8))[0]
+    fresh, coupler = _system(u)
+    e_c, phi_c = coupler_eigenbasis(coupler, u)
+
+    def frame_bytes(qubits):
+        h0, V, R = bare_frame(qubits, u, e_c, phi_c)
+        return [a.tobytes() for a in (h0, *V, R)]
+
+    def full_bytes(qubits):
+        H = assemble_full(qubits, coupler, u, 8)
+        return [a.tobytes() for a in (H.data, H.frame.rotation,
+                                      H.frame.states)]
+
+    for build in (frame_bytes, full_bytes):
+        hamiltonian._SIDE.clear()
+        cold = build(memoised)
+        assert build(memoised) == cold
+        assert build(fresh) == cold
+        hamiltonian._SIDE.clear()
+        assert build(fresh) == cold
+    assert all(a.flags.writeable for q in fresh
+               for a in (q.h2, q.phi2, q.pc))
+
+
+def _nudge(a, index):
+    """Move a[index] up by one ulp, in place."""
+    a[index] = np.nextafter(a[index], np.inf)
+
+
+def _flip(a, index):
+    """Flip the sign of a[index], in place."""
+    a[index] = -a[index]
+
+
+# each value the qubit side reads, changed in place: the key must see it
+SIDE_INPUTS = {
+    "E_Ltilde_c": lambda qubits, u: setattr(
+        u, "E_Ltilde_c", float(np.nextafter(u.E_Ltilde_c, np.inf))),
+    "alpha": lambda qubits, u: _nudge(u.alpha, 2),
+    "alpha_sign": lambda qubits, u: _flip(u.alpha, 2),
+    "h2": lambda qubits, u: _nudge(qubits[2].h2, (0, 0)),
+    "phi2": lambda qubits, u: _nudge(qubits[2].phi2, (0, 1)),
+    "pc": lambda qubits, u: _nudge(qubits[2].pc, (0, 0)),
+}
+
+
+@pytest.mark.usefixtures("cold_memos")
+@pytest.mark.parametrize("change", SIDE_INPUTS.values(), ids=SIDE_INPUTS)
+def test_qubit_side_keys_on_every_value_it_reads(change, monkeypatch):
+    # writable qubits and u, read once, then changed in place: the next read
+    # builds the side again, with the bits of an uncached build
+    u = _u()
+    qubits = _system(u)[0]
+    hamiltonian._qubit_side(qubits, u)
+    change(qubits, u)
+    builds = []
+
+    def counted(qubits, u, build=hamiltonian.qubit_configurations):
+        builds.append(1)
+        return build(qubits, u)
+
+    monkeypatch.setattr(hamiltonian, "qubit_configurations", counted)
+    side = vars(hamiltonian._qubit_side(qubits, u))
+    assert len(builds) == 1
+    R, force, direct = qubit_configurations(qubits, u)
+    hamiltonian._SIDE.clear()
+    want = {**vars(hamiltonian._qubit_side(qubits, u)),
+            "R": R, "force": force, "direct": direct}
+    assert {k: a.tobytes() for k, a in side.items()} == \
+        {k: a.tobytes() for k, a in want.items()}
+
+
+def test_qubit_side_is_read_only():
+    u = _u()
+    side = hamiltonian._qubit_side(_system(u)[0], u)
+    for a in vars(side).values():
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
 
 
 def test_ising_model_known_spectra():

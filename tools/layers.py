@@ -8,8 +8,11 @@ thread.  Each layer of a point at beta_c 0.43, truncation 50/40/8, is timed
 in REPEATS passes per round, each pass the mean of enough calls to fill
 about 2 ms.  One more layer is a fabrication-spread chip (the operating
 point with every qubit element 1 % off its design value) through the whole
-spectral pipeline, its qubit and cosine memos emptied in every call, since
-no chip of a Monte-Carlo batch reuses them.  The first cosine matrix of a
+spectral pipeline, its qubit, qubit-side and cosine memos emptied in every
+call, since no chip of a Monte-Carlo batch reuses them.  bare_frame and
+assemble_full are timed warm, as a beta_c sweep point reads them, and with
+the qubit-side memo emptied before each call; the layers that empty a memo
+are timed after the warm ones.  The first cosine matrix of a
 truncation (40, 50 and 1000 levels) is timed with every memo of the
 oscillator module emptied before each call, after the other layers, which
 read those memos warm; the 1000-level one is sampled once per round.  Once
@@ -119,13 +122,22 @@ def layers(repeats):
         raise RuntimeError("the perturbed chip must have four distinct "
                            "qubits and 16 distinct forces")
 
-    # the reduced-qubit memo: hamiltonian's, or analysis's in older trees
+    # the reduced-qubit memo: hamiltonian's, or analysis's in older trees;
+    # the qubit-side memo, or an empty stand-in where a tree has none
     qubit_memo = getattr(ham, "_REDUCED", getattr(analysis, "_REDUCED", None))
+    side_memo = getattr(ham, "_SIDE", {})
 
     def cold_chip():
         qubit_memo.clear()
+        side_memo.clear()
         cosine_matrix.cache_clear()
         analysis.spectral_system(chip, trunc)
+
+    def cold_side(build):
+        def call():
+            side_memo.clear()
+            build()
+        return call
 
     cases = {
         "oscillator.cosine_matrix (coupler, 40, uncached)":
@@ -151,7 +163,14 @@ def layers(repeats):
     for branch in analysis.BRANCHES:
         cases[f"analysis.couplings_point ({branch})"] = (
             lambda b=branch: analysis.couplings_point(u, trunc, b))
-    cases["analysis.spectral_system (perturbed chip, cold memos)"] = cold_chip
+    # the layers that empty memos, timed after the warm ones, which would
+    # otherwise pay the first call after a perturbed chip
+    cold = {
+        "hamiltonian.assemble_full (cold qubit side)": cold_side(
+            lambda: ham.assemble_full(qubits, coupler, u, 8)),
+        "hamiltonian.bare_frame (cold qubit side)": cold_side(
+            lambda: ham.bare_frame(qubits, u, e_c, phi_c)),
+        "analysis.spectral_system (perturbed chip, cold memos)": cold_chip}
 
     def first_size(n, r):
         def call():
@@ -162,6 +181,7 @@ def layers(repeats):
         return call
 
     out = pass_ms(cases, repeats)
+    out.update(pass_ms(cold, repeats))
     out.update(pass_ms({
         "oscillator.cosine_matrix (coupler, 40, first size)":
             first_size(40, r_c),
