@@ -14,3 +14,18 @@ def cold_memos():
     oscillator.cosine_matrix.cache_clear()
     oscillator._quadrature.cache_clear()
     hamiltonian._oscillator.cache_clear()
+
+
+@pytest.fixture
+def side_builds(monkeypatch):
+    """The qubit sides built during the test: the qubit count of every call
+    of hamiltonian.qubit_configurations, which _qubit_side makes on a miss,
+    patched through the module global as its callers read it."""
+    calls = []
+
+    def counted(qubits, u, build=hamiltonian.qubit_configurations):
+        calls.append(len(qubits))
+        return build(qubits, u)
+
+    monkeypatch.setattr(hamiltonian, "qubit_configurations", counted)
+    return calls

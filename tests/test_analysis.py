@@ -454,41 +454,27 @@ def test_qubit_memo_is_bounded_and_evicts_the_oldest(monkeypatch):
     assert len(hamiltonian._REDUCED) == hamiltonian._REDUCED_MAX
 
 
-def _count_sides(monkeypatch):
-    """The qubit sides built from now on: one entry per call of
-    hamiltonian.qubit_configurations, which _qubit_side makes on a miss."""
-    calls = []
-
-    def counted(qubits, u, build=hamiltonian.qubit_configurations):
-        calls.append(len(qubits))
-        return build(qubits, u)
-
-    monkeypatch.setattr(hamiltonian, "qubit_configurations", counted)
-    return calls
-
-
 @pytest.mark.usefixtures("cold_memos")
-def test_qubit_side_is_built_once_per_qubit_set(monkeypatch):
+def test_qubit_side_is_built_once_per_qubit_set(side_builds):
     # the qubits do not depend on beta_c: a 30-point numerical-SWT sweep, and
     # a comparison of every branch, build the qubit side once; two circuits
     # with different qubits build it once each
-    calls = _count_sides(monkeypatch)
     grid = 0.02 + 0.02 * np.arange(30)
     out = sweep_beta(reference_circuit(), grid, FAST,
                      branches=("numerical_swt",))
     assert list(out.column("numswt_status")) == ["ok"] * 30
-    assert calls == [4]
+    assert side_builds == [4]
     hamiltonian._SIDE.clear()
     out = compare_swt(reference_circuit(), [0.2, 0.3, 0.43], FAST)
     assert all(row[f"{prefix}_status"] == "ok" for row in out.rows
                for prefix in ("spectral", "numswt"))
-    assert calls == [4] * 2
+    assert side_builds == [4] * 2
     hamiltonian._SIDE.clear()
     offset = with_flux_offsets(reference_circuit(), 0.0,
                                (0.001, 0.001, -0.002, 0.0))
     for p in (reference_circuit(), offset):
         sweep_beta(p, [0.2, 0.3], FAST, branches=("numerical_swt",))
-    assert calls == [4] * 4
+    assert side_builds == [4] * 4
 
 
 def test_find_special_point_bisection(monkeypatch):

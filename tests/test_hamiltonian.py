@@ -428,22 +428,15 @@ SIDE_INPUTS = {
 
 @pytest.mark.usefixtures("cold_memos")
 @pytest.mark.parametrize("change", SIDE_INPUTS.values(), ids=SIDE_INPUTS)
-def test_qubit_side_keys_on_every_value_it_reads(change, monkeypatch):
+def test_qubit_side_keys_on_every_value_it_reads(change, side_builds):
     # writable qubits and u, read once, then changed in place: the next read
     # builds the side again, with the bits of an uncached build
     u = _u()
     qubits = _system(u)[0]
     hamiltonian._qubit_side(qubits, u)
     change(qubits, u)
-    builds = []
-
-    def counted(qubits, u, build=hamiltonian.qubit_configurations):
-        builds.append(1)
-        return build(qubits, u)
-
-    monkeypatch.setattr(hamiltonian, "qubit_configurations", counted)
     side = vars(hamiltonian._qubit_side(qubits, u))
-    assert len(builds) == 1
+    assert side_builds == [4, 4]
     R, force, direct = qubit_configurations(qubits, u)
     hamiltonian._SIDE.clear()
     want = {**vars(hamiltonian._qubit_side(qubits, u)),
