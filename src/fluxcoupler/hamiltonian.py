@@ -17,7 +17,8 @@ in its own eigenbasis (coupler_eigenbasis, bare_frame).  The spectral path
 coupler states chi_n(z) of Irish, PRL 99, 173601 (2007), kept per
 configuration as a local basis reduction.
 
-All assembled operators carry units of Hz (energy/h).
+All assembled operators carry units of Hz (energy/h).  Operators and reduced
+qubits are read-only; an OperatorMatrix is checked Hermitian once, when made.
 """
 
 import functools
@@ -58,19 +59,20 @@ class AdaptedBasis:
             n_z * n_c, n_z * n_keep)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorMatrix:
+    """A square Hermitian matrix, checked once when made; data is read-only."""
     data: np.ndarray
     # the product space the operator is written in, which eigendecompose
     # reads; None for oscillator operators
     frame: AdaptedBasis = None
 
     def __post_init__(self):
-        self.data = np.asarray(self.data)
-        n = self.data.shape[0]
-        if self.data.shape != (n, n):
+        object.__setattr__(self, "data", np.asarray(self.data))
+        if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
             raise ValueError("operator must be square")
         check_hermitian(self.data)
+        self.data.setflags(write=False)
 
 
 def _frobenius(A):
@@ -189,12 +191,16 @@ def qubit_phase(u, j, n_trunc):
     return OperatorMatrix(_phase(*_loop(u, j)[1:3], n_trunc)[0])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ReducedQubit:
     h2: np.ndarray          # 2x2, Hz, trace removed, diagonal in energy basis
     phi2: np.ndarray        # 2x2 phase operator in the same basis
     omega: float            # splitting (Hz)
     pc: np.ndarray          # 2x2 pc states by column, same basis
+
+    def __post_init__(self):
+        for a in (self.h2, self.phi2, self.pc):
+            a.setflags(write=False)
 
 
 def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
@@ -228,8 +234,6 @@ def _reduced_qubit(u, j, n):
     key = (n, _loop(u, j))
     if key not in _REDUCED:
         q = reduce_qubit(build_qubit_bare(u, j, n), qubit_phase(u, j, n))
-        for a in (q.h2, q.phi2, q.pc):
-            a.setflags(write=False)
         if len(_REDUCED) >= _REDUCED_MAX:
             del _REDUCED[next(iter(_REDUCED))]
         _REDUCED[key] = q
@@ -313,17 +317,16 @@ class _QubitSide:
 
 
 # The qubit side of the last qubit set read, by every value it reads: the
-# bits of E_Ltilde_c, of alpha and of each qubit's h2, phi2 and pc.  One
-# entry, since a beta_c sweep holds one qubit set and a fabricated chip
-# shares none with the next; the content key keeps writable qubits safe.
+# bits of E_Ltilde_c and of alpha, and the read-only qubits themselves, which
+# this entry holds, so no other qubit takes their identity.  One entry: a
+# beta_c sweep holds one qubit set and a fabricated chip shares none.
 _SIDE = {}
 
 
 def _qubit_side(qubits, u):
     """The qubits' side of the interaction, built once per key; read-only."""
     key = (np.float64(u.E_Ltilde_c).tobytes(),
-           np.asarray(u.alpha, dtype=float).tobytes(),
-           tuple(a.tobytes() for q in qubits for a in (q.h2, q.phi2, q.pc)))
+           np.asarray(u.alpha, dtype=float).tobytes(), *qubits)
     if key not in _SIDE:
         R, force, direct = qubit_configurations(qubits, u)
         side = _QubitSide(

@@ -4,13 +4,14 @@ One rule picks the 16-level coupler-ground manifold that every reading here
 starts from: SpectrumResult.manifold(), the lowest 16 levels labeled
 coupler-ground.  The couplings, the two-excitation levels and the gap
 diagnostics all read it, and no other library code reads the labels.
+eigendecompose trusts an OperatorMatrix, checked Hermitian when it was made.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import AdaptedBasis, OperatorMatrix, check_hermitian
+from .hamiltonian import AdaptedBasis, OperatorMatrix
 from .swt import CouplingStrengths, ising_couplings
 
 # the subspaces count as separated when delta_gap > GAP_THRESHOLD * delta_max
@@ -60,8 +61,6 @@ def eigendecompose(h: OperatorMatrix) -> SpectrumResult:
     """
     if h.frame is None:
         raise ValueError("eigendecompose needs an operator with a frame")
-    # OperatorMatrix checks at construction; this catches later edits of .data
-    check_hermitian(h.data)
     ev, vec = np.linalg.eigh(h.data)
     w = vec.reshape(h.frame.states.shape[0], h.frame.states.shape[2], -1)
     occ = np.sum(np.abs(w[:, 0, :]) ** 2, axis=0)

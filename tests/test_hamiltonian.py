@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,7 +17,8 @@ from fluxcoupler.hamiltonian import (IsingModel, OperatorMatrix, PAIRS,
                                      qubit_phase, reduce_qubit, _kron_sum,
                                      _pc_states)
 from fluxcoupler.oscillator import qubit_reduction
-from toys import pc_rotation, written_out_coupler, written_out_qubit
+from toys import (pc_rotation, written_out_coupler, written_out_qubit,
+                  written_out_reduction)
 
 
 def _u(beta_c=0.43, **kw):
@@ -168,8 +170,42 @@ def test_kron_all_keeps_the_bits_of_the_np_kron_fold(dtypes):
 def test_operator_matrix_validation():
     with pytest.raises(ValueError):
         OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.ones((2, 3)))
+    for data in (np.ones((2, 3)), np.float64(1.0), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="square"):
+            OperatorMatrix(data)
+
+
+# the operators and reduced qubits the library and the toys make
+VALUES = {
+    "build_coupler": lambda u: build_coupler(u, 20),
+    "coupler_phase": lambda u: coupler_phase(u, 20),
+    "build_qubit_bare": lambda u: build_qubit_bare(u, 0, 20),
+    "qubit_phase": lambda u: qubit_phase(u, 0, 20),
+    "assemble_full": lambda u: assemble_full(*_system(u, 20, 20), u, 4),
+    "assemble_ising_model": lambda u: assemble_ising_model(
+        IsingModel.symmetric(1.0, J2=0.1)),
+    "reduce_qubit": lambda u: reduce_qubit(build_qubit_bare(u, 0, 20),
+                                           qubit_phase(u, 0, 20)),
+    "written_out_reduction": lambda u: written_out_reduction(
+        *written_out_qubit(u, 0, 20)),
+}
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES)
+def test_operators_and_qubits_refuse_edits(make):
+    # each is checked once, when made, and then refuses every edit: a field
+    # reassigned, or an array field edited in place
+    value = make(_u())
+    arrays = 0
+    for field in dataclasses.fields(value):
+        a = getattr(value, field.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, a)
+        if isinstance(a, np.ndarray):
+            arrays += 1
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
+    assert arrays == (1 if isinstance(value, OperatorMatrix) else 3)
 
 
 def test_reduce_qubit_properties():
@@ -377,8 +413,8 @@ def test_equal_qubits_give_permutation_invariant_configurations():
 @pytest.mark.usefixtures("cold_memos")
 def test_builders_keep_their_bytes_through_the_qubit_side_memo():
     # bare_frame and assemble_full give the same bytes with the memo cold
-    # and warm, for the memoised (read-only) qubits and for freshly reduced
-    # ones whose arrays are writable, which the memo leaves writable
+    # and warm, for the memoised qubits and for freshly reduced ones, which
+    # miss the memo; both are read-only
     u = _u()
     memoised = build_system(u, Truncations(50, 40, 8))[0]
     fresh, coupler = _system(u)
@@ -400,8 +436,8 @@ def test_builders_keep_their_bytes_through_the_qubit_side_memo():
         assert build(fresh) == cold
         hamiltonian._SIDE.clear()
         assert build(fresh) == cold
-    assert all(a.flags.writeable for q in fresh
-               for a in (q.h2, q.phi2, q.pc))
+    assert not any(a.flags.writeable for q in fresh
+                   for a in (q.h2, q.phi2, q.pc))
 
 
 def _nudge(a, index):
@@ -414,23 +450,33 @@ def _flip(a, index):
     a[index] = -a[index]
 
 
-# each value the qubit side reads, changed in place: the key must see it
+def _nudged_qubit(field, index):
+    """Swap qubit 2 for a copy whose field has a[index] moved up by one ulp:
+    the change a read-only qubit allows."""
+    def change(qubits, u):
+        a = getattr(qubits[2], field).copy()
+        _nudge(a, index)
+        qubits[2] = dataclasses.replace(qubits[2], **{field: a})
+    return change
+
+
+# each value the qubit side reads, changed: the key must see it
 SIDE_INPUTS = {
     "E_Ltilde_c": lambda qubits, u: setattr(
         u, "E_Ltilde_c", float(np.nextafter(u.E_Ltilde_c, np.inf))),
     "alpha": lambda qubits, u: _nudge(u.alpha, 2),
     "alpha_sign": lambda qubits, u: _flip(u.alpha, 2),
-    "h2": lambda qubits, u: _nudge(qubits[2].h2, (0, 0)),
-    "phi2": lambda qubits, u: _nudge(qubits[2].phi2, (0, 1)),
-    "pc": lambda qubits, u: _nudge(qubits[2].pc, (0, 0)),
+    "h2": _nudged_qubit("h2", (0, 0)),
+    "phi2": _nudged_qubit("phi2", (0, 1)),
+    "pc": _nudged_qubit("pc", (0, 0)),
 }
 
 
 @pytest.mark.usefixtures("cold_memos")
 @pytest.mark.parametrize("change", SIDE_INPUTS.values(), ids=SIDE_INPUTS)
 def test_qubit_side_keys_on_every_value_it_reads(change, side_builds):
-    # writable qubits and u, read once, then changed in place: the next read
-    # builds the side again, with the bits of an uncached build
+    # qubits and u, read once, then changed (u in place, a qubit by a copy):
+    # the next read builds the side again, with the bits of an uncached build
     u = _u()
     qubits = _system(u)[0]
     hamiltonian._qubit_side(qubits, u)

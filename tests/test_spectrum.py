@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,24 +19,29 @@ def _spec_of(model: IsingModel):
 
 
 def test_eigendecompose_rejects_non_hermitian():
-    m = IsingModel.symmetric(1.0, J2=0.1)
-    H = assemble_ising_model(m)
-    H.data = H.data + np.triu(np.ones_like(H.data), 1) * 0.5
-    with pytest.raises(ValueError):
-        eigendecompose(H)
+    # eigendecompose reads only operators checked when made: a non-Hermitian
+    # array is refused then, and a made operator refuses every later edit
+    H = assemble_ising_model(IsingModel.symmetric(1.0, J2=0.1))
+    edited = H.data + np.triu(np.ones_like(H.data), 1) * 0.5
+    with pytest.raises(ValueError, match="not Hermitian"):
+        OperatorMatrix(edited, frame=H.frame)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        H.data = edited
+    with pytest.raises(ValueError, match="read-only"):
+        H.data[0, 1] += 0.5
 
 
 @pytest.mark.parametrize("rel,rejected", [(1e-11, True), (1e-13, False),
                                           (np.nan, True)])
 def test_one_hermiticity_rule(rel, rejected):
-    # the same 1e-12 rule at construction, for a later edit of .data and
-    # for an effective Hamiltonian handed to pauli_decompose as an array;
-    # a NaN entry fails it
+    # the same 1e-12 rule when an operator is made, which eigendecompose
+    # then reads, and for an effective Hamiltonian handed to pauli_decompose
+    # as an array; a NaN entry fails it
     H = assemble_ising_model(IsingModel.symmetric(1.0, J2=0.1))
-    H.data = H.data.copy()
-    H.data[0, 1] += rel * np.linalg.norm(H.data)
-    for read in (lambda: OperatorMatrix(H.data), lambda: eigendecompose(H),
-                 lambda: pauli_decompose(H.data)):
+    A = H.data.copy()
+    A[0, 1] += rel * np.linalg.norm(A)
+    for read in (lambda: eigendecompose(OperatorMatrix(A, frame=H.frame)),
+                 lambda: pauli_decompose(A)):
         if rejected:
             with pytest.raises(ValueError, match="not Hermitian"):
                 read()
@@ -134,8 +141,8 @@ def test_projection_needs_a_frame():
     u = derive_unitless(reference_circuit(beta_c=0.3))
     qubits = [reduce_qubit(build_qubit_bare(u, j, 30), qubit_phase(u, j, 30))
               for j in range(4)]
-    H = assemble_full(qubits, build_coupler(u, 20), u, 4)
-    H.frame = None
+    H = dataclasses.replace(assemble_full(qubits, build_coupler(u, 20), u, 4),
+                            frame=None)
     with pytest.raises(ValueError, match="frame"):
         extract_couplings(eigendecompose(H), [q.omega for q in qubits])
 
