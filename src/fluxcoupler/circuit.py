@@ -13,6 +13,7 @@ and only there: derive_unitless converts any circuit that CircuitParams
 accepts, beta_c >= 1 included.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,22 +60,29 @@ class CircuitParams:
             self.Phi_cx = half
         if self.Phi_jx is None:
             self.Phi_jx = np.full(4, half)
+        # checked in plain floats: every sweep row's copy of the circuit
+        # (analysis.with_beta_c) runs these checks
+        values = {}
         for name in ("L_j", "C_j", "I_cj", "M_j", "Phi_jx"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
             if getattr(self, name).shape != (4,):
                 raise ValueError(f"{name} must have shape (4,)")
-            if not np.all(np.isfinite(getattr(self, name))):
+            values[name] = getattr(self, name).tolist()
+            if not all(map(math.isfinite, values[name])):
                 raise ValueError(f"{name} must be finite")
         for name in ("L_j", "C_j", "I_cj"):
-            if not np.all(getattr(self, name) > 0):
+            if not min(values[name]) > 0:
                 raise ValueError(f"{name} entries must be strictly positive")
-        if not np.all(np.isfinite([self.L_c, self.C_c, self.I_cc])):
+        if not all(map(math.isfinite, (self.L_c, self.C_c, self.I_cc))):
             raise ValueError("L_c, C_c, I_cc must be finite")
-        if not np.isfinite(self.Phi_cx):
+        if not math.isfinite(self.Phi_cx):
             raise ValueError("Phi_cx must be finite")
         if self.L_c <= 0 or self.C_c <= 0 or self.I_cc <= 0:
             raise ValueError("L_c, C_c, I_cc must be strictly positive")
-        if not np.all(self.M_j**2 < self.L_j * self.L_c):
+        # m * m rounds as numpy's M_j**2 does
+        L_c = float(self.L_c)
+        if not all(m * m < l * L_c
+                   for m, l in zip(values["M_j"], values["L_j"])):
             raise ValueError("unphysical mutual inductance: M_j^2 >= L_j*L_c")
 
 

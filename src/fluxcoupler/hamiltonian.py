@@ -17,8 +17,9 @@ in its own eigenbasis (coupler_eigenbasis, bare_frame).  The spectral path
 coupler states chi_n(z) of Irish, PRL 99, 173601 (2007), kept per
 configuration as a local basis reduction.
 
-All assembled operators carry units of Hz (energy/h).  Operators and reduced
-qubits are read-only; an OperatorMatrix is checked Hermitian once, when made.
+All assembled operators carry units of Hz (energy/h).  Operators, their
+frames and reduced qubits are read-only; an OperatorMatrix is checked
+Hermitian once, when made.
 """
 
 import functools
@@ -42,15 +43,20 @@ _PAULIS = np.array([_I2, _X, _Y, _Z])   # in the order of the names "IXYZ"
 _HAD = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptedBasis:
     """The frame of a product-space operator: a coupler basis per qubit
     configuration z, seen from the bare frame (qubit energy basis x full
     coupler eigenbasis).  Basis state (z, n) is rotation[:, z] (x)
     states[z, :, n], n = 0 coupler-ground.  assemble_full keeps n_keep
-    displaced states chi_n(z); the Ising model keeps one, states = 1."""
+    displaced states chi_n(z); the Ising model keeps one, states = 1.
+    Read-only, as the operator that carries it."""
     rotation: np.ndarray   # (n_z, n_z) persistent-current states z, by column
     states: np.ndarray     # (n_z, n_c, n_keep) kept coupler states chi_n(z)
+
+    def __post_init__(self):
+        for a in (self.rotation, self.states):
+            a.setflags(write=False)
 
     def isometry(self):
         """Matrix whose columns are the basis states in the bare frame."""
@@ -257,7 +263,8 @@ def coupler_eigenbasis(coupler: OperatorMatrix, u):
     """Coupler levels (Hz, relative to the ground level) and the coupler phase
     phi_c in the coupler eigenbasis."""
     ev, vec = np.linalg.eigh(coupler.data)
-    phi_c = vec.T @ coupler_phase(u, coupler.data.shape[0]).data @ vec
+    # coupler_phase's matrix, not made into a second checked OperatorMatrix
+    phi_c = vec.T @ _phase(*_loop(u)[1:3], coupler.data.shape[0])[0] @ vec
     return ev - ev[0], phi_c
 
 

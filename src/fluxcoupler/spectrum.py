@@ -4,7 +4,8 @@ One rule picks the 16-level coupler-ground manifold that every reading here
 starts from: SpectrumResult.manifold(), the lowest 16 levels labeled
 coupler-ground.  The couplings, the two-excitation levels and the gap
 diagnostics all read it, and no other library code reads the labels.
-eigendecompose trusts an OperatorMatrix, checked Hermitian when it was made.
+eigendecompose trusts an OperatorMatrix, checked Hermitian when it was made
+and read-only, its frame included.
 """
 
 from dataclasses import dataclass

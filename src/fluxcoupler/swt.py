@@ -138,10 +138,13 @@ def swt_effective_block(h0_diag, A, F, phi_c):
     transpose (Bravyi, DiVincenzo & Loss, Ann. Phys. 326, 2793 (2011)).  L
     divides a PQ block by G = E_P - E_Q.  The block-diagonal [S1, V_od] is
     never formed: X's PQ block is S1 W_QQ - W_PP S1, with S1 W_QQ written
-    through |P| x |P| products.  V itself is never formed either: V_PP =
-    A + phi_c[0, 0] F, V_PQ = F (x) phi_c[0, 1:], and a PQ block Y, read as
-    (z, z', n), meets V_QQ as Y A + (Y F) phi_c[1:, 1:], A and F acting on
-    its index z' and phi_c[1:, 1:] on n.  On the circuit (n_z = 16,
+    through |P| x |P| products.  Each Hermitian pair Y Z^H + Z Y^H of the low
+    block (W, the triple term, b1 [S, V_od]) is formed from the one product
+    P = Y Z^H as P + P^H, which has the same bits on the circuit's real
+    operands, and X reuses W's S1 Vpq^H.  V itself is never formed either:
+    V_PP = A + phi_c[0, 0] F, V_PQ = F (x) phi_c[0, 1:], and a PQ block Y,
+    read as (z, z', n), meets V_QQ as Y A + (Y F) phi_c[1:, 1:], A and F
+    acting on its index z' and phi_c[1:, 1:] on n.  On the circuit (n_z = 16,
     n_c = 40) no operand is larger than 16 x 624.  A factor that is not
     Hermitian is refused (ValueError), and so is a series that has not
     converged (RuntimeError, see MAX_ORDER_RATIO).
@@ -164,19 +167,26 @@ def swt_effective_block(h0_diag, A, F, phi_c):
         Y = Y.reshape(n_z, n_z, n_c - 1)
         return (A.T @ Y + (F.T @ Y) @ phi_qq).reshape(n_z, -1)
 
+    def pair(Y, Z):
+        # the Hermitian Y Z^H + Z Y^H from the one product Y Z^H
+        P = Y @ H(Z)
+        return P + H(P)
+
     S1 = Vpq / G
     S2 = -(Vpp @ S1 - times_Vqq(S1)) / G
     # [S1, V_od] has the PP block W and the QQ block -S1^H Vpq - Vpq^H S1
-    W = S1 @ H(Vpq) + Vpq @ H(S1)
-    X = -(S1 @ H(S1)) @ Vpq - (S1 @ H(Vpq)) @ S1 - W @ S1
+    # W = pair(S1, Vpq), its product S1 Vpq^H kept for X
+    S1_Vqp = S1 @ H(Vpq)
+    W = S1_Vqp + H(S1_Vqp)
+    X = -(S1 @ H(S1)) @ Vpq - S1_Vqp @ S1 - W @ S1
     S3 = (-(Vpp @ S2 - times_Vqq(S2)) + A2 * X) / G
     S = S1 + S2 + S3
-    triple = B3 * (S1 @ H(X) + X @ H(S1))
+    triple = B3 * pair(S1, X)
     # the 2nd-order low block is b1 W, the 4th-order one b1 [S3, V_od] + triple
-    _check_convergence(B1 * W, B1 * (S3 @ H(Vpq) + Vpq @ H(S3)) + triple)
+    _check_convergence(B1 * W, B1 * pair(S3, Vpq) + triple)
     # P V_od P vanishes by construction, so the first-order low block is V_PP
     block = np.diag(np.asarray(h0_diag)[block0]).astype(Vpq.dtype) + Vpp \
-        + B1 * (S @ H(Vpq) + Vpq @ H(S)) + triple
+        + B1 * pair(S, Vpq) + triple
     return (block + H(block)) / 2.0
 
 
@@ -290,7 +300,12 @@ def _pauli_coefficients(A):
     for _ in range(4):
         T = T.reshape(2, 2, -1)
         t00, t01, t10, t11 = T[0, 0], T[0, 1], T[1, 0], T[1, 1]
-        T = np.stack([t00 + t11, t01 + t10, 1j * (t01 - t10), t00 - t11], -1)
+        out = np.empty(t00.shape + (4,), dtype=complex)
+        np.add(t00, t11, out=out[:, 0])
+        np.add(t01, t10, out=out[:, 1])
+        np.multiply(1j, np.subtract(t01, t10, out=out[:, 2]), out=out[:, 2])
+        np.subtract(t00, t11, out=out[:, 3])
+        T = out
     return T.reshape((4,) * 4) / 16.0
 
 

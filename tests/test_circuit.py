@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,15 +91,38 @@ def test_inductive_energy_scale():
     assert inductive_energy(817e-12) == pytest.approx(0.2e12, rel=0.02)
 
 
-def test_validation_errors():
+def _one_zero(a):
+    return np.where(np.arange(4) == 1, 0.0, a)
+
+
+# each refusal of CircuitParams: the values changed and its message (the
+# non-finite ones: test_non_finite_coupler_values_rejected)
+REFUSALS = {
+    "shape": (lambda p: {"M_j": p.M_j[:3]}, "M_j must have shape (4,)"),
+    "L_j_negative": (lambda p: {"L_j": -p.L_j},
+                     "L_j entries must be strictly positive"),
+    "C_j_zero": (lambda p: {"C_j": _one_zero(p.C_j)},
+                 "C_j entries must be strictly positive"),
+    "I_cj_zero": (lambda p: {"I_cj": _one_zero(p.I_cj)},
+                  "I_cj entries must be strictly positive"),
+    "L_c_negative": (lambda p: {"L_c": -p.L_c},
+                     "L_c, C_c, I_cc must be strictly positive"),
+    # M^2 > L_j L_c
+    "M_j_large": (lambda p: {"M_j": np.full(4, 1e-9)},
+                  "unphysical mutual inductance"),
+    # M^2 = L_j L_c exactly, which is still refused
+    "M_j_equal": (lambda p: {"L_j": p.M_j, "L_c": p.M_j[0]},
+                  "unphysical mutual inductance"),
+}
+
+
+@pytest.mark.parametrize("change,message", REFUSALS.values(), ids=REFUSALS)
+def test_validation_errors(change, message):
     p = reference_circuit()
-    with pytest.raises(ValueError):
-        CircuitParams(L_j=-p.L_j, C_j=p.C_j, I_cj=p.I_cj, M_j=p.M_j,
-                      L_c=p.L_c, C_c=p.C_c, I_cc=p.I_cc)
-    with pytest.raises(ValueError):
-        CircuitParams(L_j=p.L_j, C_j=p.C_j, I_cj=p.I_cj,
-                      M_j=np.full(4, 1e-9),  # M^2 >= L_j L_c
-                      L_c=p.L_c, C_c=p.C_c, I_cc=p.I_cc)
+    values = dict(L_j=p.L_j, C_j=p.C_j, I_cj=p.I_cj, M_j=p.M_j, L_c=p.L_c,
+                  C_c=p.C_c, I_cc=p.I_cc)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CircuitParams(**{**values, **change(p)})
 
 
 @pytest.mark.parametrize("name,value", [

@@ -8,8 +8,9 @@ from scipy.linalg import eigh_tridiagonal
 from fluxcoupler import hamiltonian
 from fluxcoupler.analysis import Truncations, build_system, with_flux_offsets
 from fluxcoupler.circuit import derive_unitless, reference_circuit
-from fluxcoupler.hamiltonian import (IsingModel, OperatorMatrix, PAIRS,
-                                     TRIPLES, assemble_full,
+from fluxcoupler.hamiltonian import (AdaptedBasis, IsingModel,
+                                     OperatorMatrix, PAIRS, TRIPLES,
+                                     assemble_full,
                                      assemble_ising_model, build_coupler,
                                      build_qubit_bare, coupler_eigenbasis,
                                      bare_frame, coupler_phase, kron_all,
@@ -191,11 +192,10 @@ VALUES = {
 }
 
 
-@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES)
-def test_operators_and_qubits_refuse_edits(make):
-    # each is checked once, when made, and then refuses every edit: a field
-    # reassigned, or an array field edited in place
-    value = make(_u())
+def _refused_arrays(value):
+    """Assert that every field of the dataclass value, and of its frame,
+    refuses reassignment and every array field an edit in place; returns
+    the number of array fields."""
     arrays = 0
     for field in dataclasses.fields(value):
         a = getattr(value, field.name)
@@ -205,7 +205,18 @@ def test_operators_and_qubits_refuse_edits(make):
             arrays += 1
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.0
-    assert arrays == (1 if isinstance(value, OperatorMatrix) else 3)
+        elif isinstance(a, AdaptedBasis):
+            arrays += _refused_arrays(a)
+    return arrays
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES)
+def test_operators_and_qubits_refuse_edits(make):
+    # each is checked once, when made, and then refuses every edit: a field
+    # reassigned, or an array field edited in place, its frame's included
+    value = make(_u())
+    frameless = isinstance(value, OperatorMatrix) and value.frame is None
+    assert _refused_arrays(value) == (1 if frameless else 3)
 
 
 def test_reduce_qubit_properties():

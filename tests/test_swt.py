@@ -23,7 +23,7 @@ from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, analytic_couplings,
 from toys import (add_interaction, delta_form_couplings,
                   dense_swt_effective_block, einsum_pauli_coefficients,
                   einsum_pauli_decompose, linear_coupler_toy, linear_map_L,
-                  one_qubit_toy_error)
+                  one_qubit_toy_error, two_product_swt_effective_block)
 
 
 def _u(beta_c=0.43):
@@ -482,6 +482,9 @@ def test_block_recursion_on_the_circuit(monkeypatch, beta_c, coupler_offset,
     want = dense_swt_effective_block(h0, _dense_v(A, F, phi), block0)
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-14 * np.linalg.norm(want, 2))
+    # one product per Hermitian pair keeps the bits of two on real operands
+    reference = two_product_swt_effective_block(h0, A, F, phi)
+    assert got.tobytes() == reference.tobytes()
 
 
 def test_unconverged_flux_point_is_an_error_row():

@@ -8,13 +8,13 @@ from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (ISING_STRINGS, NON_ISING, PAIRS,
                                      IsingModel, OperatorMatrix,
                                      ReducedQubit, build_coupler,
-                                     build_qubit_bare, coupler_phase,
-                                     kron_all, qubit_phase, reduce_qubit,
-                                     _PAULIS)
+                                     build_qubit_bare, check_hermitian,
+                                     coupler_phase, kron_all, qubit_phase,
+                                     reduce_qubit, _PAULIS)
 from fluxcoupler.oscillator import _margin, ladder
 from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, SwtPrefactors,
-                             _cross_block_gaps, pauli_decompose,
-                             swt_effective_block)
+                             _check_convergence, _cross_block_gaps,
+                             pauli_decompose, swt_effective_block)
 
 _I2 = np.eye(2)
 _Z = np.diag([1.0, -1.0])
@@ -163,6 +163,45 @@ def dense_swt_effective_block(h0_diag, V, block0):
     low = np.where(block0)[0]
     block = Heff[np.ix_(low, low)]
     return (block + block.conj().T) / 2.0
+
+
+def two_product_swt_effective_block(h0_diag, A, F, phi_c):
+    """swt.swt_effective_block as it was written before each Hermitian pair
+    Y Z^H + Z Y^H came from one product: both products formed, and X
+    forming S1 Vpq^H again.  The reference whose bits the one-product form
+    keeps on real operands."""
+    for factor in (A, F, phi_c):
+        check_hermitian(factor)
+    n_z, n_c = len(A), len(phi_c)
+    block0 = np.arange(len(h0_diag)) % n_c == 0
+    G = _cross_block_gaps(h0_diag, block0)
+    phi_qq = phi_c[1:, 1:]
+    Vpp = A + phi_c[0, 0] * F
+    Vpq = (F[:, :, None] * phi_c[0, 1:]).reshape(n_z, -1)
+
+    def H(Y):
+        return Y.conj().T
+
+    def times_Vqq(Y):
+        # Y V_QQ for a PQ block Y read as (z, z', n): A and F act on z',
+        # phi_qq on n
+        Y = Y.reshape(n_z, n_z, n_c - 1)
+        return (A.T @ Y + (F.T @ Y) @ phi_qq).reshape(n_z, -1)
+
+    S1 = Vpq / G
+    S2 = -(Vpp @ S1 - times_Vqq(S1)) / G
+    # [S1, V_od] has the PP block W and the QQ block -S1^H Vpq - Vpq^H S1
+    W = S1 @ H(Vpq) + Vpq @ H(S1)
+    X = -(S1 @ H(S1)) @ Vpq - (S1 @ H(Vpq)) @ S1 - W @ S1
+    S3 = (-(Vpp @ S2 - times_Vqq(S2)) + A2 * X) / G
+    S = S1 + S2 + S3
+    triple = B3 * (S1 @ H(X) + X @ H(S1))
+    # the 2nd-order low block is b1 W, the 4th-order one b1 [S3, V_od] + triple
+    _check_convergence(B1 * W, B1 * (S3 @ H(Vpq) + Vpq @ H(S3)) + triple)
+    # P V_od P vanishes by construction, so the first-order low block is V_PP
+    block = np.diag(np.asarray(h0_diag)[block0]).astype(Vpq.dtype) + Vpp \
+        + B1 * (S @ H(Vpq) + Vpq @ H(S)) + triple
+    return (block + H(block)) / 2.0
 
 
 def one_qubit_toy_error(alpha_eff, phi_cx=0.05, phi_jx=0.005, beta_c=0.2,

@@ -101,7 +101,8 @@ def layers(repeats):
     from fluxcoupler.oscillator import cosine_matrix
     from fluxcoupler.spectrum import eigendecompose, extract_couplings
 
-    u = derive_unitless(reference_circuit(beta_c=0.43))
+    p = reference_circuit(beta_c=0.43)
+    u = derive_unitless(p)
     trunc = analysis.Truncations(50, 40, 8)
     qubits, coupler = analysis.build_system(u, trunc)
     omega = [q.omega for q in qubits]
@@ -140,6 +141,8 @@ def layers(repeats):
         return call
 
     cases = {
+        # the validated circuit copy that every beta_c sweep row makes
+        "analysis.with_beta_c": lambda: analysis.with_beta_c(p, 0.43),
         "oscillator.cosine_matrix (coupler, 40, uncached)":
             lambda: uncached(40, r_c),
         "oscillator.cosine_matrix (qubit, 50, uncached)":
