@@ -24,6 +24,7 @@ A field holding a comma, a double quote or a line break is quoted (RFC 4180).
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -234,8 +235,8 @@ def _format_value(x, precision):
         return "1" if x else "0"
     if x is None:
         return "nan"
-    if isinstance(x, float) and not np.isfinite(x):
-        return "nan" if np.isnan(x) else ("inf" if x > 0 else "-inf")
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
     return f"{float(x):.{precision - 1}e}"
 
 

@@ -215,13 +215,17 @@ def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
     Both bases are gauge-fixed, so all downstream coupling signs are
     deterministic: the energy basis so the off-diagonal phi element is real
     and non-negative, the persistent-current states as _pc_states does.
+    The energy-basis gauge is a sign s_m per kept state, s_0 = 1 and
+    s_m = -1 where phi[0, m] < 0, applied as phi2 * s s^T: an exact
+    negation, with the bits of forming v^T phi v again from the flipped
+    states.
     """
     ev, vec = np.linalg.eigh(h.data)
     v2 = vec[:, :2]
     phi2 = v2.T @ phi.data @ v2
-    if phi2[0, 1] < 0:
-        v2 = v2 @ np.diag([1.0, -1.0])
-        phi2 = v2.T @ phi.data @ v2
+    s = np.where(phi2[0] < 0, -1.0, 1.0)
+    s[0] = 1.0
+    phi2 *= np.multiply.outer(s, s)
     # the bits of np.mean(ev[:2]), which sums onto +0.0 left to right
     h2 = np.diag(ev[:2] - (0.0 + ev[0] + ev[1]) / 2.0)
     return ReducedQubit(h2=h2, phi2=phi2, omega=float(ev[1] - ev[0]),
@@ -307,20 +311,42 @@ def qubit_configurations(qubits, u):
     return kron_all([q.pc for q in qubits]), E * x, direct
 
 
-@dataclass
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
 class _QubitSide:
     """All that bare_frame and assemble_full read of the qubits: R, force
-    and direct of qubit_configurations, each configuration's qubit energy
-    (the sum of its qubits' h2 diagonal entries), A = R diag(direct) R^T,
-    F = R diag(force) R^T, and h_q, the Kronecker sum of each qubit's h2 in
-    its pc basis."""
-    R: np.ndarray
-    force: np.ndarray
-    direct: np.ndarray
-    energies: np.ndarray
-    A: np.ndarray
-    F: np.ndarray
-    h_q: np.ndarray
+    and direct of qubit_configurations, built with the side, and, each on
+    its first read, the configurations' qubit energies (the sums of their
+    qubits' h2 diagonal entries), A = R diag(direct) R^T and
+    F = R diag(force) R^T, which only bare_frame reads, and h_q, the
+    Kronecker sum of each qubit's h2 in its pc basis, which only
+    assemble_full reads.  Every field is read-only."""
+
+    def __init__(self, qubits, u):
+        self.qubits = tuple(qubits)
+        self.R, self.force, self.direct = (
+            _read_only(a) for a in qubit_configurations(qubits, u))
+
+    @functools.cached_property
+    def energies(self):
+        return _read_only(_configuration_sum(
+            [np.diag(q.h2) for q in self.qubits]))
+
+    @functools.cached_property
+    def A(self):
+        return _read_only(self.R @ (self.direct[:, None] * self.R.T))
+
+    @functools.cached_property
+    def F(self):
+        return _read_only(self.R @ (self.force[:, None] * self.R.T))
+
+    @functools.cached_property
+    def h_q(self):
+        return _read_only(_kron_sum([q.pc.T @ q.h2 @ q.pc
+                                     for q in self.qubits]))
 
 
 # The qubit side of the last qubit set read, by every value it reads: the
@@ -335,14 +361,7 @@ def _qubit_side(qubits, u):
     key = (np.float64(u.E_Ltilde_c).tobytes(),
            np.asarray(u.alpha, dtype=float).tobytes(), *qubits)
     if key not in _SIDE:
-        R, force, direct = qubit_configurations(qubits, u)
-        side = _QubitSide(
-            R, force, direct,
-            _configuration_sum([np.diag(q.h2) for q in qubits]),
-            R @ (direct[:, None] * R.T), R @ (force[:, None] * R.T),
-            _kron_sum([q.pc.T @ q.h2 @ q.pc for q in qubits]))
-        for a in vars(side).values():
-            a.setflags(write=False)
+        side = _QubitSide(qubits, u)
         _SIDE.clear()
         _SIDE[key] = side
     return _SIDE[key]

@@ -8,8 +8,9 @@ branch reads its couplings from (ising_couplings).
 The numerical SWT carries each operator of its generator recursion by its
 low-high (PQ) block alone, since every one is Hermitian or anti-Hermitian,
 and the interaction V by its Kronecker factors (hamiltonian.bare_frame), so
-no 640 x 640 matrix is formed: its largest operands are 16 x 624.  It
-refuses a point whose series has not converged (MAX_ORDER_RATIO).
+no 640 x 640 matrix is formed: its largest operands are 16 x 624, and each
+is filled in place, in one buffer.  It refuses a point whose series has not
+converged (MAX_ORDER_RATIO).
 """
 
 from dataclasses import dataclass, field
@@ -105,14 +106,15 @@ def analytic_couplings(u, well):
                              J4=float(J4), shift=0.0, diagnostics=diag)
 
 
-def _cross_block_gaps(energies, block0):
-    """E_p - E_q for p in the low block (rows) and q outside it (columns).
+def _cross_block_gaps(h0):
+    """E_p - E_q for the low block's states (z, 0) (rows) and the rest,
+    (z', n >= 1) with z' slowest (columns), from the energies h0 laid out
+    as (z, n).
 
     Cross-block pairs closer than 1e-12 of the largest |energy| raise.
     """
-    energies = np.asarray(energies, dtype=float)
-    gaps = energies[block0][:, None] - energies[~block0][None, :]
-    scale = np.max(np.abs(energies)) or 1.0
+    gaps = (h0[:, 0, None, None] - h0[:, 1:]).reshape(len(h0), -1)
+    scale = np.max(np.abs(h0)) or 1.0
     if np.any(np.abs(gaps) < 1e-12 * scale):
         raise ZeroDivisionError(
             "degenerate cross-block energies: L map undefined")
@@ -145,15 +147,21 @@ def swt_effective_block(h0_diag, A, F, phi_c):
     V_PP = A + phi_c[0, 0] F, V_PQ = F (x) phi_c[0, 1:], and a PQ block Y,
     read as (z, z', n), meets V_QQ as Y A + (Y F) phi_c[1:, 1:], A and F
     acting on its index z' and phi_c[1:, 1:] on n.  On the circuit (n_z = 16,
-    n_c = 40) no operand is larger than 16 x 624.  A factor that is not
-    Hermitian is refused (ValueError), and so is a series that has not
-    converged (RuntimeError, see MAX_ORDER_RATIO).
+    n_c = 40) no operand is larger than 16 x 624.  Each PQ block is filled
+    in one buffer: S2 and S3 as V_PP Y - Y V_QQ with the subtraction, the
+    negation, a2 X and the division by G applied in place, X as its three
+    products accumulated into one array, S as S1 + S2 then += S3.  Every
+    operation is the one a fresh expression would run, in the same order,
+    so each entry keeps its bits; G and its degeneracy test read h0_diag
+    as (z, n).  A factor that is not Hermitian is refused (ValueError), a
+    degenerate cross-block pair (ZeroDivisionError), and so is a series
+    that has not converged (RuntimeError, see MAX_ORDER_RATIO).
     """
     for factor in (A, F, phi_c):
         check_hermitian(factor)
     n_z, n_c = len(A), len(phi_c)
-    block0 = np.arange(len(h0_diag)) % n_c == 0
-    G = _cross_block_gaps(h0_diag, block0)
+    h0 = np.asarray(h0_diag, dtype=float).reshape(n_z, n_c)
+    G = _cross_block_gaps(h0)
     phi_qq = phi_c[1:, 1:]
     Vpp = A + phi_c[0, 0] * F
     Vpq = (F[:, :, None] * phi_c[0, 1:]).reshape(n_z, -1)
@@ -161,11 +169,16 @@ def swt_effective_block(h0_diag, A, F, phi_c):
     def H(Y):
         return Y.conj().T
 
-    def times_Vqq(Y):
-        # Y V_QQ for a PQ block Y read as (z, z', n): A and F act on z',
-        # phi_qq on n
-        Y = Y.reshape(n_z, n_z, n_c - 1)
-        return (A.T @ Y + (F.T @ Y) @ phi_qq).reshape(n_z, -1)
+    def minus_Vd_commutator(Y):
+        # -(V_PP Y - Y V_QQ), the PQ block of -[V_d, Y], subtracted and
+        # negated in V_PP Y's buffer; Y V_QQ reads Y as (z, z', n): A and F
+        # act on z', phi_qq on n
+        Yq = Y.reshape(n_z, n_z, n_c - 1)
+        Y_Vqq = A.T @ Yq
+        Y_Vqq += (F.T @ Yq) @ phi_qq
+        out = Vpp @ Y
+        out -= Y_Vqq.reshape(n_z, -1)
+        return np.negative(out, out=out)
 
     def pair(Y, Z):
         # the Hermitian Y Z^H + Z Y^H from the one product Y Z^H
@@ -173,19 +186,29 @@ def swt_effective_block(h0_diag, A, F, phi_c):
         return P + H(P)
 
     S1 = Vpq / G
-    S2 = -(Vpp @ S1 - times_Vqq(S1)) / G
+    S2 = minus_Vd_commutator(S1)
+    S2 /= G
     # [S1, V_od] has the PP block W and the QQ block -S1^H Vpq - Vpq^H S1
     # W = pair(S1, Vpq), its product S1 Vpq^H kept for X
     S1_Vqp = S1 @ H(Vpq)
     W = S1_Vqp + H(S1_Vqp)
-    X = -(S1 @ H(S1)) @ Vpq - S1_Vqp @ S1 - W @ S1
-    S3 = (-(Vpp @ S2 - times_Vqq(S2)) + A2 * X) / G
-    S = S1 + S2 + S3
+    # X = -(S1 S1^H) Vpq - S1_Vqp S1 - W S1, its products accumulated in one
+    # array; -(ab) is the same number as (-a) b
+    X = (S1 @ H(S1)) @ Vpq
+    np.negative(X, out=X)
+    X -= S1_Vqp @ S1
+    X -= W @ S1
     triple = B3 * pair(S1, X)
+    S3 = minus_Vd_commutator(S2)
+    X *= A2
+    S3 += X
+    S3 /= G
     # the 2nd-order low block is b1 W, the 4th-order one b1 [S3, V_od] + triple
     _check_convergence(B1 * W, B1 * pair(S3, Vpq) + triple)
+    S = S1 + S2
+    S += S3
     # P V_od P vanishes by construction, so the first-order low block is V_PP
-    block = np.diag(np.asarray(h0_diag)[block0]).astype(Vpq.dtype) + Vpp \
+    block = np.diag(h0[:, 0]).astype(Vpq.dtype) + Vpp \
         + B1 * pair(S, Vpq) + triple
     return (block + H(block)) / 2.0
 

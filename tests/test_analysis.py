@@ -21,7 +21,7 @@ from fluxcoupler.oscillator import (_margin, _quadrature, cosine_matrix,
                                     qubit_reduction)
 from fluxcoupler.spectrum import eigendecompose
 from fluxcoupler.swt import analytic_couplings, numerical_swt
-from toys import memo_free_system
+from toys import dense_bare_frame_couplings, memo_free_system
 
 FAST = Truncations(qubit_states=40, coupler_states=30, n_keep=8)
 
@@ -88,6 +88,20 @@ def test_spectral_point_reference():
     assert cs.J2 < 0
     assert np.isfinite(gd.delta_gap)
     assert len(spec.eigenvalues) == 16 * FAST.n_keep
+
+
+def test_spectral_point_matches_the_dense_bare_frame_at_two_levels():
+    # at k = 2 the dense bare-frame build with 12 coupler eigenstates is the
+    # spectral branch at 50/40/8: J2 -618.28 and J4 2.71 MHz at beta_c 0.43,
+    # within 0.01 MHz (the reference a k-level builder is tested against)
+    u = derive_unitless(reference_circuit(beta_c=0.43))
+    cs = spectral_point(u, Truncations())[0]
+    dense = dense_bare_frame_couplings(u, 2, 12)
+    assert cs.J2 == pytest.approx(-618.28e6, abs=0.01e6)
+    assert cs.J4 == pytest.approx(2.71e6, abs=0.01e6)
+    for name in ("J2", "J4"):
+        assert getattr(dense, name) == pytest.approx(getattr(cs, name),
+                                                     abs=0.01e6), name
 
 
 def test_couplings_point_branches():

@@ -247,6 +247,26 @@ def test_reduce_qubit_diagonal_phi_vanishes_at_degeneracy():
     assert abs(red.phi2[1, 1]) < 1e-10
 
 
+def test_reduce_qubit_gauge_takes_both_branches_with_the_reference_bits():
+    # phi and -phi give opposite raw phi[0, 1], so exactly one of them takes
+    # the sign flip; on both, the sign vector keeps the bits of forming
+    # v^T phi v again from the flipped states (toys.written_out_reduction)
+    u = _u()
+    bare, phase = build_qubit_bare(u, 0, 50), qubit_phase(u, 0, 50)
+    v2 = np.linalg.eigh(bare.data)[1][:, :2]
+    flipped = []
+    for phi in (phase.data, -phase.data):
+        flipped.append(bool((v2.T @ phi @ v2)[0, 1] < 0))
+        got = reduce_qubit(bare, OperatorMatrix(phi))
+        want = written_out_reduction(bare.data, phi)
+        for name in ("h2", "phi2", "pc"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes(), name
+        assert got.omega == want.omega
+        assert got.phi2[0, 1] >= 0
+    assert sorted(flipped) == [False, True]
+
+
 # the reference circuit and a flux offset that tilts every qubit differently
 PC_CIRCUITS = [reference_circuit(), with_flux_offsets(
     reference_circuit(), 0.002, (0.001, -0.002, 0.0015, 0.0005))]
@@ -483,6 +503,14 @@ SIDE_INPUTS = {
 }
 
 
+# the fields of the qubit side, each read by bare_frame or assemble_full
+SIDE_FIELDS = ("R", "force", "direct", "energies", "A", "F", "h_q")
+
+
+def _side_bytes(side):
+    return {name: getattr(side, name).tobytes() for name in SIDE_FIELDS}
+
+
 @pytest.mark.usefixtures("cold_memos")
 @pytest.mark.parametrize("change", SIDE_INPUTS.values(), ids=SIDE_INPUTS)
 def test_qubit_side_keys_on_every_value_it_reads(change, side_builds):
@@ -492,22 +520,41 @@ def test_qubit_side_keys_on_every_value_it_reads(change, side_builds):
     qubits = _system(u)[0]
     hamiltonian._qubit_side(qubits, u)
     change(qubits, u)
-    side = vars(hamiltonian._qubit_side(qubits, u))
+    side = _side_bytes(hamiltonian._qubit_side(qubits, u))
     assert side_builds == [4, 4]
     R, force, direct = qubit_configurations(qubits, u)
     hamiltonian._SIDE.clear()
-    want = {**vars(hamiltonian._qubit_side(qubits, u)),
-            "R": R, "force": force, "direct": direct}
-    assert {k: a.tobytes() for k, a in side.items()} == \
-        {k: a.tobytes() for k, a in want.items()}
+    want = {**_side_bytes(hamiltonian._qubit_side(qubits, u)),
+            "R": R.tobytes(), "force": force.tobytes(),
+            "direct": direct.tobytes()}
+    assert side == want
 
 
 def test_qubit_side_is_read_only():
     u = _u()
     side = hamiltonian._qubit_side(_system(u)[0], u)
-    for a in vars(side).values():
+    for name in SIDE_FIELDS:
+        a = getattr(side, name)
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
+
+
+@pytest.mark.usefixtures("cold_memos")
+def test_spectral_build_leaves_the_bare_frame_fields_unbuilt():
+    # a spectral build on fresh qubits, as every fabricated chip makes,
+    # builds h_q and no field that only bare_frame reads; bare_frame then
+    # builds those and not h_q
+    u = _u()
+    qubits, coupler = _system(u)
+    assemble_full(qubits, coupler, u, 8)
+    side = hamiltonian._qubit_side(qubits, u)
+    built = {"A", "F", "energies", "h_q"} & set(vars(side))
+    assert built == {"h_q"}
+    hamiltonian._SIDE.clear()
+    bare_frame(qubits, u, *coupler_eigenbasis(coupler, u))
+    side = hamiltonian._qubit_side(qubits, u)
+    assert {"A", "F", "energies", "h_q"} & set(vars(side)) == \
+        {"A", "F", "energies"}
 
 
 def test_ising_model_known_spectra():

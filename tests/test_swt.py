@@ -20,7 +20,7 @@ from fluxcoupler.oscillator import qubit_reduction
 from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, analytic_couplings,
                              numerical_swt, pauli_decompose, swt_prefactors,
                              swt_effective_block)
-from toys import (add_interaction, delta_form_couplings,
+from toys import (add_interaction, cross_block_gaps, delta_form_couplings,
                   dense_swt_effective_block, einsum_pauli_coefficients,
                   einsum_pauli_decompose, linear_coupler_toy, linear_map_L,
                   one_qubit_toy_error, two_product_swt_effective_block)
@@ -195,6 +195,15 @@ def test_degenerate_cross_block_pair_raises():
     h0[6] = h0[4] * (1.0 + 1e-15)
     with pytest.raises(ZeroDivisionError, match="degenerate cross-block"):
         swt_effective_block(h0, A, F, phi)
+
+
+def test_cross_block_gaps_read_from_the_layout():
+    # the gaps read from h0's (z, n) layout have the bits of the two mask
+    # copies they replace
+    h0, *_ = _random_swt_case(1, 3, 5, False)
+    block0 = np.arange(h0.size) % 5 == 0
+    got = swt_module._cross_block_gaps(h0.reshape(3, 5))
+    assert got.tobytes() == cross_block_gaps(h0, block0).tobytes()
 
 
 def test_anti_hermiticity_check_is_live():

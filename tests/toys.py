@@ -10,10 +10,10 @@ from fluxcoupler.hamiltonian import (ISING_STRINGS, NON_ISING, PAIRS,
                                      ReducedQubit, build_coupler,
                                      build_qubit_bare, check_hermitian,
                                      coupler_phase, kron_all, qubit_phase,
-                                     reduce_qubit, _PAULIS)
+                                     reduce_qubit, _PAULIS, _pc_states)
 from fluxcoupler.oscillator import _margin, ladder
 from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, SwtPrefactors,
-                             _check_convergence, _cross_block_gaps,
+                             _check_convergence, ising_couplings,
                              pauli_decompose, swt_effective_block)
 
 _I2 = np.eye(2)
@@ -58,7 +58,9 @@ def written_out_qubit(u, j, n_trunc):
 
 def written_out_reduction(h, phi):
     """reduce_qubit's two-level reduction of the bare qubit h with phase phi
-    (arrays), gauge rules and all, with numpy's own reductions."""
+    (arrays), gauge rules and all, with numpy's own reductions: the energy
+    gauge flips the second state and forms v2^T phi v2 a second time, the
+    two-product form whose bits reduce_qubit's sign vector keeps."""
     ev, vec = np.linalg.eigh(h)
     v2 = vec[:, :2]
     if (v2.T @ phi @ v2)[0, 1] < 0:
@@ -107,6 +109,22 @@ def delta_form_couplings(p: SwtPrefactors):
     return {"J1": J1, "J2": J2, "J3": J3, "J4": J4}
 
 
+def cross_block_gaps(energies, block0):
+    """E_p - E_q for p in the low block (boolean mask block0, rows) and q
+    outside it (columns), picked by two mask copies: the reference for
+    swt._cross_block_gaps, which reads them from the (z, n) layout.
+
+    Cross-block pairs closer than 1e-12 of the largest |energy| raise.
+    """
+    energies = np.asarray(energies, dtype=float)
+    gaps = energies[block0][:, None] - energies[~block0][None, :]
+    scale = np.max(np.abs(energies)) or 1.0
+    if np.any(np.abs(gaps) < 1e-12 * scale):
+        raise ZeroDivisionError(
+            "degenerate cross-block energies: L map undefined")
+    return gaps
+
+
 def linear_map_L(x, energies, block0):
     """The superoperator L of the SWT recursion.
 
@@ -115,7 +133,7 @@ def linear_map_L(x, energies, block0):
     mask of the low-energy block.  Degenerate cross-block energies raise.
     """
     block0 = np.asarray(block0, dtype=bool)
-    gaps = _cross_block_gaps(energies, block0)
+    gaps = cross_block_gaps(energies, block0)
     p, q = np.flatnonzero(block0), np.flatnonzero(~block0)
     out = np.zeros_like(x, dtype=x.dtype)
     out[np.ix_(p, q)] = x[np.ix_(p, q)] / gaps
@@ -174,7 +192,7 @@ def two_product_swt_effective_block(h0_diag, A, F, phi_c):
         check_hermitian(factor)
     n_z, n_c = len(A), len(phi_c)
     block0 = np.arange(len(h0_diag)) % n_c == 0
-    G = _cross_block_gaps(h0_diag, block0)
+    G = cross_block_gaps(h0_diag, block0)
     phi_qq = phi_c[1:, 1:]
     Vpp = A + phi_c[0, 0] * F
     Vpq = (F[:, :, None] * phi_c[0, 1:]).reshape(n_z, -1)
@@ -332,6 +350,63 @@ def linear_coupler_toy(g, delta, omega=0.0, n_c=25):
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     U = kron_all([had] * 4)
     return pauli_decompose(U.T @ block @ U)
+
+
+def dense_bare_frame_couplings(u, k, n_c, qubit_states=50,
+                               coupler_states=40):
+    """Couplings with k levels kept per qubit, from one dense eigh in the
+    bare frame: the reference for a k-level builder (Kafri et al., PRA 95,
+    052333 (2017)).
+
+    Each qubit keeps the k lowest levels of its qubit_states-level bare
+    build, gauged so that phi[0, m] >= 0 (the sign vector of
+    reduce_qubit); the coupler keeps the n_c lowest eigenstates of its
+    coupler_states-level build.  The full interaction
+    E_Ltilde_c [sum_{i<j} alpha_i alpha_j phi_i phi_j
+    + sum_j alpha_j phi_j phi_c] is added and the k^4 n_c states are
+    diagonalized at once.  The manifold is the 16 lowest levels whose
+    weight on {0, 1}^4, summed over every coupler state, exceeds 0.5; they
+    are projected onto {0, 1}^4 (x) coupler ground, orthogonalized
+    symmetrically, rotated by each qubit's _pc_states of its 2 x 2 block
+    and read by swt.ising_couplings.
+    """
+    levels, phases = [], []
+    for j in range(4):
+        ev, vec = np.linalg.eigh(build_qubit_bare(u, j, qubit_states).data)
+        v = vec[:, :k]
+        phi = v.T @ qubit_phase(u, j, qubit_states).data @ v
+        s = np.where(phi[0] < 0, -1.0, 1.0)
+        s[0] = 1.0
+        levels.append(ev[:k])
+        phases.append(phi * np.multiply.outer(s, s))
+    ev_c, vec_c = np.linalg.eigh(build_coupler(u, coupler_states).data)
+    vec_c = vec_c[:, :n_c]
+    phi_c = vec_c.T @ coupler_phase(u, coupler_states).data @ vec_c
+
+    def on_qubit(j, op):
+        ops = [np.eye(k)] * 4
+        ops[j] = op
+        return kron_all(ops)
+
+    x = [float(u.alpha[j]) * on_qubit(j, phases[j]) for j in range(4)]
+    qubit_part = sum(on_qubit(j, np.diag(levels[j])) for j in range(4)) \
+        + u.E_Ltilde_c * sum(x[i] @ x[j] for i, j in PAIRS)
+    H = np.kron(qubit_part, np.eye(n_c)) \
+        + np.kron(np.eye(k**4), np.diag(ev_c[:n_c])) \
+        + np.kron(u.E_Ltilde_c * sum(x), phi_c)
+    energies, vectors = np.linalg.eigh(H)
+    vectors = vectors.reshape((k,) * 4 + (n_c, -1))
+    low = vectors[:2, :2, :2, :2]
+    weights = np.sum(low**2, axis=(0, 1, 2, 3, 4))
+    manifold = np.flatnonzero(weights > 0.5)[:16]
+    if len(manifold) < 16:
+        raise ValueError(f"only {len(manifold)} levels weigh more than 0.5 "
+                         "on {0, 1}^4")
+    B = low[..., 0, manifold].reshape(16, 16)
+    U, _, Wt = np.linalg.svd(B)
+    T = U @ Wt
+    R = kron_all([_pc_states(phi[:2, :2]) for phi in phases])
+    return ising_couplings(R.T @ (T * energies[manifold]) @ T.T @ R)
 
 
 def _genlaguerre_matrix(lo, k, x):

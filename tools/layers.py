@@ -19,7 +19,9 @@ read those memos warm; the 1000-level one is sampled once per round.  Once
 per round each CLI subcommand's default run is timed in a fresh
 interpreter, start-up included, and so are a fresh interpreter's `import
 fluxcoupler.cli` and the minor page faults (ru_minflt) of one default
-30-point numerical-SWT sweep.  Every sample is kept, and each column is
+30-point numerical-SWT sweep, the latter from a copy of the tree's src/ at
+one fixed temporary path, since the count moves with the directory name
+the library is imported from.  Every sample is kept, and each column is
 reduced by one function (spread) to its best and its [q1, median, q3].  The
 samples come in ROUNDS rounds, and every round measures each tree once, in
 alternating order, so a slow spell of a shared machine falls on all trees
@@ -35,6 +37,7 @@ import json
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -123,20 +126,15 @@ def layers(repeats):
         raise RuntimeError("the perturbed chip must have four distinct "
                            "qubits and 16 distinct forces")
 
-    # the reduced-qubit memo: hamiltonian's, or analysis's in older trees;
-    # the qubit-side memo, or an empty stand-in where a tree has none
-    qubit_memo = getattr(ham, "_REDUCED", getattr(analysis, "_REDUCED", None))
-    side_memo = getattr(ham, "_SIDE", {})
-
     def cold_chip():
-        qubit_memo.clear()
-        side_memo.clear()
+        ham._REDUCED.clear()
+        ham._SIDE.clear()
         cosine_matrix.cache_clear()
         analysis.spectral_system(chip, trunc)
 
     def cold_side(build):
         def call():
-            side_memo.clear()
+            ham._SIDE.clear()
             build()
         return call
 
@@ -232,6 +230,18 @@ def import_s(root):
     run = subprocess.run([sys.executable, "-c", code], env=_env(root),
                          capture_output=True, text=True, check=True)
     return float(run.stdout)
+
+
+def faults_at_one_path(root, tmp):
+    """in_child("--faults-of", ...) for a copy of root/src, without its
+    bytecode caches, at the one path tmp/faults/src that every tree is
+    copied to: the same src/ read 188 to 231 faults under four directory
+    names, so the count is taken where only the code differs."""
+    copy = os.path.join(tmp, "faults")
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(os.path.join(root, "src"), os.path.join(copy, "src"),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return in_child("--faults-of", copy)
 
 
 def sweep_minflt():
@@ -353,7 +363,7 @@ def main(argv=None):
                         subcommand_s(root, cmd, tmp))
                 got["import_cli_s", None].append(import_s(root))
                 got["swt_sweep_minflt", None].append(
-                    in_child("--faults-of", root))
+                    faults_at_one_path(root, tmp))
     columns = {}
     for name, root in trees.items():
         column = columns[name] = provenance(root)
