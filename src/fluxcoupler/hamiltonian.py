@@ -38,9 +38,6 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _Z = np.diag([1.0, -1.0])
 _PAULIS = np.array([_I2, _X, _Y, _Z])   # in the order of the names "IXYZ"
-# the persistent-current states of (omega/2) X by column, in its energy basis
-# (ground state first, as reduce_qubit orders it)
-_HAD = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -96,6 +93,17 @@ def check_hermitian(A):
     tol = 1e-12 * max(_frobenius(A), 1.0)
     if not _frobenius(A - A.conj().T) <= tol:
         raise ValueError("operator not Hermitian within tolerance")
+
+
+def _mean(values):
+    """np.mean of a short float array, bit for bit, in plain floats: numpy
+    adds the values left to right onto +0.0 (no pairwise blocks below
+    eight) and divides by their count.  A loop, not sum(), which Python
+    3.12 compensates."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total / len(values)
 
 
 def kron_all(ops):
@@ -175,11 +183,6 @@ def build_coupler(u, n_trunc):
     return _rf_squid(E_L, xi, c, beta, phi_x, n_trunc)
 
 
-def coupler_phase(u, n_trunc):
-    """phi operator of the coupler in the same oscillator basis as build_coupler."""
-    return OperatorMatrix(_phase(*_loop(u)[1:3], n_trunc)[0])
-
-
 def build_qubit_bare(u, j, n_trunc):
     """Bare qubit H_j = E_Lj (4 xi^2 q^2/2 + c (phi - phi_jx)^2/2 + beta cos phi),
     the rf-SQUID loop with c = 1 + alpha^2; refuses E_Lj <= 0 and beta <= c
@@ -226,8 +229,7 @@ def reduce_qubit(h: OperatorMatrix, phi: OperatorMatrix) -> ReducedQubit:
     s = np.where(phi2[0] < 0, -1.0, 1.0)
     s[0] = 1.0
     phi2 *= np.multiply.outer(s, s)
-    # the bits of np.mean(ev[:2]), which sums onto +0.0 left to right
-    h2 = np.diag(ev[:2] - (0.0 + ev[0] + ev[1]) / 2.0)
+    h2 = np.diag(ev[:2] - _mean(ev[:2]))
     return ReducedQubit(h2=h2, phi2=phi2, omega=float(ev[1] - ev[0]),
                         pc=_pc_states(phi2))
 
@@ -267,7 +269,7 @@ def coupler_eigenbasis(coupler: OperatorMatrix, u):
     """Coupler levels (Hz, relative to the ground level) and the coupler phase
     phi_c in the coupler eigenbasis."""
     ev, vec = np.linalg.eigh(coupler.data)
-    # coupler_phase's matrix, not made into a second checked OperatorMatrix
+    # build_coupler's phase, not made into a second checked OperatorMatrix
     phi_c = vec.T @ _phase(*_loop(u)[1:3], coupler.data.shape[0])[0] @ vec
     return ev - ev[0], phi_c
 
@@ -489,8 +491,8 @@ def assemble_ising_model(m: IsingModel) -> OperatorMatrix:
     the sum of its ISING_STRINGS with their coefficients.
 
     Its frame is the product space with one coupler state: each qubit's
-    persistent-current states carried to its energy basis by _HAD, so every
-    level is coupler-ground.
+    persistent-current states in its energy basis, where its phase is X
+    (_pc_states(_X)), so every level is coupler-ground.
     """
     c = np.zeros((4,) * 4)
     for name, (index, factor) in ISING_STRINGS.items():
@@ -498,5 +500,5 @@ def assemble_ising_model(m: IsingModel) -> OperatorMatrix:
     # no Y string is in the table, so H is real
     H = np.einsum("ijkl,iab,jcd,kef,lgh->acegbdfh", c, *[_PAULIS] * 4,
                   optimize=True).real.reshape(16, 16)
-    return OperatorMatrix(H, frame=AdaptedBasis(kron_all([_HAD] * 4),
-                                                np.ones((16, 1, 1))))
+    frame = AdaptedBasis(kron_all([_pc_states(_X)] * 4), np.ones((16, 1, 1)))
+    return OperatorMatrix(H, frame=frame)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import AdaptedBasis, OperatorMatrix
+from .hamiltonian import AdaptedBasis, OperatorMatrix, _configuration_index
 from .swt import CouplingStrengths, ising_couplings
 
 # the subspaces count as separated when delta_gap > GAP_THRESHOLD * delta_max
@@ -82,9 +82,10 @@ def extract_couplings(s: SpectrumResult, omega) -> CouplingStrengths:
     factor omega_eff / omega.
     """
     idx = s.manifold()
+    n_z, _, n_keep = s.frame.states.shape
     # <z, bare coupler ground | psi_k> = sum_n <0|chi_n(z)> psi_k(z, n)
     B = np.einsum("zn,znk->zk", s.frame.states[:, 0, :],
-                  s.eigenvectors[:, idx].reshape(len(s.frame.states), -1, 16))
+                  s.eigenvectors[:, idx].reshape(n_z, n_keep, -1))
     U, _, Wt = np.linalg.svd(B)
     T = U @ Wt
     cs = ising_couplings((T * s.eigenvalues[idx]) @ T.T)
@@ -97,11 +98,11 @@ def _two_excitation_levels(s: SpectrumResult):
     and their weights on it: the six manifold eigenvectors of largest
     weight, refused when a weight falls below 0.5."""
     idx = s.manifold()
-    n_z = len(s.frame.rotation)
-    sector = np.array([bin(z).count("1") == 2 for z in range(n_z)])
+    n_z, n_c, _ = s.frame.states.shape
+    sector = _configuration_index(4, 2)[1].sum(axis=0) == 2
     # the sector is defined in the qubit energy basis: carry the manifold
     # eigenvectors to the bare frame first
-    vec = (s.frame.isometry() @ s.eigenvectors[:, idx]).reshape(n_z, -1, 16)
+    vec = (s.frame.isometry() @ s.eigenvectors[:, idx]).reshape(n_z, n_c, -1)
     weights = np.sum(np.abs(vec[sector]) ** 2, axis=(0, 1))
     top = np.argsort(weights)[::-1][:6]
     if np.min(weights[top]) < 0.5:

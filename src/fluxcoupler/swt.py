@@ -19,7 +19,7 @@ import numpy as np
 
 from .hamiltonian import (ISING_STRINGS, NON_ISING, IsingModel,
                           OperatorMatrix, bare_frame, check_hermitian,
-                          coupler_eigenbasis)
+                          coupler_eigenbasis, _mean)
 
 
 @dataclass
@@ -262,29 +262,10 @@ def numerical_swt(u, qubits, coupler: OperatorMatrix):
     return h_eff, ising_couplings(h_eff)
 
 
-def _mean(values):
-    """np.mean of a short float array, bit for bit, in plain floats: numpy
-    adds the values left to right onto +0.0 (no pairwise blocks below
-    eight) and divides by their count.  A loop, not sum(), which Python
-    3.12 compensates."""
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return total / len(values)
-
-
-def _ptp(values):
-    """np.ptp of a short float array, bit for bit, in plain floats: its
-    maximum minus its minimum, where the later of two equal values wins
-    (so the sign of a zero is the last zero's) and a NaN sticks."""
+def _spread(values):
+    """Largest minus smallest entry of a float array, in plain floats."""
     values = values.tolist()
-    hi = lo = values[0]
-    for v in values[1:]:
-        if hi == hi and not hi > v:
-            hi = v
-        if lo == lo and not lo < v:
-            lo = v
-    return hi - lo
+    return max(values) - min(values)
 
 
 def ising_couplings(h_eff) -> CouplingStrengths:
@@ -299,9 +280,9 @@ def ising_couplings(h_eff) -> CouplingStrengths:
     return CouplingStrengths(
         J1=_mean(model.J1), J2=_mean(model.J2), J3=_mean(model.J3),
         J4=float(model.J4), shift=float(model.shift), residual=residual,
-        diagnostics={"J1_spread": _ptp(model.J1),
-                     "J2_spread": _ptp(model.J2),
-                     "J3_spread": _ptp(model.J3),
+        diagnostics={"J1_spread": _spread(model.J1),
+                     "J2_spread": _spread(model.J2),
+                     "J3_spread": _spread(model.J3),
                      "omega_eff": model.omega})
 
 

@@ -16,7 +16,7 @@ from fluxcoupler.circuit import (REFERENCE, circuit_from, derive_unitless,
 from fluxcoupler import hamiltonian
 from fluxcoupler.hamiltonian import (_loop, _oscillator, assemble_full,
                                      build_coupler, build_qubit_bare,
-                                     coupler_phase, qubit_phase, reduce_qubit)
+                                     qubit_phase, reduce_qubit)
 from fluxcoupler.oscillator import (_margin, _quadrature, cosine_matrix,
                                     qubit_reduction)
 from fluxcoupler.spectrum import eigendecompose
@@ -215,6 +215,30 @@ def test_coupler_regime_is_decided_by_the_builders():
         "numswt_status": "error: beta_c >= 1: coupler harmonic frame invalid"}
 
 
+def test_truncation_ranges_agree_with_the_builders():
+    # the config's bounds and the builders' are written apart: each bound
+    # of Truncations.ranges() is accepted by the builder that reads it, and
+    # one step past it refused
+    u = derive_unitless(reference_circuit())
+    trunc = Truncations(qubit_states=20, coupler_states=10, n_keep=4)
+    ranges = trunc.ranges()
+    for key, build in (("qubit_states", lambda n: build_qubit_bare(u, 0, n)),
+                       ("coupler_states", lambda n: build_coupler(u, n))):
+        lo, hi = ranges[key]
+        assert hi == np.inf
+        build(lo)
+        with pytest.raises(ValueError):
+            build(lo - 1)
+    qubits, coupler = build_system(u, trunc)
+    lo, hi = ranges["n_keep"]
+    assert hi == len(coupler.data)
+    for n_keep in (lo, hi):
+        assemble_full(qubits, coupler, u, n_keep)
+    for n_keep in (lo - 1, hi + 1):
+        with pytest.raises(ValueError):
+            assemble_full(qubits, coupler, u, n_keep)
+
+
 def test_sweep_flux_coupler_even_symmetry():
     # couplings are even in the coupler flux offset at the qubit degeneracy
     p = reference_circuit(beta_c=0.3)
@@ -368,7 +392,7 @@ def test_qubit_builders_read_only_the_key(monkeypatch):
     n = FAST.qubit_states
     builders = [(b, (j, n)) for j in range(4)
                 for b in (build_qubit_bare, qubit_phase)]
-    builders += [(b, (n,)) for b in (build_coupler, coupler_phase)]
+    builders.append((build_coupler, (n,)))
     want = [b(u, *args).data.tobytes() for b, args in builders]
     loops = {j: _loop(u, j) for j in (None, 0, 1, 2, 3)}
     monkeypatch.setattr(hamiltonian, "_loop", lambda _, j=None: loops[j])

@@ -9,7 +9,7 @@ from fluxcoupler.hamiltonian import (ISING_STRINGS, NON_ISING, PAIRS,
                                      IsingModel, OperatorMatrix,
                                      ReducedQubit, build_coupler,
                                      build_qubit_bare, check_hermitian,
-                                     coupler_phase, kron_all, qubit_phase,
+                                     kron_all, qubit_phase,
                                      reduce_qubit, _PAULIS, _pc_states)
 from fluxcoupler.oscillator import _margin, ladder
 from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, SwtPrefactors,
@@ -22,8 +22,9 @@ _Z = np.diag([1.0, -1.0])
 
 # The coupler and the qubit each written out as its own formula, with no
 # memo anywhere: the reference for hamiltonian._rf_squid, through which
-# build_coupler, coupler_phase, build_qubit_bare and qubit_phase give the
-# same bits.
+# build_coupler, build_qubit_bare and qubit_phase give the same bits.  The
+# references below take their coupler phase from written_out_coupler, so
+# they share no phase code with the library.
 def _oscillator_ops(xi, stiffness, n_trunc):
     """Harmonic part, phi and its scale r of the oscillator basis of
     4 xi^2 q^2/2 + stiffness phi^2/2."""
@@ -239,7 +240,7 @@ def one_qubit_toy_error(alpha_eff, phi_cx=0.05, phi_jx=0.005, beta_c=0.2,
     c = build_coupler(u, n_c)
     ev_c, vec_c = np.linalg.eigh(c.data)
     e_c = ev_c - ev_c[0]
-    phi_c = vec_c.T @ coupler_phase(u, n_c).data @ vec_c
+    phi_c = vec_c.T @ written_out_coupler(u, n_c)[1] @ vec_c
     h0 = np.concatenate([np.diag(q.h2)[0] + e_c, np.diag(q.h2)[1] + e_c])
     F = q.phi2 * u.E_Ltilde_c * alpha_eff
     h_eff = swt_effective_block(h0, np.zeros((2, 2)), F, phi_c)
@@ -381,7 +382,7 @@ def dense_bare_frame_couplings(u, k, n_c, qubit_states=50,
         phases.append(phi * np.multiply.outer(s, s))
     ev_c, vec_c = np.linalg.eigh(build_coupler(u, coupler_states).data)
     vec_c = vec_c[:, :n_c]
-    phi_c = vec_c.T @ coupler_phase(u, coupler_states).data @ vec_c
+    phi_c = vec_c.T @ written_out_coupler(u, coupler_states)[1] @ vec_c
 
     def on_qubit(j, op):
         ops = [np.eye(k)] * 4

@@ -21,7 +21,10 @@ interpreter, start-up included, and so are a fresh interpreter's `import
 fluxcoupler.cli` and the minor page faults (ru_minflt) of one default
 30-point numerical-SWT sweep, the latter from a copy of the tree's src/ at
 one fixed temporary path, since the count moves with the directory name
-the library is imported from.  Every sample is kept, and each column is
+the library is imported from.  The sha256 of each subcommand's default
+table is kept per tree, so two columns show whether the tables kept their
+bytes; a round whose table differs from an earlier round's of the same
+tree stops the harness.  Every sample is kept, and each column is
 reduced by one function (spread) to its best and its [q1, median, q3].  The
 samples come in ROUNDS rounds, and every round measures each tree once, in
 alternating order, so a slow spell of a shared machine falls on all trees
@@ -33,6 +36,7 @@ and the git sha of the tree.
 
 import argparse
 import collections
+import hashlib
 import json
 import os
 import platform
@@ -204,9 +208,10 @@ def in_child(flag, root):
 
 
 def subcommand_s(root, name, tmp):
-    """Wall time of one default run of a subcommand, start-up included.  A
-    run that writes no table stops the harness; exit status 1 with a table
-    only reports error rows, as gap-scan's default grid has."""
+    """Wall time of one default run of a subcommand, start-up included, and
+    the sha256 of the table it writes.  A run that writes no table stops
+    the harness; exit status 1 with a table only reports error rows, as
+    gap-scan's default grid has."""
     table = os.path.join(tmp, name.replace("-", "_") + ".csv")
     if os.path.exists(table):
         os.remove(table)
@@ -219,7 +224,8 @@ def subcommand_s(root, name, tmp):
     if run.returncode not in (0, 1) or not os.path.exists(table):
         raise RuntimeError(f"{name} of {root} failed (exit status "
                            f"{run.returncode}): {run.stderr.strip()}")
-    return wall
+    with open(table, "rb") as f:
+        return wall, hashlib.sha256(f.read()).hexdigest()
 
 
 def import_s(root):
@@ -352,6 +358,8 @@ def main(argv=None):
     # samples[name][column, key]: every sample, key None for a column
     # that is one number
     samples = {name: collections.defaultdict(list) for name in trees}
+    # tables[name][subcommand]: the sha256 of its default table
+    tables = {name: {} for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(ROUNDS):
             for name in list(trees)[::-1 if r % 2 else 1]:
@@ -359,8 +367,11 @@ def main(argv=None):
                 for layer, ms in in_child("--layers-of", root).items():
                     got["layers_ms", layer] += ms
                 for cmd in SUBCOMMANDS:
-                    got["subcommands_s", cmd].append(
-                        subcommand_s(root, cmd, tmp))
+                    wall, digest = subcommand_s(root, cmd, tmp)
+                    got["subcommands_s", cmd].append(wall)
+                    if tables[name].setdefault(cmd, digest) != digest:
+                        raise RuntimeError(f"the {cmd} table of {root} "
+                                           "changed its bytes between rounds")
                 got["import_cli_s", None].append(import_s(root))
                 got["swt_sweep_minflt", None].append(
                     faults_at_one_path(root, tmp))
@@ -373,6 +384,7 @@ def main(argv=None):
                 column[kind] = s
             else:
                 column.setdefault(kind, {})[key] = s
+        column["csv_sha256"] = tables[name]
         column["tier1"] = tier1(root)
     each = "best and [q1, median, q3]"
     setup = {"point": "reference circuit, beta_c 0.43, truncation 50/40/8",
@@ -382,6 +394,8 @@ def main(argv=None):
                  "mean time of one call (the 1000-level first size: "
                  f"{ROUNDS} passes)",
              "subcommands_s": f"default run, {each} of {ROUNDS}",
+             "csv_sha256": "sha256 of each subcommand's default table, "
+                 f"the same in all {ROUNDS} rounds",
              "import_cli_s": "import fluxcoupler.cli in a fresh "
                  f"interpreter, {each} of {ROUNDS}",
              "swt_sweep_minflt": "ru_minflt of the default 30-point "
