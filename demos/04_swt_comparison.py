@@ -40,8 +40,12 @@ for name in ("J2", "J4"):
 print("the numerical transformation tracks the spectral branch for J2; the")
 print("closed forms inherit the shifted-well approximation and a different")
 print("definition of the qubit dipole, so they drift away as beta_c grows.")
-print("the four-local channel is the interesting one: the full 4th-order")
-print("operator algebra cancels the naive g^4 contribution of a linearly")
-print("coupled mode.  what is left is small enough that the 6th and higher")
-print("orders, which only the spectral branch holds, outweigh it: the two")
-print("branches read J4 with opposite signs.")
+print("the four-local channel is the interesting one: for two-level qubits")
+print("the full 4th-order operator algebra cancels the naive g^4")
+print("contribution of a linearly coupled mode, and what is left is small")
+print("enough that the 6th and higher orders, which only the spectral branch")
+print("holds, outweigh it: the two branches read J4 with opposite signs.")
+print("but each qubit's third level, at 9.09 GHz, lies below the coupler's")
+print("first excitation at 14.83 GHz.  keeping it moves J4 at beta_c 0.43")
+print("from 2.71 to 115.55 MHz in the dense k = 3 reference")
+print("(dense_bare_frame_couplings in tests/toys.py).")

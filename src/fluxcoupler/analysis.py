@@ -21,7 +21,7 @@ from .spectrum import (eigendecompose, extract_couplings, gap_diagnostics,
 from .swt import analytic_couplings, numerical_swt
 
 
-@dataclass
+@dataclass(frozen=True)
 class Truncations:
     qubit_states: int = 50
     coupler_states: int = 40

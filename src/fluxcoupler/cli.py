@@ -175,16 +175,17 @@ def parse_config(text) -> RunConfig:
         raise ConfigError(f"{where}: no valid circuit from "
                           f"{', '.join(map(repr, keys))} ({exc})") from None
 
-    trunc = Truncations()
+    sizes = {}
     for key, (value, lineno) in sections["truncation"].items():
         try:
-            setattr(trunc, key, int(value))
+            sizes[key] = int(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: '{key}' must be an integer")
+    trunc = Truncations(**sizes)
     ranges = trunc.ranges()
     for key, (value, lineno) in sections["truncation"].items():
         lo, hi = ranges[key]
-        if not lo <= getattr(trunc, key) <= hi:
+        if not lo <= sizes[key] <= hi:
             raise ConfigError(f"line {lineno}: '{key}' must be in [{lo}, {hi}]")
 
     sweep = {}

@@ -9,7 +9,7 @@ model.
 The product space is laid out qubits first (qubit 0 slowest, as its
 Kronecker products write it) and coupler index fastest.  This module is the
 only one that builds operators on it, and it writes the interaction once, on
-the qubits' 16 persistent-current configurations z (qubit_configurations,
+the qubits' 16 persistent-current configurations z (_QubitSide,
 each qubit's pc basis from reduce_qubit).  The numerical SWT reads it in the
 bare frame, by Kronecker factors: each qubit in its energy basis, the coupler
 in its own eigenbasis (coupler_eigenbasis, bare_frame).  The spectral path
@@ -293,44 +293,36 @@ def _configuration_sum(x):
     return np.sort(x[_configuration_index(*x.shape)], axis=0).sum(axis=0)
 
 
-def qubit_configurations(qubits, u):
-    """The qubits' side of the interaction, which both builders read:
-    E_Ltilde_c [sum_{i<j} alpha_i alpha_j phi_i phi_j + sum_j alpha_j phi_j phi_c]
-    on the 16 persistent-current configurations z (qubit 0 slowest), on
-    which every phi_j is diagonal.
-
-    Returns (R, force, direct): R = pc_0 (x) ... (x) pc_3, whose column z is
-    configuration z in the qubit energy basis; force, the coupler force
-    lambda(z) = E_Ltilde_c sum_j alpha_j phi_j(z_j); direct, the pair energy
-    of z with each unordered pair once.
-    """
-    a_phi = np.asarray(u.alpha, dtype=float)[:, None] * np.array(
-        [np.diag(q.pc.T @ q.phi2 @ q.pc) for q in qubits])
-    x = _configuration_sum(a_phi)
-    E = u.E_Ltilde_c
-    # sum_{i<j} x_i x_j = ((sum_j x_j)^2 - sum_j x_j^2) / 2
-    direct = 0.5 * E * (x**2 - _configuration_sum(a_phi**2))
-    return kron_all([q.pc for q in qubits]), E * x, direct
-
-
 def _read_only(a):
     a.setflags(write=False)
     return a
 
 
 class _QubitSide:
-    """All that bare_frame and assemble_full read of the qubits: R, force
-    and direct of qubit_configurations, built with the side, and, each on
-    its first read, the configurations' qubit energies (the sums of their
-    qubits' h2 diagonal entries), A = R diag(direct) R^T and
-    F = R diag(force) R^T, which only bare_frame reads, and h_q, the
-    Kronecker sum of each qubit's h2 in its pc basis, which only
-    assemble_full reads.  Every field is read-only."""
+    """The qubits' side of the interaction, which both builders read:
+    E_Ltilde_c [sum_{i<j} alpha_i alpha_j phi_i phi_j + sum_j alpha_j phi_j phi_c]
+    on the 16 persistent-current configurations z (qubit 0 slowest), on
+    which every phi_j is diagonal.
+
+    Built with the side: R = pc_0 (x) ... (x) pc_3, whose column z is
+    configuration z in the qubit energy basis; force, the coupler force
+    lambda(z) = E_Ltilde_c sum_j alpha_j phi_j(z_j); direct, the pair energy
+    of z with each unordered pair once.  Each on its first read: the
+    configurations' qubit energies (the sums of their qubits' h2 diagonal
+    entries), A = R diag(direct) R^T and F = R diag(force) R^T, which only
+    bare_frame reads, and h_q, the Kronecker sum of each qubit's h2 in its
+    pc basis, which only assemble_full reads.  Every field is read-only."""
 
     def __init__(self, qubits, u):
         self.qubits = tuple(qubits)
-        self.R, self.force, self.direct = (
-            _read_only(a) for a in qubit_configurations(qubits, u))
+        a_phi = np.asarray(u.alpha, dtype=float)[:, None] * np.array(
+            [np.diag(q.pc.T @ q.phi2 @ q.pc) for q in qubits])
+        x = _configuration_sum(a_phi)
+        E = u.E_Ltilde_c
+        # sum_{i<j} x_i x_j = ((sum_j x_j)^2 - sum_j x_j^2) / 2
+        direct = 0.5 * E * (x**2 - _configuration_sum(a_phi**2))
+        self.R, self.force, self.direct = (_read_only(a) for a in (
+            kron_all([q.pc for q in qubits]), E * x, direct))
 
     @functools.cached_property
     def energies(self):
@@ -375,7 +367,7 @@ def bare_frame(qubits, u, e_c, phi_c):
     split into the diagonal h0 = sum_j H_j + H_c and the interaction
         V = A (x) 1 + F (x) phi_c,
         A = R diag(direct) R^T,  F = R diag(force) R^T
-    of qubit_configurations, carried by its factors and never formed.
+    of _QubitSide, carried by its factors and never formed.
     Returns (h0, (A, F, phi_c), R)."""
     side = _qubit_side(qubits, u)
     h0 = np.add.outer(side.energies, e_c)

@@ -18,14 +18,14 @@ def cold_memos():
 
 @pytest.fixture
 def side_builds(monkeypatch):
-    """The qubit sides built during the test: the qubit count of every call
-    of hamiltonian.qubit_configurations, which _qubit_side makes on a miss,
-    patched through the module global as its callers read it."""
+    """The qubit sides built during the test: the qubit count of every
+    construction of hamiltonian._QubitSide, which _qubit_side makes on a
+    miss, patched through the module global as its callers read it."""
     calls = []
 
-    def counted(qubits, u, build=hamiltonian.qubit_configurations):
+    def counted(qubits, u, build=hamiltonian._QubitSide):
         calls.append(len(qubits))
         return build(qubits, u)
 
-    monkeypatch.setattr(hamiltonian, "qubit_configurations", counted)
+    monkeypatch.setattr(hamiltonian, "_QubitSide", counted)
     return calls

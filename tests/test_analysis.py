@@ -1,4 +1,5 @@
-from dataclasses import replace
+import itertools
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,9 @@ from fluxcoupler.oscillator import (_margin, _quadrature, cosine_matrix,
                                     qubit_reduction)
 from fluxcoupler.spectrum import eigendecompose
 from fluxcoupler.swt import analytic_couplings, numerical_swt
-from toys import dense_bare_frame_couplings, memo_free_system
+from toys import (dense_bare_frame_couplings, einsum_pauli_decompose,
+                  memo_free_system, written_out_coupler, written_out_qubit,
+                  written_out_reduction)
 
 FAST = Truncations(qubit_states=40, coupler_states=30, n_keep=8)
 
@@ -102,6 +105,91 @@ def test_spectral_point_matches_the_dense_bare_frame_at_two_levels():
     for name in ("J2", "J4"):
         assert getattr(dense, name) == pytest.approx(getattr(cs, name),
                                                      abs=0.01e6), name
+
+
+# The static (Born-Oppenheimer) limit: the qubits frozen in their 16
+# persistent-current configurations z, each with the energy
+# E_0(lambda(z)) - E_0(0) + direct(z), where E_0(lambda) is the ground level
+# of H_c + lambda phi_c.  The spectral branch with one coupler state per
+# configuration reads that diagonal's J2 and J4.
+STATIC = Truncations(n_keep=1)
+
+
+def _pc_phases(u):
+    """Each qubit's two phase eigenvalues phi_j(z_j) in its two-level
+    reduction, written out with no library builder."""
+    return [np.linalg.eigvalsh(written_out_reduction(*written_out_qubit(
+        u, j, STATIC.qubit_states)).phi2) for j in range(4)]
+
+
+def _static_couplings(u):
+    """(J2, J4) of the static limit: an independent Pauli decomposition of
+    the diagonal E_0(lambda(z)) - E_0(0) + direct(z), J2 the mean of its six
+    pair strings."""
+    h_c, phi_c = written_out_coupler(u, STATIC.coupler_states)
+    E = u.E_Ltilde_c
+    phases = _pc_phases(u)
+    diagonal = []
+    for z in itertools.product((0, 1), repeat=4):
+        x = [u.alpha[j] * phases[j][z_j] for j, z_j in enumerate(z)]
+        direct = E * sum(x[i] * x[j]
+                         for i, j in itertools.combinations(range(4), 2))
+        diagonal.append(np.linalg.eigvalsh(h_c + E * sum(x) * phi_c)[0]
+                        + direct)
+    diagonal = np.array(diagonal) - np.linalg.eigvalsh(h_c)[0]
+    model = einsum_pauli_decompose(np.diag(diagonal))[0]
+    return np.mean(model.J2), model.J4
+
+
+def _epsilon(u):
+    """alpha phi_pc of qubit 0: 0.0277 on the reference circuit."""
+    return u.alpha[0] * _pc_phases(u)[0][1]
+
+
+@pytest.mark.parametrize("beta_c", [0.02, 0.43, 0.60])
+def test_static_limit_is_the_spectral_branch_at_one_coupler_state(beta_c):
+    # identical qubits at zero bias only (the reference circuit): the
+    # agreement is unmeasured for distinct or biased qubits.  J2 -574.07
+    # and J4 2.31 MHz at beta_c 0.43
+    u = derive_unitless(reference_circuit(beta_c=beta_c))
+    cs = spectral_point(u, STATIC)[0]
+    J2, J4 = _static_couplings(u)
+    assert cs.J2 == pytest.approx(J2, rel=1e-9)
+    assert cs.J4 == pytest.approx(J4, rel=1e-9)
+
+
+def test_static_limit_without_screening_has_no_couplings():
+    # beta_c = 0: a harmonic coupler gives an exactly quadratic E_0(lambda),
+    # whose induced pair term cancels the direct one.  Set on the unitless
+    # parameters: with_beta_c(p, 0) would ask for a zero critical current
+    u = derive_unitless(reference_circuit(beta_c=0.43))
+    u.beta_c = 0.0
+    cs = spectral_point(u, STATIC)[0]
+    bound = 1e-12 * u.E_Ltilde_c * _epsilon(u) ** 2
+    assert abs(cs.J2) < bound
+    assert abs(cs.J4) < bound
+
+
+def test_static_limit_is_first_order_in_weak_screening():
+    # to first order in the coupler's quartic term,
+    # J4 = beta_c E eps^4 / (1 - beta_c)^4 (ratio 0.994 at beta_c 0.02)
+    u = derive_unitless(reference_circuit(beta_c=0.02))
+    cs = spectral_point(u, STATIC)[0]
+    first_order = (u.beta_c * u.E_Ltilde_c * _epsilon(u) ** 4
+                   / (1.0 - u.beta_c) ** 4)
+    assert cs.J4 == pytest.approx(first_order, rel=0.02)
+
+
+def test_truncations_are_values():
+    # the default Truncations every default argument shares refuses edits;
+    # a truncation is varied by a new value
+    trunc = Truncations()
+    with pytest.raises(FrozenInstanceError):
+        trunc.n_keep = 1
+    static = replace(trunc, n_keep=1)
+    assert static == Truncations(50, 40, 1) and static is not trunc
+    assert trunc == Truncations(50, 40, 8)
+    assert spectral_point.__defaults__ == (Truncations(50, 40, 8),)
 
 
 def test_couplings_point_branches():

@@ -14,9 +14,8 @@ from fluxcoupler.hamiltonian import (AdaptedBasis, IsingModel,
                                      assemble_ising_model, build_coupler,
                                      build_qubit_bare, coupler_eigenbasis,
                                      bare_frame, kron_all,
-                                     qubit_configurations,
                                      qubit_phase, reduce_qubit, _kron_sum,
-                                     _pc_states)
+                                     _pc_states, _QubitSide)
 from fluxcoupler.oscillator import qubit_reduction
 from toys import (pc_rotation, written_out_coupler, written_out_qubit,
                   written_out_reduction)
@@ -313,7 +312,7 @@ def test_configuration_rotation_is_each_qubit_pc_basis(p):
     u = derive_unitless(p)
     qubits = [reduce_qubit(build_qubit_bare(u, j, 50), qubit_phase(u, j, 50))
               for j in range(4)]
-    R = qubit_configurations(qubits, u)[0]
+    R = _QubitSide(qubits, u).R
     assert R.tobytes() == pc_rotation(qubits).tobytes()
 
 
@@ -393,7 +392,8 @@ def _assemble_full_batch_of_16(qubits, coupler, u, n_keep):
     batch, whatever their forces: the reference for the one eigh per
     distinct force."""
     e_c, phi_c = coupler_eigenbasis(coupler, u)
-    R, force, direct = qubit_configurations(qubits, u)
+    side = _QubitSide(qubits, u)
+    R, force, direct = side.R, side.force, side.direct
     h_q = _kron_sum([q.pc.T @ q.h2 @ q.pc for q in qubits])
     eps, chi = np.linalg.eigh(np.diag(e_c) + force[:, None, None] * phi_c)
     eps, chi = eps[:, :n_keep], chi[:, :, :n_keep]
@@ -417,7 +417,7 @@ def test_one_coupler_eigh_per_distinct_force(p, n_forces):
     # once gives the bits of solving all 16
     u = derive_unitless(p)
     qubits, coupler = _system(u)
-    assert len(np.unique(qubit_configurations(qubits, u)[1])) == n_forces
+    assert len(np.unique(_QubitSide(qubits, u).force)) == n_forces
     H = assemble_full(qubits, coupler, u, 8)
     data, chi = _assemble_full_batch_of_16(qubits, coupler, u, 8)
     assert H.data.tobytes() == data.tobytes()
@@ -432,7 +432,8 @@ def test_equal_qubits_give_permutation_invariant_configurations():
     qubits, coupler = _system(u)
     qubits = [qubits[0]] * 4
     e_c, phi_c = coupler_eigenbasis(coupler, u)
-    _, force, direct = qubit_configurations(qubits, u)
+    side = _QubitSide(qubits, u)
+    force, direct = side.force, side.direct
     h0 = bare_frame(qubits, u, e_c, phi_c)[0].reshape(16, -1)
     bits = np.array(list(itertools.product((0, 1), repeat=4)))
     for perm in itertools.permutations(range(4)):
@@ -525,12 +526,7 @@ def test_qubit_side_keys_on_every_value_it_reads(change, side_builds):
     change(qubits, u)
     side = _side_bytes(hamiltonian._qubit_side(qubits, u))
     assert side_builds == [4, 4]
-    R, force, direct = qubit_configurations(qubits, u)
-    hamiltonian._SIDE.clear()
-    want = {**_side_bytes(hamiltonian._qubit_side(qubits, u)),
-            "R": R.tobytes(), "force": force.tobytes(),
-            "direct": direct.tobytes()}
-    assert side == want
+    assert side == _side_bytes(_QubitSide(qubits, u))
 
 
 def test_qubit_side_is_read_only():

@@ -260,8 +260,7 @@ def one_qubit_toy_error(alpha_eff, phi_cx=0.05, phi_jx=0.005, beta_c=0.2,
 def pc_rotation(qubits):
     """R = R_0 (x) ... (x) R_3, each qubit's persistent-current states
     decided from its own phi2 in one loop by signed_pc.  The reference for
-    the R of hamiltonian.qubit_configurations, which reads
-    ReducedQubit.pc."""
+    the R of hamiltonian._QubitSide, which reads ReducedQubit.pc."""
     return kron_all([signed_pc(q.phi2) for q in qubits])
 
 
@@ -290,8 +289,8 @@ def einsum_pauli_decompose(h_eff):
 
 
 # The interaction written term by term as Kronecker products of the 2 x 2
-# phi operators: the reference for hamiltonian.qubit_configurations, which
-# both product-space builders read.
+# phi operators: the reference for the force and direct pair energy of
+# hamiltonian._QubitSide, which both product-space builders read.
 def add_interaction(H, qubits, phi_c, u):
     """Add E_Ltilde_c [sum_{i<j} alpha_i alpha_j phi_i phi_j
     + sum_j alpha_j phi_j phi_c] onto the product-space matrix H, in place.

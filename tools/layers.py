@@ -125,7 +125,7 @@ def layers(repeats):
     r_q = ham._phase(u.xi_j[0], 1.0 + u.alpha[0] ** 2, 50)[1]
     chip = perturbed_chip()
     chip_qubits = analysis.build_system(chip, trunc)[0]
-    forces = ham.qubit_configurations(chip_qubits, chip)[1]
+    forces = ham._QubitSide(chip_qubits, chip).force
     if len({q.omega for q in chip_qubits}) != 4 or len(set(forces)) != 16:
         raise RuntimeError("the perturbed chip must have four distinct "
                            "qubits and 16 distinct forces")
