@@ -55,12 +55,6 @@ class AdaptedBasis:
         for a in (self.rotation, self.states):
             a.setflags(write=False)
 
-    def isometry(self):
-        """Matrix whose columns are the basis states in the bare frame."""
-        n_z, n_c, n_keep = self.states.shape
-        return np.einsum("az,zcn->aczn", self.rotation, self.states).reshape(
-            n_z * n_c, n_z * n_keep)
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:

@@ -98,12 +98,13 @@ def _two_excitation_levels(s: SpectrumResult):
     and their weights on it: the six manifold eigenvectors of largest
     weight, refused when a weight falls below 0.5."""
     idx = s.manifold()
-    n_z, n_c, _ = s.frame.states.shape
+    n_z, _, n_keep = s.frame.states.shape
     sector = _configuration_index(4, 2)[1].sum(axis=0) == 2
-    # the sector is defined in the qubit energy basis: carry the manifold
-    # eigenvectors to the bare frame first
-    vec = (s.frame.isometry() @ s.eigenvectors[:, idx]).reshape(n_z, n_c, -1)
-    weights = np.sum(np.abs(vec[sector]) ** 2, axis=(0, 1))
+    # the sector lives in the qubit energy basis: carry the manifold vectors
+    # there by the frame's factors, chi_n(z), then the sector's rows of R
+    chi_psi = s.frame.states @ s.eigenvectors[:, idx].reshape(n_z, n_keep, -1)
+    vec = s.frame.rotation[sector] @ chi_psi.reshape(n_z, -1)
+    weights = np.sum(np.abs(vec.reshape(-1, len(idx))) ** 2, axis=0)
     top = np.argsort(weights)[::-1][:6]
     if np.min(weights[top]) < 0.5:
         raise RuntimeError(

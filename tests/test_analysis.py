@@ -23,8 +23,8 @@ from fluxcoupler.oscillator import (_margin, _quadrature, cosine_matrix,
 from fluxcoupler.spectrum import eigendecompose
 from fluxcoupler.swt import analytic_couplings, numerical_swt
 from toys import (dense_bare_frame_couplings, einsum_pauli_decompose,
-                  memo_free_system, written_out_coupler, written_out_qubit,
-                  written_out_reduction)
+                  memo_free_system, perturbed_chip, written_out_coupler,
+                  written_out_qubit, written_out_reduction)
 
 FAST = Truncations(qubit_states=40, coupler_states=30, n_keep=8)
 
@@ -124,8 +124,8 @@ def _pc_phases(u):
 
 def _static_couplings(u):
     """(J2, J4) of the static limit: an independent Pauli decomposition of
-    the diagonal E_0(lambda(z)) - E_0(0) + direct(z), J2 the mean of its six
-    pair strings."""
+    the diagonal E_0(lambda(z)) - E_0(0) + direct(z), J2 its six pair
+    strings."""
     h_c, phi_c = written_out_coupler(u, STATIC.coupler_states)
     E = u.E_Ltilde_c
     phases = _pc_phases(u)
@@ -138,7 +138,7 @@ def _static_couplings(u):
                         + direct)
     diagonal = np.array(diagonal) - np.linalg.eigvalsh(h_c)[0]
     model = einsum_pauli_decompose(np.diag(diagonal))[0]
-    return np.mean(model.J2), model.J4
+    return model.J2, model.J4
 
 
 def _epsilon(u):
@@ -146,15 +146,31 @@ def _epsilon(u):
     return u.alpha[0] * _pc_phases(u)[0][1]
 
 
-@pytest.mark.parametrize("beta_c", [0.02, 0.43, 0.60])
-def test_static_limit_is_the_spectral_branch_at_one_coupler_state(beta_c):
-    # identical qubits at zero bias only (the reference circuit): the
-    # agreement is unmeasured for distinct or biased qubits.  J2 -574.07
-    # and J4 2.31 MHz at beta_c 0.43
-    u = derive_unitless(reference_circuit(beta_c=beta_c))
+_OPERATING = reference_circuit(beta_c=0.43)
+
+
+@pytest.mark.parametrize("p", [
+    *(pytest.param(reference_circuit(beta_c=b), id=str(b))
+      for b in (0.02, 0.43, 0.6)),
+    pytest.param(with_flux_offsets(_OPERATING, 0.0, [1e-3, 0.0, -2e-3, 5e-4]),
+                 id="qubit_offsets"),
+    pytest.param(replace(_OPERATING, I_cj=_OPERATING.I_cj
+                         * np.array([1.0, 1.03, 0.98, 1.01])),
+                 id="unequal_I_cj")])
+def test_static_limit_is_the_spectral_branch_at_one_coupler_state(p):
+    # exact for any chip: at one coupler state B = D V with D diagonal, whose
+    # polar factor is sign(D) V, so H_eff keeps H's diagonal; that diagonal's
+    # qubit part, h_q[z, z], is a sum of one-qubit terms, so J2-J4 are the
+    # static diagonal's, for distinct and biased qubits alike.
+    # J2 -574.07 and J4 2.31 MHz at beta_c 0.43; the six pairs span
+    # -573.15 ... -554.24 MHz with the qubit offsets, -686.29 ... -529.84
+    # MHz with the unequal critical currents
+    u = derive_unitless(p)
     cs = spectral_point(u, STATIC)[0]
     J2, J4 = _static_couplings(u)
-    assert cs.J2 == pytest.approx(J2, rel=1e-9)
+    assert cs.J2 == pytest.approx(np.mean(J2), rel=1e-9)
+    assert cs.diagnostics["J2_spread"] == pytest.approx(
+        np.max(J2) - np.min(J2), abs=1e-9 * abs(cs.J2))
     assert cs.J4 == pytest.approx(J4, rel=1e-9)
 
 
@@ -531,18 +547,6 @@ def test_memoised_results_are_read_only():
                                 FAST.qubit_states)
 
 
-def _perturbed_chip(seed):
-    """The reference circuit at beta_c 0.43, beta_j 1.1 with every qubit
-    element 1 % off its design value and each qubit 1e-4 Phi_0 off its
-    bias, drawn from seed: four distinct qubits, 16 distinct forces."""
-    rng = np.random.default_rng(seed)
-    p = reference_circuit(beta_c=0.43, beta_j=1.1)
-    spread = {name: getattr(p, name) * (1.0 + 0.01 * rng.normal(size=4))
-              for name in ("L_j", "C_j", "I_cj", "M_j")}
-    return with_flux_offsets(replace(p, **spread), 0.0,
-                             1e-4 * rng.normal(size=4))
-
-
 @pytest.mark.usefixtures("cold_memos")
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_perturbed_chip_has_the_memo_free_bits(seed):
@@ -550,7 +554,7 @@ def test_perturbed_chip_has_the_memo_free_bits(seed):
     # constants), two chips in one process, against each qubit and the
     # coupler written out and reduced with no memo at all
     trunc = Truncations()
-    for chip in (_perturbed_chip(seed), _perturbed_chip(seed + 100)):
+    for chip in (perturbed_chip(seed), perturbed_chip(seed + 100)):
         u = derive_unitless(chip)
         got = assemble_full(*build_system(u, trunc), u, trunc.n_keep)
         want = assemble_full(*memo_free_system(u, trunc), u, trunc.n_keep)

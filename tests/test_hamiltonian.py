@@ -17,8 +17,8 @@ from fluxcoupler.hamiltonian import (AdaptedBasis, IsingModel,
                                      qubit_phase, reduce_qubit, _kron_sum,
                                      _pc_states, _QubitSide)
 from fluxcoupler.oscillator import qubit_reduction
-from toys import (pc_rotation, written_out_coupler, written_out_qubit,
-                  written_out_reduction)
+from toys import (isometry, pc_rotation, written_out_coupler,
+                  written_out_qubit, written_out_reduction)
 
 
 def _u(beta_c=0.43, **kw):
@@ -382,7 +382,7 @@ def test_adapted_basis_is_an_isometry_into_the_bare_frame():
     # to the bare frame (qubit energy basis x coupler eigenbasis)
     u = _u()
     qubits, coupler = _system(u, n_c=20)
-    W = assemble_full(qubits, coupler, u, n_keep=8).frame.isometry()
+    W = isometry(assemble_full(qubits, coupler, u, n_keep=8).frame)
     assert W.shape == (320, 128)
     assert np.allclose(W.T @ W, np.eye(128), atol=1e-12)
 
@@ -578,7 +578,7 @@ def test_ising_model_known_spectra():
     # per qubit (ground state first), qubit 0 slowest
     m.omega = np.array([1.0, 2.0, 4.0, 8.0])
     H = assemble_ising_model(m)
-    W = H.frame.isometry()
+    W = isometry(H.frame)
     want = [np.dot(m.omega / 2.0, s)
             for s in itertools.product([-1, 1], repeat=4)]
     assert np.allclose(W @ H.data @ W.T, np.diag(want), atol=1e-12)

@@ -1,17 +1,20 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from fluxcoupler.analysis import Truncations, spectral_system
 from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (AdaptedBasis, IsingModel, OperatorMatrix,
                                      assemble_full, assemble_ising_model,
                                      build_coupler, build_qubit_bare,
                                      qubit_phase, reduce_qubit)
-from fluxcoupler.spectrum import (GAP_THRESHOLD, eigendecompose,
-                                  extract_couplings, gap_diagnostics,
-                                  two_excitation_splitting)
+from fluxcoupler.spectrum import (GAP_THRESHOLD, _two_excitation_levels,
+                                  eigendecompose, extract_couplings,
+                                  gap_diagnostics, two_excitation_splitting)
 from fluxcoupler.swt import pauli_decompose
+from toys import isometry, perturbed_chip
 
 
 def _spec_of(model: IsingModel):
@@ -107,7 +110,7 @@ def _bare_frame_projection(spec):
     coupler-ground row rotated to the persistent-current frame and
     orthogonalized symmetrically by B (B^T B)^(-1/2)."""
     sel = spec.manifold()
-    W = spec.frame.isometry()
+    W = isometry(spec.frame)
     n_c = spec.frame.states.shape[1]
     bare = (W @ spec.eigenvectors[:, sel]).reshape(16, n_c, 16)[:, 0, :]
     B = spec.frame.rotation.T @ bare
@@ -147,6 +150,26 @@ def test_projection_needs_a_frame():
         extract_couplings(eigendecompose(H), [q.omega for q in qubits])
 
 
+@pytest.mark.parametrize("chip", ["reference", "perturbed"])
+def test_two_excitation_levels_read_through_the_frame_factors(chip):
+    # the sector weights carried to the qubit energy basis by the frame's
+    # two factors, against the manifold vectors carried there by the dense
+    # isometry: the same six levels, bit for bit, and the same weights
+    p = reference_circuit(beta_c=0.43) if chip == "reference" \
+        else perturbed_chip(5)
+    spec = spectral_system(derive_unitless(p), Truncations())[0]
+    levels, weights = _two_excitation_levels(spec)
+    idx = spec.manifold()
+    n_c = spec.frame.states.shape[1]
+    bare = (isometry(spec.frame) @ spec.eigenvectors[:, idx]).reshape(
+        16, n_c, 16)
+    sector = [sum(z) == 2 for z in itertools.product((0, 1), repeat=4)]
+    want = np.sum(bare[sector] ** 2, axis=(0, 1))
+    top = np.argsort(want)[::-1][:6]
+    assert levels.tobytes() == np.sort(spec.eigenvalues[idx[top]]).tobytes()
+    np.testing.assert_allclose(weights, want[top], rtol=0, atol=1e-12)
+
+
 def test_two_excitation_sector_in_the_adapted_basis():
     # the sector weights are read in the qubit energy basis: the same levels
     # come out of the adapted operator as out of its image in the
@@ -161,7 +184,7 @@ def test_two_excitation_sector_in_the_adapted_basis():
     spec = eigendecompose(H)
     adapted = two_excitation_splitting(spec, omega)
     R = H.frame.rotation
-    W = np.kron(R.T, np.eye(n_c)) @ H.frame.isometry()
+    W = np.kron(R.T, np.eye(n_c)) @ isometry(H.frame)
     frame = AdaptedBasis(R, np.broadcast_to(np.eye(n_c), (16, n_c, n_c)))
     bare = OperatorMatrix(W @ H.data @ W.T, frame=frame)
     bare_spec = eigendecompose(bare)

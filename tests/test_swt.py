@@ -22,8 +22,9 @@ from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, analytic_couplings,
                              swt_effective_block)
 from toys import (add_interaction, cross_block_gaps, delta_form_couplings,
                   dense_swt_effective_block, einsum_pauli_coefficients,
-                  einsum_pauli_decompose, linear_coupler_toy, linear_map_L,
-                  one_qubit_toy_error, two_product_swt_effective_block)
+                  einsum_pauli_decompose, isometry, linear_coupler_toy,
+                  linear_map_L, one_qubit_toy_error,
+                  two_product_swt_effective_block)
 
 
 def _u(beta_c=0.43):
@@ -425,7 +426,7 @@ def test_numerical_swt_sees_the_spectral_hamiltonian(monkeypatch,
     H = np.diag(seen["h0"]) + _dense_v(*seen["factors"])
     n_c = coupler.data.shape[0]
     full = assemble_full(qubits, coupler, u, n_keep=n_c)
-    W = full.frame.isometry()
+    W = isometry(full.frame)
     np.testing.assert_allclose(W.T @ W, np.eye(H.shape[0]), rtol=0, atol=1e-12)
     carried = W @ full.data @ W.T
     # the change of basis rounds at ~2e-15 of the operator norm; a 1e-9

@@ -1,9 +1,12 @@
 """Small exactly-solvable toy systems shared between test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import binom, gammaln
 
+from fluxcoupler.analysis import with_flux_offsets
 from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (ISING_STRINGS, NON_ISING, PAIRS,
                                      IsingModel, OperatorMatrix,
@@ -89,6 +92,18 @@ def memo_free_system(u, trunc):
               for j in range(4)]
     return qubits, OperatorMatrix(written_out_coupler(
         u, trunc.coupler_states)[0])
+
+
+def perturbed_chip(seed):
+    """The reference circuit at beta_c 0.43, beta_j 1.1 with every qubit
+    element 1 % off its design value and each qubit 1e-4 Phi_0 off its
+    bias, drawn from seed: four distinct qubits, 16 distinct forces."""
+    rng = np.random.default_rng(seed)
+    p = reference_circuit(beta_c=0.43, beta_j=1.1)
+    spread = {name: getattr(p, name) * (1.0 + 0.01 * rng.normal(size=4))
+              for name in ("L_j", "C_j", "I_cj", "M_j")}
+    return with_flux_offsets(replace(p, **spread), 0.0,
+                             1e-4 * rng.normal(size=4))
 
 
 def delta_form_couplings(p: SwtPrefactors):
@@ -262,6 +277,16 @@ def pc_rotation(qubits):
     decided from its own phi2 in one loop by signed_pc.  The reference for
     the R of hamiltonian._QubitSide, which reads ReducedQubit.pc."""
     return kron_all([signed_pc(q.phi2) for q in qubits])
+
+
+def isometry(frame):
+    """The basis states of an AdaptedBasis by column in the bare frame
+    (qubit energy basis x coupler eigenbasis), column (z, n) written out as
+    the Kronecker product rotation[:, z] (x) states[z, :, n]: the dense
+    reference for the readings that take the frame's factors."""
+    n_z, _, n_keep = frame.states.shape
+    return np.column_stack([np.kron(frame.rotation[:, z], frame.states[z, :, n])
+                            for z in range(n_z) for n in range(n_keep)])
 
 
 def einsum_pauli_coefficients(A):

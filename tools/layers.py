@@ -3,6 +3,10 @@ one or more source trees.
 
     python tools/layers.py --out BENCH.json parent=../parent change=.
 
+An A/A column, which shows how far two columns of the same code differ on
+one machine, is a second clone of the parent passed as one more NAME=ROOT
+(parent_aa=../parent_aa).
+
 For each NAME=ROOT the library is imported from ROOT/src, with one BLAS
 thread.  Each layer of a point at beta_c 0.43, truncation 50/40/8, is timed
 in REPEATS passes per round, each pass the mean of enough calls to fill
@@ -106,7 +110,8 @@ def layers(repeats):
     from fluxcoupler import analysis, hamiltonian as ham, oscillator, swt
     from fluxcoupler.circuit import derive_unitless, reference_circuit
     from fluxcoupler.oscillator import cosine_matrix
-    from fluxcoupler.spectrum import eigendecompose, extract_couplings
+    from fluxcoupler.spectrum import (_two_excitation_levels, eigendecompose,
+                                      extract_couplings)
 
     p = reference_circuit(beta_c=0.43)
     u = derive_unitless(p)
@@ -156,6 +161,8 @@ def layers(repeats):
             lambda: ham.assemble_full(qubits, coupler, u, 8),
         "spectrum.eigendecompose": lambda: eigendecompose(H),
         "spectrum.extract_couplings": lambda: extract_couplings(spec, omega),
+        "spectrum._two_excitation_levels":
+            lambda: _two_excitation_levels(spec),
         "hamiltonian.coupler_eigenbasis":
             lambda: ham.coupler_eigenbasis(coupler, u),
         "hamiltonian.bare_frame":
