@@ -54,7 +54,6 @@ _SCHEMA = {
     "truncation": {"qubit_states", "coupler_states", "n_keep"},
     "sweep": {"grid", "ratio_grid", "qubit_offsets", "common_mode"},
     "extraction": {"branches"},
-    "output": {"precision"},
 }
 
 
@@ -68,7 +67,6 @@ class RunConfig:
     truncations: Truncations
     sweep: dict = field(default_factory=dict)
     branches: tuple = ("spectral_fit",)
-    precision: int = 12
 
 
 def _number(text, lineno):
@@ -214,20 +212,11 @@ def parse_config(text) -> RunConfig:
                 raise ConfigError(
                     f"line {lineno}: branch {branch!r} given twice")
 
-    precision = RunConfig.precision
-    for key, (value, lineno) in sections["output"].items():
-        try:
-            precision = int(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: precision must be an integer")
-        if precision < 1:
-            raise ConfigError(f"line {lineno}: precision must be >= 1")
-
     return RunConfig(circuit=params, truncations=trunc, sweep=sweep,
-                     branches=branches, precision=precision)
+                     branches=branches)
 
 
-def _format_value(x, precision):
+def _format_value(x):
     if isinstance(x, str):
         if any(c in x for c in ',"\r\n'):
             return '"' + x.replace('"', '""') + '"'
@@ -238,7 +227,7 @@ def _format_value(x, precision):
         return "nan"
     if isinstance(x, float) and not math.isfinite(x):
         return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    return f"{float(x):.{precision - 1}e}"
+    return f"{float(x):.11e}"
 
 
 def write_csv(path, columns, rows, cfg: RunConfig, subcommand):
@@ -262,8 +251,7 @@ def write_csv(path, columns, rows, cfg: RunConfig, subcommand):
         lines.append("#   sweep: " + " ".join(sweep))
     lines.append("# columns: " + ",".join(columns))
     for row in rows:
-        lines.append(",".join(_format_value(row.get(col), cfg.precision)
-                              for col in columns))
+        lines.append(",".join(_format_value(row.get(col)) for col in columns))
     data = "\n".join(lines) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(data)

@@ -113,12 +113,12 @@ def _two_excitation_levels(s: SpectrumResult):
     return np.sort(s.eigenvalues[idx[top]]), weights[top]
 
 
-def two_excitation_splitting(s: SpectrumResult, omega, cluster_tol=1e-6):
+def two_excitation_splitting(s: SpectrumResult, omega):
     """Degeneracy structure of the six-state two-excitation manifold.
 
     Takes the six levels of _two_excitation_levels, clusters their energies
-    with tolerance cluster_tol * spread, and reports the degeneracy multiset
-    and the top-bottom distance.  The multiset is defined for equal qubit
+    with tolerance 1e-6 * spread, and reports the degeneracy multiset and
+    the top-bottom distance.  The multiset is defined for equal qubit
     frequencies omega only.
     """
     omega = np.asarray(omega, dtype=float)
@@ -128,7 +128,7 @@ def two_excitation_splitting(s: SpectrumResult, omega, cluster_tol=1e-6):
     spread = levels[-1] - levels[0]
     # absolute floor keeps exactly-degenerate manifolds (spread at rounding
     # level) from being split into singletons
-    tol = max(cluster_tol * spread,
+    tol = max(1e-6 * spread,
               1e-12 * float(np.max(np.abs(s.eigenvalues))), 1e-30)
     # a cluster ends wherever the next level lies more than tol above
     ends = np.flatnonzero(np.diff(levels) > tol) + 1

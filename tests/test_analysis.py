@@ -23,7 +23,7 @@ from fluxcoupler.oscillator import (_margin, _quadrature, cosine_matrix,
 from fluxcoupler.spectrum import eigendecompose
 from fluxcoupler.swt import analytic_couplings, numerical_swt
 from toys import (dense_bare_frame_couplings, einsum_pauli_decompose,
-                  memo_free_system, perturbed_chip, written_out_coupler,
+                  memo_free_system, perturbed_circuit, written_out_coupler,
                   written_out_qubit, written_out_reduction)
 
 FAST = Truncations(qubit_states=40, coupler_states=30, n_keep=8)
@@ -554,7 +554,7 @@ def test_perturbed_chip_has_the_memo_free_bits(seed):
     # constants), two chips in one process, against each qubit and the
     # coupler written out and reduced with no memo at all
     trunc = Truncations()
-    for chip in (perturbed_chip(seed), perturbed_chip(seed + 100)):
+    for chip in (perturbed_circuit(seed), perturbed_circuit(seed + 100)):
         u = derive_unitless(chip)
         got = assemble_full(*build_system(u, trunc), u, trunc.n_keep)
         want = assemble_full(*memo_free_system(u, trunc), u, trunc.n_keep)

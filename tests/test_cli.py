@@ -10,8 +10,8 @@ import pytest
 
 from fluxcoupler.analysis import BRANCHES
 from fluxcoupler.circuit import CircuitParams, reference_circuit
-from fluxcoupler.cli import (ConfigError, _format_value, _parse_grid, main,
-                             parse_config)
+from fluxcoupler.cli import (_SCHEMA, ConfigError, _format_value,
+                             _parse_grid, main, parse_config)
 
 
 # ------------------------------------------------------------- parsing
@@ -26,7 +26,6 @@ def test_parse_defaults_to_reference_circuit():
     assert cfg.truncations.coupler_states == 40
     assert cfg.truncations.n_keep == 8
     assert cfg.branches == ("spectral_fit",)
-    assert cfg.precision == 12
 
 
 def test_parse_units_and_overrides():
@@ -74,8 +73,7 @@ beta_c = 0.25  # inline
     ("[sweep]\nqubit_offsets = 1,2,3", "line 2: qubit_offsets needs 4"),
     ("[extraction]\nbranches = magic", "line 2: unknown branch"),
     ("[extraction]\nfit_J3 = maybe", "line 2: unknown key 'fit_J3'"),
-    ("[output]\nprecision = 0", "line 2: precision must be >= 1"),
-    ("[output]\nprecision = -3", "line 2: precision must be >= 1"),
+    ("[output]\nprecision = 12", "line 1: unknown section 'output'"),
     ("[truncation]\nn_keep = 0", "line 2: 'n_keep' must be in [1, 40]"),
     ("[truncation]\nn_keep = 50", "line 2: 'n_keep' must be in [1, 40]"),
     ("[truncation]\ncoupler_states = 12\nn_keep = 13",
@@ -132,14 +130,14 @@ def test_parse_grid_forms():
 
 
 def test_format_value():
-    assert _format_value(1234.5678, 12) == "1.23456780000e+03"
-    assert _format_value(np.nan, 12) == "nan"
-    assert _format_value(np.inf, 12) == "inf"
-    assert _format_value(True, 12) == "1"
-    assert _format_value(None, 12) == "nan"
-    assert _format_value("ok", 12) == "ok"
-    assert _format_value("error: a, b", 12) == '"error: a, b"'
-    assert _format_value('say "x"', 12) == '"say ""x"""'
+    assert _format_value(1234.5678) == "1.23456780000e+03"
+    assert _format_value(np.nan) == "nan"
+    assert _format_value(np.inf) == "inf"
+    assert _format_value(True) == "1"
+    assert _format_value(None) == "nan"
+    assert _format_value("ok") == "ok"
+    assert _format_value("error: a, b") == '"error: a, b"'
+    assert _format_value('say "x"') == '"say ""x"""'
 
 
 # ------------------------------------------------------------- subcommands
@@ -304,6 +302,56 @@ def test_header_names_only_the_sweep_settings_the_run_reads(tmp_path):
         files[name] = (out / "sweep_beta.csv").read_bytes()
     assert b"#   sweep:" not in files["unread"]
     assert files["unread"] == files["plain"]
+
+
+# two values of every config key but the grids, whose values are already
+# each row's first column
+HEADER_CASES = {
+    ("circuit", "L_j"): ("817 pH", "850 pH"),
+    ("circuit", "C_j"): ("45 fF", "50 fF"),
+    ("circuit", "I_cj"): ("0.45 uA", "0.5 uA"),
+    ("circuit", "M_j"): ("60 pH", "70 pH"),
+    ("circuit", "L_c"): ("170 pH", "180 pH"),
+    ("circuit", "C_c"): ("400 fF", "420 fF"),
+    ("circuit", "I_cc"): ("0.8 uA", "0.9 uA"),
+    ("circuit", "beta_c"): ("0.3", "0.35"),
+    ("circuit", "beta_j"): ("1.1", "1.2"),
+    ("truncation", "qubit_states"): ("20", "22"),
+    ("truncation", "coupler_states"): ("10", "12"),
+    ("truncation", "n_keep"): ("4", "3"),
+    ("sweep", "qubit_offsets"): ("0, 0, 0, 0", "0.001, 0, 0, 0"),
+    ("sweep", "common_mode"): ("false", "true"),
+    ("extraction", "branches"): ("spectral_fit", "numerical_swt"),
+}
+SCHEMA_KEYS = sorted((section, key) for section, keys in _SCHEMA.items()
+                     for key in keys if key not in ("grid", "ratio_grid"))
+
+
+@pytest.mark.parametrize("section,key", SCHEMA_KEYS,
+                         ids=[".".join(k) for k in SCHEMA_KEYS])
+def test_a_key_that_changes_a_table_is_in_its_header(tmp_path, section,
+                                                     key):
+    # the README promises each table's header the fully resolved config:
+    # two configs that differ in one key write the same bytes, or headers
+    # that differ.  Every key needs a case, one added included.
+    flux = key in ("qubit_offsets", "common_mode")
+    subcommand = "sweep-flux" if flux else "sweep-beta"
+    tables = []
+    for i, value in enumerate(HEADER_CASES[section, key]):
+        sections = {"truncation": {"qubit_states": "20",
+                                   "coupler_states": "10", "n_keep": "4"},
+                    "sweep": {"grid": "0.0" if flux else "0.43"}}
+        sections.setdefault(section, {})[key] = value
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                               for k, v in entries.items())
+                       for name, entries in sections.items())
+        out = tmp_path / str(i)
+        assert main([subcommand, "--config", _write(tmp_path, text),
+                     "--out", str(out)]) == 0
+        tables.append((out / (subcommand.replace("-", "_") + ".csv"))
+                      .read_text().splitlines())
+    headers = [[l for l in lines if l.startswith("#")] for lines in tables]
+    assert tables[0] == tables[1] or headers[0] != headers[1]
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -14,7 +14,7 @@ from fluxcoupler.spectrum import (GAP_THRESHOLD, _two_excitation_levels,
                                   eigendecompose, extract_couplings,
                                   gap_diagnostics, two_excitation_splitting)
 from fluxcoupler.swt import pauli_decompose
-from toys import isometry, perturbed_chip
+from toys import isometry, perturbed_circuit
 
 
 def _spec_of(model: IsingModel):
@@ -156,7 +156,7 @@ def test_two_excitation_levels_read_through_the_frame_factors(chip):
     # two factors, against the manifold vectors carried there by the dense
     # isometry: the same six levels, bit for bit, and the same weights
     p = reference_circuit(beta_c=0.43) if chip == "reference" \
-        else perturbed_chip(5)
+        else perturbed_circuit(5)
     spec = spectral_system(derive_unitless(p), Truncations())[0]
     levels, weights = _two_excitation_levels(spec)
     idx = spec.manifold()
@@ -221,8 +221,7 @@ def test_two_excitation_four_local_pattern():
 def test_two_excitation_two_local_pattern():
     # first-order degenerate theory: octahedron adjacency spectrum {4, 0^3, -2^2}
     m = IsingModel.symmetric(500.0, J2=0.1)
-    out = two_excitation_splitting(_spec_of(m), np.full(4, 500.0),
-                                   cluster_tol=1e-3)
+    out = two_excitation_splitting(_spec_of(m), np.full(4, 500.0))
     assert out["degeneracies"] == [1, 2, 3]
     assert out["distance"] == pytest.approx(6 * 0.1, rel=1e-3)
 

@@ -1,12 +1,12 @@
 """Small exactly-solvable toy systems shared between test modules."""
 
-from dataclasses import replace
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import binom, gammaln
 
-from fluxcoupler.analysis import with_flux_offsets
 from fluxcoupler.circuit import derive_unitless, reference_circuit
 from fluxcoupler.hamiltonian import (ISING_STRINGS, NON_ISING, PAIRS,
                                      IsingModel, OperatorMatrix,
@@ -21,6 +21,19 @@ from fluxcoupler.swt import (A2, B1, B3, C1_CONSTANT, SwtPrefactors,
 
 _I2 = np.eye(2)
 _Z = np.diag([1.0, -1.0])
+
+
+def _load_layers():
+    """tools/layers.py, which imports only the standard library at module
+    level: the timing harness and the tests build the same perturbed chip."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "layers.py"
+    spec = importlib.util.spec_from_file_location("layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+perturbed_circuit = _load_layers().perturbed_circuit
 
 
 # The coupler and the qubit each written out as its own formula, with no
@@ -92,18 +105,6 @@ def memo_free_system(u, trunc):
               for j in range(4)]
     return qubits, OperatorMatrix(written_out_coupler(
         u, trunc.coupler_states)[0])
-
-
-def perturbed_chip(seed):
-    """The reference circuit at beta_c 0.43, beta_j 1.1 with every qubit
-    element 1 % off its design value and each qubit 1e-4 Phi_0 off its
-    bias, drawn from seed: four distinct qubits, 16 distinct forces."""
-    rng = np.random.default_rng(seed)
-    p = reference_circuit(beta_c=0.43, beta_j=1.1)
-    spread = {name: getattr(p, name) * (1.0 + 0.01 * rng.normal(size=4))
-              for name in ("L_j", "C_j", "I_cj", "M_j")}
-    return with_flux_offsets(replace(p, **spread), 0.0,
-                             1e-4 * rng.normal(size=4))
 
 
 def delta_form_couplings(p: SwtPrefactors):

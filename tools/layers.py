@@ -86,21 +86,29 @@ def pass_ms(cases, repeats):
     return samples
 
 
-def perturbed_chip():
-    """Unitless parameters of the operating point (beta_c 0.43, beta_j 1.1)
-    with L_j, C_j, I_cj and M_j of every qubit 1 % off their design values
-    and each qubit 1e-4 Phi_0 off its bias, drawn from seed 1: four distinct
-    qubits and 16 distinct coupler forces, as on a fabricated chip."""
+def perturbed_circuit(seed):
+    """The operating point (beta_c 0.43, beta_j 1.1) with L_j, C_j, I_cj
+    and M_j of every qubit 1 % off their design values and each qubit 1e-4
+    Phi_0 off its bias, drawn from seed: four distinct qubits and 16
+    distinct coupler forces, as on a fabricated chip."""
     import numpy as np
     from fluxcoupler.analysis import with_flux_offsets
-    from fluxcoupler.circuit import derive_unitless, reference_circuit
+    from fluxcoupler.circuit import reference_circuit
 
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed)
     p = reference_circuit(beta_c=0.43, beta_j=1.1)
     spread = {name: getattr(p, name) * (1.0 + 0.01 * rng.normal(size=4))
               for name in ("L_j", "C_j", "I_cj", "M_j")}
-    return derive_unitless(with_flux_offsets(replace(p, **spread), 0.0,
-                                             1e-4 * rng.normal(size=4)))
+    return with_flux_offsets(replace(p, **spread), 0.0,
+                             1e-4 * rng.normal(size=4))
+
+
+def perturbed_chip():
+    """Unitless parameters of perturbed_circuit(1), the chip every tree's
+    layers are timed on."""
+    from fluxcoupler.circuit import derive_unitless
+
+    return derive_unitless(perturbed_circuit(1))
 
 
 def layers(repeats):
