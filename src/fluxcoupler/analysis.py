@@ -244,11 +244,9 @@ def two_excitation_scan(p: CircuitParams, ratios, trunc) -> SweepResult:
 
 
 def find_special_point(p: CircuitParams, lo=0.05, hi=0.6, trunc=Truncations(),
-                       extraction="spectral_fit", tol=1e-3):
+                       extraction="spectral_fit"):
     """beta_c where the extracted J4 equals -2 J2 (bisection on J4 + 2 J2),
-    to within tol, or closer if lo and hi become adjacent floats first."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    to within 1e-3."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
 
@@ -261,10 +259,8 @@ def find_special_point(p: CircuitParams, lo=0.05, hi=0.6, trunc=Truncations(),
         raise RuntimeError(
             f"J4 + 2 J2 does not change sign on [{lo}, {hi}] "
             f"(f({lo}) = {flo:.3g}, f({hi}) = {fhi:.3g})")
-    while hi - lo > tol:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
         fm = f(mid)
         if flo * fm <= 0:
             hi, fhi = mid, fm
@@ -287,8 +283,10 @@ def _central_diff(f, x0, step):
     return (f(x0 + step) - f(x0 - step)) / (2.0 * step)
 
 
-# the susceptibility parameters, in table order
+# the susceptibility parameters, in table order, and the central
+# difference step relative to each varied value
 SUSCEPTIBILITY_PARAMETERS = ("E_Jj", "E_Jc", "L_c", "E_Ltilde_c", "E_Lj")
+SUSCEPTIBILITY_STEP = 1e-4
 
 
 def _susceptibility_terms(u0):
@@ -324,8 +322,7 @@ def _susceptibility_terms(u0):
     }
 
 
-def susceptibility(p: CircuitParams, parameter,
-                   rel_step=1e-4) -> Susceptibility:
+def susceptibility(p: CircuitParams, parameter) -> Susceptibility:
     """Normalized fabrication-error susceptibilities at the operating point.
 
     parameter in {'E_Jj', 'E_Jc', 'L_c', 'E_Ltilde_c', 'E_Lj'}.  Junction and
@@ -336,9 +333,6 @@ def susceptibility(p: CircuitParams, parameter,
     E_Lj/E_Ltilde_c held fixed.  Derivatives are central differences of the
     analytic-SWT couplings with a Richardson half-step check.
     """
-    if not 0 < rel_step < np.inf:
-        raise ValueError(
-            f"rel_step must be positive and finite, got {rel_step}")
     u0 = derive_unitless(p)
     table = _susceptibility_terms(u0)
     if parameter not in table:
@@ -356,7 +350,7 @@ def susceptibility(p: CircuitParams, parameter,
             return J_of(replace(u0, **{name: scale * x
                                        for name, scale in fields.items()}))
 
-        h = rel_step * abs(x0)
+        h = SUSCEPTIBILITY_STEP * abs(x0)
         d1 = _central_diff(f, x0, h)
         d2 = _central_diff(f, x0, h / 2.0)
         ok = ok and bool(np.all(

@@ -237,11 +237,10 @@ def write_csv(path, columns, rows, cfg: RunConfig, subcommand):
     lines.append(f"#   truncation: qubit_states={cfg.truncations.qubit_states} "
                  f"coupler_states={cfg.truncations.coupler_states} "
                  f"n_keep={cfg.truncations.n_keep}")
-    c = cfg.circuit
-    lines.append("#   circuit: L_j=%.6e H, C_j=%.6e F, I_cj=%.6e A, M_j=%.6e H,"
-                 % (c.L_j[0], c.C_j[0], c.I_cj[0], c.M_j[0]))
-    lines.append("#            L_c=%.6e H, C_c=%.6e F, I_cc=%.6e A"
-                 % (c.L_c, c.C_c, c.I_cc))
+    # element values in the rows' number format; qubit 1's of each array
+    lines.append("#   circuit: " + ", ".join(
+        f"{key}={_format_value(np.ravel(getattr(cfg.circuit, key))[0])} {unit}"
+        for key, unit in _PHYSICAL_KEYS.items()))
     # the [sweep] keys that were set and that the subcommand reads
     reads = _COMMANDS[subcommand][3] if subcommand in _COMMANDS else ()
     sweep = [f"{k}={str(v).lower()}" if isinstance(v, bool)

@@ -84,8 +84,8 @@ def check_hermitian(A):
     """Raise ValueError unless ||A - A^H||_F <= 1e-12 max(||A||_F, 1), which
     a NaN entry never satisfies."""
     A = np.asarray(A)
-    tol = 1e-12 * max(_frobenius(A), 1.0)
-    if not _frobenius(A - A.conj().T) <= tol:
+    bound = 1e-12 * max(_frobenius(A), 1.0)
+    if not _frobenius(A - A.conj().T) <= bound:
         raise ValueError("operator not Hermitian within tolerance")
 
 

@@ -128,10 +128,10 @@ def two_excitation_splitting(s: SpectrumResult, omega):
     spread = levels[-1] - levels[0]
     # absolute floor keeps exactly-degenerate manifolds (spread at rounding
     # level) from being split into singletons
-    tol = max(1e-6 * spread,
+    gap = max(1e-6 * spread,
               1e-12 * float(np.max(np.abs(s.eigenvalues))), 1e-30)
-    # a cluster ends wherever the next level lies more than tol above
-    ends = np.flatnonzero(np.diff(levels) > tol) + 1
+    # a cluster ends wherever the next level lies more than gap above
+    ends = np.flatnonzero(np.diff(levels) > gap) + 1
     degeneracies = np.diff(np.concatenate(([0], ends, [len(levels)])))
     return {
         "levels": levels,

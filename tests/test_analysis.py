@@ -607,19 +607,6 @@ def test_qubit_side_is_built_once_per_qubit_set(side_builds):
     assert side_builds == [4] * 4
 
 
-def test_find_special_point_bisection(monkeypatch):
-    # synthetic couplings with a known J4 = -2 J2 crossing at beta = 0.37
-    class FakeCS:
-        def __init__(self, b):
-            self.J4 = b - 0.37
-            self.J2 = 0.0
-
-    monkeypatch.setattr(analysis, "couplings_point",
-                        lambda u, trunc, extraction: FakeCS(u.beta_c))
-    b = find_special_point(reference_circuit(), lo=0.05, hi=0.6, tol=1e-4)
-    assert b == pytest.approx(0.37, abs=1e-4)
-
-
 def test_find_special_point_no_crossing():
     # the analytic branch keeps J4 + 2 J2 positive throughout this range
     with pytest.raises(RuntimeError, match="does not change sign"):
@@ -643,13 +630,14 @@ def _bounded_crossing(monkeypatch, limit=200):
     return calls
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
-def test_find_special_point_refuses_a_tolerance_that_is_not_positive(
-        monkeypatch, tol):
+def test_find_special_point_bisection(monkeypatch):
+    # a known J4 = -2 J2 crossing at beta = 0.37, found to within the 1e-3
+    # width after the two end points and ceil(log2(0.55 / 1e-3)) = 10
+    # halvings
     calls = _bounded_crossing(monkeypatch)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        find_special_point(reference_circuit(), tol=tol)
-    assert calls == []
+    b = find_special_point(reference_circuit(), lo=0.05, hi=0.6)
+    assert b == pytest.approx(0.37, abs=1e-3)
+    assert len(calls) <= 12
 
 
 @pytest.mark.parametrize("lo, hi", [(0.6, 0.05), (0.3, 0.3), (np.nan, 0.6)])
@@ -658,22 +646,6 @@ def test_find_special_point_refuses_an_empty_bracket(monkeypatch, lo, hi):
     with pytest.raises(ValueError, match="need lo < hi"):
         find_special_point(reference_circuit(), lo=lo, hi=hi)
     assert calls == []
-
-
-def test_find_special_point_stops_at_adjacent_floats(monkeypatch):
-    # a tolerance below the float spacing at the root ends when the bracket
-    # can no longer be halved
-    calls = _bounded_crossing(monkeypatch)
-    b = find_special_point(reference_circuit(), lo=0.05, hi=0.6, tol=1e-300)
-    assert b == pytest.approx(0.37, abs=1e-15)
-    assert len(calls) < 70
-
-
-@pytest.mark.parametrize("rel_step", [0.0, -1e-4, np.nan, np.inf])
-def test_susceptibility_refuses_a_step_that_is_not_positive(rel_step):
-    with pytest.raises(ValueError, match="rel_step must be positive"):
-        susceptibility(reference_circuit(beta_c=0.43), "E_Jc",
-                       rel_step=rel_step)
 
 
 def test_susceptibility_exact_energy_scale_case():
@@ -696,10 +668,12 @@ def test_susceptibility_finite_and_deterministic(parameter):
     assert a.richardson_ok
 
 
-def test_susceptibility_step_robustness():
+def test_susceptibility_step_robustness(monkeypatch):
     p = reference_circuit(beta_c=0.43)
-    a = susceptibility(p, "E_Jc", rel_step=1e-4)
-    b = susceptibility(p, "E_Jc", rel_step=1e-3)
+    a = susceptibility(p, "E_Jc")
+    monkeypatch.setattr(analysis, "SUSCEPTIBILITY_STEP", 1e-3)
+    b = susceptibility(p, "E_Jc")
+    assert b.step == pytest.approx(10.0 * a.step, rel=1e-12)
     assert a.chi_4J == pytest.approx(b.chi_4J, rel=1e-3)
     assert a.chi_2J == pytest.approx(b.chi_2J, rel=1e-3)
 

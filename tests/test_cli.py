@@ -307,15 +307,16 @@ def test_header_names_only_the_sweep_settings_the_run_reads(tmp_path):
 # two values of every config key but the grids, whose values are already
 # each row's first column
 HEADER_CASES = {
-    ("circuit", "L_j"): ("817 pH", "850 pH"),
-    ("circuit", "C_j"): ("45 fF", "50 fF"),
-    ("circuit", "I_cj"): ("0.45 uA", "0.5 uA"),
-    ("circuit", "M_j"): ("60 pH", "70 pH"),
-    ("circuit", "L_c"): ("170 pH", "180 pH"),
-    ("circuit", "C_c"): ("400 fF", "420 fF"),
-    ("circuit", "I_cc"): ("0.8 uA", "0.9 uA"),
-    ("circuit", "beta_c"): ("0.3", "0.35"),
-    ("circuit", "beta_j"): ("1.1", "1.2"),
+    # circuit pairs differ below the 7th significant digit
+    ("circuit", "L_j"): ("817 pH", "817.00001 pH"),
+    ("circuit", "C_j"): ("45 fF", "45.000001 fF"),
+    ("circuit", "I_cj"): ("0.45 uA", "0.45000001 uA"),
+    ("circuit", "M_j"): ("60 pH", "60.000001 pH"),
+    ("circuit", "L_c"): ("170 pH", "170.00001 pH"),
+    ("circuit", "C_c"): ("400 fF", "400.00001 fF"),
+    ("circuit", "I_cc"): ("0.8 uA", "0.80000001 uA"),
+    ("circuit", "beta_c"): ("0.3", "0.30000001"),
+    ("circuit", "beta_j"): ("1.1", "1.10000001"),
     ("truncation", "qubit_states"): ("20", "22"),
     ("truncation", "coupler_states"): ("10", "12"),
     ("truncation", "n_keep"): ("4", "3"),
@@ -334,7 +335,9 @@ def test_a_key_that_changes_a_table_is_in_its_header(tmp_path, section,
     # the README promises each table's header the fully resolved config:
     # two configs that differ in one key write the same bytes, or headers
     # that differ.  Every key needs a case, one added included.
-    flux = key in ("qubit_offsets", "common_mode")
+    # sweep-beta's grid sets I_cc, and with it beta_c, so those two run
+    # sweep-flux, as do the keys only sweep-flux reads
+    flux = key in ("qubit_offsets", "common_mode", "I_cc", "beta_c")
     subcommand = "sweep-flux" if flux else "sweep-beta"
     tables = []
     for i, value in enumerate(HEADER_CASES[section, key]):

@@ -26,13 +26,14 @@ fluxcoupler.cli` and the minor page faults (ru_minflt) of one default
 30-point numerical-SWT sweep, the latter from a copy of the tree's src/ at
 one fixed temporary path, since the count moves with the directory name
 the library is imported from.  The sha256 of each subcommand's default
-table is kept per tree, so two columns show whether the tables kept their
-bytes; a round whose table differs from an earlier round's of the same
-tree stops the harness.  Every sample is kept, and each column is
-reduced by one function (spread) to its best and its [q1, median, q3].  The
-samples come in ROUNDS rounds, and every round measures each tree once, in
-alternating order, so a slow spell of a shared machine falls on all trees
-alike.  The tier-1 suite of ROOT/tests is run once per tree, with its time
+table is kept per tree, and so is the sha256 of its rows alone (its `#`
+lines removed), so two columns show whether the tables, or their rows,
+kept their bytes; a round whose table or rows differ from an earlier
+round's of the same tree stops the harness.  Every sample is kept, and
+each column is reduced by one function (spread) to its best and its [q1,
+median, q3].  The samples come in ROUNDS rounds, and every round measures
+each tree once, in alternating order, so a slow spell of a shared machine
+falls on all trees alike.  The tier-1 suite of ROOT/tests is run once per tree, with its time
 per file.  The JSON file --out gets one column per tree, with the machine,
 the Python, numpy and scipy versions (scipy null where it is not installed)
 and the git sha of the tree.
@@ -223,8 +224,9 @@ def in_child(flag, root):
 
 
 def subcommand_s(root, name, tmp):
-    """Wall time of one default run of a subcommand, start-up included, and
-    the sha256 of the table it writes.  A run that writes no table stops
+    """Wall time of one default run of a subcommand, start-up included, the
+    sha256 of the table it writes and the sha256 of its rows alone (every
+    line that starts with `#` removed).  A run that writes no table stops
     the harness; exit status 1 with a table only reports error rows, as
     gap-scan's default grid has."""
     table = os.path.join(tmp, name.replace("-", "_") + ".csv")
@@ -240,7 +242,11 @@ def subcommand_s(root, name, tmp):
         raise RuntimeError(f"{name} of {root} failed (exit status "
                            f"{run.returncode}): {run.stderr.strip()}")
     with open(table, "rb") as f:
-        return wall, hashlib.sha256(f.read()).hexdigest()
+        data = f.read()
+    rows = b"".join(line for line in data.splitlines(keepends=True)
+                    if not line.startswith(b"#"))
+    return (wall, hashlib.sha256(data).hexdigest(),
+            hashlib.sha256(rows).hexdigest())
 
 
 def import_s(root):
@@ -373,8 +379,10 @@ def main(argv=None):
     # samples[name][column, key]: every sample, key None for a column
     # that is one number
     samples = {name: collections.defaultdict(list) for name in trees}
-    # tables[name][subcommand]: the sha256 of its default table
-    tables = {name: {} for name in trees}
+    # tables[name][kind][subcommand]: the sha256 of its default table
+    # (csv_sha256) and of that table's rows (csv_rows_sha256)
+    tables = {name: {"csv_sha256": {}, "csv_rows_sha256": {}}
+              for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(ROUNDS):
             for name in list(trees)[::-1 if r % 2 else 1]:
@@ -382,11 +390,13 @@ def main(argv=None):
                 for layer, ms in in_child("--layers-of", root).items():
                     got["layers_ms", layer] += ms
                 for cmd in SUBCOMMANDS:
-                    wall, digest = subcommand_s(root, cmd, tmp)
+                    wall, *digests = subcommand_s(root, cmd, tmp)
                     got["subcommands_s", cmd].append(wall)
-                    if tables[name].setdefault(cmd, digest) != digest:
-                        raise RuntimeError(f"the {cmd} table of {root} "
-                                           "changed its bytes between rounds")
+                    for seen, digest in zip(tables[name].values(), digests):
+                        if seen.setdefault(cmd, digest) != digest:
+                            raise RuntimeError(
+                                f"the {cmd} table of {root} changed its "
+                                "bytes between rounds")
                 got["import_cli_s", None].append(import_s(root))
                 got["swt_sweep_minflt", None].append(
                     faults_at_one_path(root, tmp))
@@ -399,7 +409,7 @@ def main(argv=None):
                 column[kind] = s
             else:
                 column.setdefault(kind, {})[key] = s
-        column["csv_sha256"] = tables[name]
+        column.update(tables[name])
         column["tier1"] = tier1(root)
     each = "best and [q1, median, q3]"
     setup = {"point": "reference circuit, beta_c 0.43, truncation 50/40/8",
@@ -411,6 +421,9 @@ def main(argv=None):
              "subcommands_s": f"default run, {each} of {ROUNDS}",
              "csv_sha256": "sha256 of each subcommand's default table, "
                  f"the same in all {ROUNDS} rounds",
+             "csv_rows_sha256": "sha256 of the same table with every line "
+                 f"that starts with # removed, the same in all {ROUNDS} "
+                 "rounds",
              "import_cli_s": "import fluxcoupler.cli in a fresh "
                  f"interpreter, {each} of {ROUNDS}",
              "swt_sweep_minflt": "ru_minflt of the default 30-point "
