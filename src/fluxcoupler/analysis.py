@@ -246,13 +246,16 @@ def two_excitation_scan(p: CircuitParams, ratios, trunc) -> SweepResult:
 def find_special_point(p: CircuitParams, lo=0.05, hi=0.6, trunc=Truncations(),
                        extraction="spectral_fit"):
     """beta_c where the extracted J4 equals -2 J2 (bisection on J4 + 2 J2),
-    to within 1e-3."""
+    to within 1e-3.  A J4 + 2 J2 that is not finite is a RuntimeError."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
 
     def f(b):
         cs = couplings_point(derive_unitless(with_beta_c(p, b)), trunc, extraction)
-        return cs.J4 + 2.0 * cs.J2
+        x = cs.J4 + 2.0 * cs.J2
+        if not np.isfinite(x):
+            raise RuntimeError(f"J4 + 2 J2 = {x} is not finite at beta_c = {b}")
+        return x
 
     flo, fhi = f(lo), f(hi)
     if flo * fhi > 0:

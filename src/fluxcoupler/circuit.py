@@ -4,8 +4,8 @@ The model circuit is four rf-SQUID flux qubits inductively coupled to a
 common rf-SQUID coupler.  Every downstream equation is written in the
 dimensionless parameters (alpha, xi, beta, phase offsets) plus two energy
 scales (the coupler and qubit inductive energies).  This module is the only
-place where Joules, Henries and Farads appear; energies are stored as
-frequencies (energy/h, in Hz) from here on.
+place where Joules, Henries and Farads appear (units: `ELEMENTS`); energies
+are stored as frequencies (energy/h, in Hz) from here on.
 
 Regimes are decided on exact levels where the loops are built
 (hamiltonian.build_qubit_bare, hamiltonian.build_coupler, swt.numerical_swt),
@@ -160,7 +160,10 @@ def derive_unitless(p: CircuitParams) -> UnitlessParams:
     )
 
 
+# the circuit elements with their SI units, in CircuitParams order, and the
 # element values (SI) and screening parameters of the reference circuit
+ELEMENTS = {"L_j": "H", "C_j": "F", "I_cj": "A", "M_j": "H",
+            "L_c": "H", "C_c": "F", "I_cc": "A"}
 REFERENCE = {"L_j": 817e-12, "C_j": 77e-15, "M_j": 40e-12, "L_c": 170e-12,
              "C_c": 407e-15, "beta_j": 1.1, "beta_c": 0.43}
 

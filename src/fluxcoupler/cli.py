@@ -6,12 +6,13 @@ Config format: line-oriented sections with `key = value` entries,
     L_j = 817 pH
     beta_c = 0.43
 
-Physical quantities require a unit; dimensionless ones forbid it.  Unknown
-keys, a key given twice in one section, a branch named twice, malformed or
-non-finite numbers, malformed grids, out-of-range integers, a critical
-current given with its screening parameter and circuit values that
-CircuitParams rejects are parse errors that name the line.  The [circuit]
-values become a circuit through `circuit.circuit_from`.
+Physical quantities require a unit: an SI prefix (f, p, n, u, m or none)
+and the element's unit (`circuit.ELEMENTS`); dimensionless ones forbid it.
+Unknown keys, a unit of another dimension, a key given twice in one section,
+a branch named twice, malformed or non-finite numbers, malformed grids,
+out-of-range integers, a critical current given with its screening parameter
+and circuit values that CircuitParams rejects are parse errors that name the
+line.  The [circuit] values become a circuit through `circuit.circuit_from`.
 
 Subcommands: spectrum, sweep-beta, sweep-flux, susceptibility, compare-swt,
 gap-scan.  `_COMMANDS` gives each its `analysis` call, default grid and
@@ -24,34 +25,24 @@ A field holding a comma, a double quote or a line break is quoted (RFC 4180).
 """
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .circuit import REFERENCE, CircuitParams, circuit_from
+from .circuit import ELEMENTS, REFERENCE, CircuitParams, circuit_from
 from .analysis import (BRANCHES, Truncations, sweep_beta, sweep_flux,
                        compare_swt, gap_scan, two_excitation_scan,
                        susceptibility_table)
 
-_UNIT_SCALE = {
-    "H": 1.0, "mH": 1e-3, "uH": 1e-6, "nH": 1e-9, "pH": 1e-12,
-    "F": 1.0, "mF": 1e-3, "uF": 1e-6, "nF": 1e-9, "pF": 1e-12, "fF": 1e-15,
-    "A": 1.0, "mA": 1e-3, "uA": 1e-6, "nA": 1e-9,
-}
-
-_PHYSICAL_KEYS = {
-    "L_j": "H", "C_j": "F", "I_cj": "A", "M_j": "H",
-    "L_c": "H", "C_c": "F", "I_cc": "A",
-}
-_DIMENSIONLESS_CIRCUIT = {"beta_c", "beta_j"}
+# a unit is one of these SI prefixes followed by its element's own unit
+_PREFIX = {"": 1.0, "m": 1e-3, "u": 1e-6, "n": 1e-9, "p": 1e-12, "f": 1e-15}
 
 _SCHEMA = {
-    "circuit": set(_PHYSICAL_KEYS) | _DIMENSIONLESS_CIRCUIT,
-    "truncation": {"qubit_states", "coupler_states", "n_keep"},
+    "circuit": set(ELEMENTS) | set(REFERENCE),
+    "truncation": {f.name for f in fields(Truncations)},
     "sweep": {"grid", "ratio_grid", "qubit_offsets", "common_mode"},
     "extraction": {"branches"},
 }
@@ -84,15 +75,16 @@ def _number(text, lineno):
 
 def _parse_quantity(key, value, lineno):
     parts = value.split()
-    if key in _PHYSICAL_KEYS:
+    if key in ELEMENTS:
         if len(parts) != 2:
             raise ConfigError(
                 f"line {lineno}: '{key}' requires a value with a unit "
-                f"(dimension {_PHYSICAL_KEYS[key]})")
+                f"(dimension {ELEMENTS[key]})")
         num, unit = parts
-        if unit not in _UNIT_SCALE:
+        prefix = unit.removesuffix(ELEMENTS[key])
+        if not unit.endswith(ELEMENTS[key]) or prefix not in _PREFIX:
             raise ConfigError(f"line {lineno}: unknown unit '{unit}' for '{key}'")
-        return _number(num, lineno) * _UNIT_SCALE[unit]
+        return _number(num, lineno) * _PREFIX[prefix]
     if len(parts) > 1:
         raise ConfigError(f"line {lineno}: '{key}' is dimensionless, no unit allowed")
     return _number(value, lineno)
@@ -180,9 +172,8 @@ def parse_config(text) -> RunConfig:
         except ValueError:
             raise ConfigError(f"line {lineno}: '{key}' must be an integer")
     trunc = Truncations(**sizes)
-    ranges = trunc.ranges()
     for key, (value, lineno) in sections["truncation"].items():
-        lo, hi = ranges[key]
+        lo, hi = trunc.ranges()[key]
         if not lo <= sizes[key] <= hi:
             raise ConfigError(f"line {lineno}: '{key}' must be in [{lo}, {hi}]")
 
@@ -225,26 +216,23 @@ def _format_value(x):
         return "1" if x else "0"
     if x is None:
         return "nan"
-    if isinstance(x, float) and not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    return f"{float(x):.11e}"
+    return f"{float(x):.11e}"   # nan, inf and -inf as such
 
 
 def write_csv(path, columns, rows, cfg: RunConfig, subcommand):
     """Comment-headed CSV, 12-significant-digit scientific, LF, byte-stable."""
     lines = [f"# fluxcoupler {__version__}", f"# subcommand: {subcommand}",
              "# resolved config:"]
-    lines.append(f"#   truncation: qubit_states={cfg.truncations.qubit_states} "
-                 f"coupler_states={cfg.truncations.coupler_states} "
-                 f"n_keep={cfg.truncations.n_keep}")
+    lines.append("#   truncation: " + " ".join(
+        f"{k}={v}" for k, v in asdict(cfg.truncations).items()))
     # element values in the rows' number format; qubit 1's of each array
     lines.append("#   circuit: " + ", ".join(
         f"{key}={_format_value(np.ravel(getattr(cfg.circuit, key))[0])} {unit}"
-        for key, unit in _PHYSICAL_KEYS.items()))
+        for key, unit in ELEMENTS.items()))
     # the [sweep] keys that were set and that the subcommand reads
     reads = _COMMANDS[subcommand][3] if subcommand in _COMMANDS else ()
     sweep = [f"{k}={str(v).lower()}" if isinstance(v, bool)
-             else f"{k}=" + ",".join(f"{x:.11e}" for x in v)
+             else f"{k}=" + ",".join(map(_format_value, v))
              for k, v in sorted(cfg.sweep.items()) if k in reads]
     if sweep:
         lines.append("#   sweep: " + " ".join(sweep))

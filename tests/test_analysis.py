@@ -640,6 +640,28 @@ def test_find_special_point_bisection(monkeypatch):
     assert len(calls) <= 12
 
 
+@pytest.mark.parametrize("nan_call", [1, 3])
+def test_find_special_point_refuses_a_non_finite_value(monkeypatch,
+                                                       nan_call):
+    # J4 + 2 J2 = NaN at the lower end point (the first call) or at the
+    # first midpoint (the third) of a bracket whose crossing is at 0.37 is
+    # refused there: NaN compares false, so no sign test would see it
+    calls = _bounded_crossing(monkeypatch)
+    crossing = analysis.couplings_point
+
+    def fake(u, trunc, extraction):
+        cs = crossing(u, trunc, extraction)
+        if len(calls) == nan_call:
+            return SimpleNamespace(J4=np.nan, J2=0.0)
+        return cs
+
+    monkeypatch.setattr(analysis, "couplings_point", fake)
+    with pytest.raises(RuntimeError, match="J4 \\+ 2 J2 = nan is not finite "
+                                           "at beta_c = "):
+        find_special_point(reference_circuit(), lo=0.05, hi=0.6)
+    assert len(calls) == nan_call
+
+
 @pytest.mark.parametrize("lo, hi", [(0.6, 0.05), (0.3, 0.3), (np.nan, 0.6)])
 def test_find_special_point_refuses_an_empty_bracket(monkeypatch, lo, hi):
     calls = _bounded_crossing(monkeypatch)

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fluxcoupler.analysis import BRANCHES
+from fluxcoupler.analysis import BRANCHES, Truncations
 from fluxcoupler.circuit import CircuitParams, reference_circuit
 from fluxcoupler.cli import (_SCHEMA, ConfigError, _format_value,
-                             _parse_grid, main, parse_config)
+                             _parse_grid, _parse_quantity, main, parse_config)
 
 
 # ------------------------------------------------------------- parsing
@@ -44,6 +44,18 @@ n_keep = 12
     assert derive_unitless(cfg.circuit).beta_c == pytest.approx(0.3, rel=1e-12)
 
 
+def test_parse_quantity_reads_any_prefix_of_the_elements_unit():
+    assert _parse_quantity("L_c", "170000 fH", 1) == 170000 * 1e-15
+    assert _parse_quantity("I_cc", "800000 pA", 1) == 800000 * 1e-12
+
+
+def test_truncation_ranges_cover_every_field():
+    # the parser takes the [truncation] keys from the fields and checks
+    # each given one against ranges()
+    assert set(Truncations().ranges()) == {f.name for f in
+                                           fields(Truncations)}
+
+
 def test_parse_comments_and_blank_lines():
     cfg = parse_config("""
 # a comment
@@ -57,6 +69,10 @@ beta_c = 0.25  # inline
 @pytest.mark.parametrize("text,fragment", [
     ("[circuit]\nL_j = 817", "line 2: 'L_j' requires a value with a unit"),
     ("[circuit]\nL_j = 817 lightyears", "line 2: unknown unit"),
+    # a unit is a prefix and the element's own unit, never another's
+    ("[circuit]\nL_j = 817 pF", "line 2: unknown unit 'pF' for 'L_j'"),
+    ("[circuit]\nC_c = 407 pH", "line 2: unknown unit 'pH' for 'C_c'"),
+    ("[circuit]\nI_cj = 0.5 uF", "line 2: unknown unit 'uF' for 'I_cj'"),
     ("[circuit]\nbeta_c = 0.3 pH", "line 2: 'beta_c' is dimensionless"),
     ("[circuit]\nbeta_c = abc", "line 2: malformed number"),
     ("[circuit]\nbeta_c =", "line 2: malformed number ''"),
@@ -71,6 +87,7 @@ beta_c = 0.25  # inline
     # 1e17 points, 711 PiB: more than any 64-bit address space maps
     ("[sweep]\ngrid = 0:1:1e-17", "line 2: malformed grid"),
     ("[sweep]\nqubit_offsets = 1,2,3", "line 2: qubit_offsets needs 4"),
+    ("[sweep]\ncommon_mode = maybe", "line 2: common_mode must be true/false"),
     ("[extraction]\nbranches = magic", "line 2: unknown branch"),
     ("[extraction]\nfit_J3 = maybe", "line 2: unknown key 'fit_J3'"),
     ("[output]\nprecision = 12", "line 1: unknown section 'output'"),
@@ -133,6 +150,7 @@ def test_format_value():
     assert _format_value(1234.5678) == "1.23456780000e+03"
     assert _format_value(np.nan) == "nan"
     assert _format_value(np.inf) == "inf"
+    assert _format_value(-np.inf) == "-inf"
     assert _format_value(True) == "1"
     assert _format_value(None) == "nan"
     assert _format_value("ok") == "ok"

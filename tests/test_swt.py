@@ -8,10 +8,11 @@ import pytest
 
 from fluxcoupler import spectrum
 from fluxcoupler import swt as swt_module
-from fluxcoupler.analysis import (build_system, spectral_point,
-                                  with_flux_offsets)
+from fluxcoupler.analysis import (build_system, couplings_point,
+                                  spectral_point, with_flux_offsets)
 from fluxcoupler.cli import _BETA_GRID
-from fluxcoupler.circuit import derive_unitless, reference_circuit
+from fluxcoupler.circuit import (REFERENCE, circuit_from, derive_unitless,
+                                 reference_circuit)
 from fluxcoupler.hamiltonian import (IsingModel, assemble_full,
                                      assemble_ising_model, build_coupler,
                                      build_qubit_bare, coupler_eigenbasis,
@@ -302,6 +303,15 @@ def test_analytic_validation():
     u.beta_c = 1.0
     with pytest.raises(ValueError):
         analytic_couplings(u, _well(u))
+
+
+def test_analytic_refuses_a_series_with_no_small_parameter():
+    # a large mutual inductance and a small qubit capacitance give
+    # epsilon = alpha * s >= 1, where the 4th-order series does not hold
+    u = derive_unitless(circuit_from({**REFERENCE, "C_j": 0.02e-15,
+                                      "M_j": 160e-12}))
+    with pytest.raises(ValueError, match="epsilon = alpha\\*s >= 1"):
+        couplings_point(u, extraction="analytic_swt")
 
 
 @pytest.mark.parametrize("name,value", [
